@@ -1,11 +1,11 @@
-"""Timing-pipeline benchmark: packet-order traces + vectorized replay.
+"""Timing-pipeline benchmark: frontier-recorded traces + vectorized replay.
 
 Measures the paper campaign's measurement pipeline — fetch-trace
 production plus :func:`repro.hwsim.replay` — on the fig13/14 trace
 configurations (Baseline = monolithic 20-tri, GRTX-SW = tlas+20-tri),
 comparing the pre-refactor path (scalar tracer + the per-event
-:func:`repro.hwsim.replay_reference` loop) with the new one (packet
-trace recorder + batched replay).  Unlike the figure benchmarks in this
+:func:`repro.hwsim.replay_reference` loop) with the new one (the
+wavefront engine's trace recorder + batched replay).  Unlike the figure benchmarks in this
 directory (which run under ``pytest --benchmark-only``), this is a
 plain script::
 
@@ -99,16 +99,16 @@ def run_config(cloud, structure, camera, k: int, reps: int) -> dict:
     t_scalar_trace = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    packet = GaussianRayTracer(cloud, structure, config,
-                               engine="packet").render(
+    batched = GaussianRayTracer(cloud, structure, config,
+                                engine="wavefront").render(
         camera, keep_traces=True)
-    t_packet_trace = time.perf_counter() - t0
+    t_batched_trace = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     plain = GaussianRayTracer(cloud, structure, config,
-                              engine="packet").render(
+                              engine="wavefront").render(
         camera, keep_traces=False)
-    t_packet_plain = time.perf_counter() - t0
+    t_batched_plain = time.perf_counter() - t0
     del plain
 
     n_events = sum(r.n_fetches for t in scalar.traces for r in t.rounds)
@@ -120,29 +120,29 @@ def run_config(cloud, structure, camera, k: int, reps: int) -> dict:
         ref_report = replay_reference(scalar.traces, gpu)
         ref_times.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
-        new_report = replay(packet.traces, gpu)
+        new_report = replay(batched.traces, gpu)
         new_times.append(time.perf_counter() - t0)
     t_ref_replay = min(ref_times)
     t_new_replay = min(new_times)
 
     parity = {
         "multisets": _trace_multisets(scalar.traces)
-                     == _trace_multisets(packet.traces),
-        "stats": scalar.stats == packet.stats,
+                     == _trace_multisets(batched.traces),
+        "stats": scalar.stats == batched.stats,
     }
     for field in PARITY_FIELDS:
         parity[field] = getattr(ref_report, field) == getattr(
             new_report, field)
 
     old_total = t_scalar_trace + t_ref_replay
-    new_total = t_packet_trace + t_new_replay
+    new_total = t_batched_trace + t_new_replay
     return {
         "n_events": n_events,
         "scalar_trace_s": t_scalar_trace,
-        "packet_trace_s": t_packet_trace,
-        "packet_plain_s": t_packet_plain,
-        "record_overhead": t_packet_trace / t_packet_plain,
-        "trace_speedup": t_scalar_trace / t_packet_trace,
+        "wavefront_trace_s": t_batched_trace,
+        "wavefront_plain_s": t_batched_plain,
+        "record_overhead": t_batched_trace / t_batched_plain,
+        "trace_speedup": t_scalar_trace / t_batched_trace,
         "ref_replay_s": t_ref_replay,
         "new_replay_s": t_new_replay,
         "replay_speedup": t_ref_replay / t_new_replay,
@@ -199,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
          "replay speedup", "replay ev/s", "e2e speedup", "parity"],
         rows,
         notes="old = scalar trace + reference replay; "
-              "new = packet recorder + batched replay",
+              "new = wavefront recorder + batched replay",
     )
     print(report)
     RESULTS_DIR.mkdir(exist_ok=True)

@@ -8,7 +8,7 @@ or tabulate together. They now all write::
 
     {
       "schema": "repro.bench/v1",
-      "benchmark": "<name>",            # e.g. "pool", "packet_tlas"
+      "benchmark": "<name>",            # e.g. "pool", "wavefront_tlas"
       "created_unix": <float>,
       "host": {python, platform, machine, cpus},
       "config": {<the argparse knobs that shaped the run>},
@@ -43,12 +43,10 @@ HEADLINES: dict[str, tuple[str, str, str]] = {
     "pool": ("persistent-pool speedup", "pool_reuse.speedup", "{:.2f}x"),
     # Mode-keyed paths: measurements.0.* depends on --modes order, so
     # the headlines resolve through the summary section instead.
-    "packet_mono": ("packet speedup (mono)",
-                    "summary.multiround.speedup", "{:.2f}x"),
-    "packet_tlas": ("packet speedup (tlas)",
-                    "summary.multiround.speedup", "{:.2f}x"),
-    "wavefront": ("wavefront speedup vs packet",
-                  "summary.multiround.speedup_vs_packet", "{:.2f}x"),
+    "wavefront_mono": ("wavefront speedup vs scalar (mono)",
+                       "summary.multiround.speedup", "{:.2f}x"),
+    "wavefront_tlas": ("wavefront speedup vs scalar (tlas)",
+                       "summary.multiround.speedup", "{:.2f}x"),
     "replay": ("campaign e2e speedup",
                "campaign.e2e_speedup", "{:.2f}x"),
     "serve_throughput": ("serve throughput",

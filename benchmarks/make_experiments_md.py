@@ -244,7 +244,7 @@ ORDER = [
 
 
 #: Committed BENCH_*.json documents (repro.bench/v1), in render order.
-BENCH_DOCS = ("BENCH_packet_mono", "BENCH_packet_tlas", "BENCH_wavefront",
+BENCH_DOCS = ("BENCH_wavefront_mono", "BENCH_wavefront_tlas",
               "BENCH_pool", "BENCH_replay", "BENCH_serve", "BENCH_obs",
               "BENCH_chaos")
 

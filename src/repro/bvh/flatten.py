@@ -17,7 +17,7 @@ TLAS + shared BLAS — lower to a single numpy representation,
 
 Both tracing engines consume this one layout — the scalar
 :class:`~repro.rt.tracer.Tracer` builds its plain-list hot-loop tables
-from it and the vectorized :class:`~repro.rt.packet.PacketTracer`
+from it and the vectorized :class:`~repro.rt.wavefront.WavefrontTracer`
 traverses its arrays directly — so the engines cannot drift apart on
 what a structure *is*.  The flattened form is also what ships to pool
 workers: it is self-contained (a worker can build either engine from it
@@ -115,7 +115,7 @@ class FlatStructure:
     #: Per-instance shared-BLAS slot, leaf order (two-level only).
     inst_blas: np.ndarray | None = None
     #: Per-instance world->object transform, leaf order (two-level
-    #: only); what the packet tracer transforms ray bundles with.  Equal
+    #: only); what the wavefront tracer transforms ray bundles with.  Equal
     #: by construction to the shading tables gathered by ``prim_gid`` —
     #: both derive from ``canonical_transforms`` over the same cloud —
     #: which the test suite guards (that equality is what keeps the two

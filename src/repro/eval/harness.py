@@ -157,7 +157,7 @@ def normalize_config(
     worker whose module defaults may differ.
 
     ``engine`` defaults to ``"auto"``: trace-producing campaign renders
-    run on the packet engine's recording path whenever it covers the
+    run on the wavefront engine's recording path whenever it covers the
     (structure, config) pair — per-ray fetch traces and every replayed
     timing figure are engine-identical — and fall back to the scalar
     tracer otherwise (GRTX-HW checkpointing).

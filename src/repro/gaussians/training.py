@@ -113,10 +113,10 @@ class GaussianTrainer:
     ray termination applied.
 
     ``engine`` selects the forward tracer: ``"auto"`` (default) runs the
-    vectorized packet engine — ``record_blended`` is packetized, so a
-    whole view's bundle is traced in one packet and the backward pass
-    consumes :attr:`~repro.rt.packet.PacketResult.blend_records` —
-    falling back to the scalar per-ray tracer only when the packet
+    vectorized wavefront engine — ``record_blended`` is batched, so a
+    whole view's bundle is traced at once and the backward pass
+    consumes :attr:`~repro.rt.kernels.PacketResult.blend_records` —
+    falling back to the scalar per-ray tracer only when the wavefront
     engine cannot cover the structure.
     """
 
@@ -156,7 +156,7 @@ class GaussianTrainer:
 
     def _forward_view(self, tracer, engine: str, bundle):
         """Colors + per-ray blend records for one view's ray bundle."""
-        if engine == "packet":
+        if engine == "wavefront":
             result = tracer.trace_packet(bundle.origins, bundle.directions)
             return result.colors, result.blend_records
         colors = np.empty((len(bundle), 3))
@@ -170,14 +170,14 @@ class GaussianTrainer:
 
     def loss_and_grads(self) -> tuple[float, dict[str, np.ndarray]]:
         """MSE loss over all views plus analytic parameter gradients."""
-        from repro.rt.packet import PacketTracer, resolve_engine
+        from repro.rt.wavefront import WavefrontTracer, resolve_engine
 
         cloud = self._current_cloud()
         structure = build_two_level(cloud, "sphere")
         shading = SceneShading(cloud)
         engine = resolve_engine(self.engine, structure, self._config)
-        if engine == "packet":
-            tracer = PacketTracer(structure, shading, self._config)
+        if engine == "wavefront":
+            tracer = WavefrontTracer(structure, shading, self._config)
         else:
             tracer = Tracer(structure, shading, self._config)
 
@@ -285,21 +285,21 @@ class GaussianTrainer:
 def render_views(cloud: GaussianCloud, cameras: list[PinholeCamera],
                  k: int = 8, engine: str = "auto") -> list[TrainingView]:
     """Render ground-truth target views from a reference cloud."""
-    from repro.rt.packet import PacketTracer, resolve_engine
+    from repro.rt.wavefront import WavefrontTracer, resolve_engine
 
     structure = build_two_level(cloud, "sphere")
     config = TraceConfig(k=k)
     shading = SceneShading(cloud)
     resolved = resolve_engine(engine, structure, config)
-    if resolved == "packet":
-        tracer = PacketTracer(structure, shading, config)
+    if resolved == "wavefront":
+        tracer = WavefrontTracer(structure, shading, config)
     else:
         tracer = Tracer(structure, shading, config)
     views = []
     for camera in cameras:
         bundle = camera.generate_rays()
         image = np.zeros((camera.n_pixels, 3))
-        if resolved == "packet":
+        if resolved == "wavefront":
             result = tracer.trace_packet(bundle.origins, bundle.directions)
             image[bundle.pixel_ids] = result.colors
         else:

@@ -53,11 +53,6 @@ class TileCostModel:
         self.capacity = capacity
         self.blend = blend
         self._maps: OrderedDict[Hashable, np.ndarray] = OrderedDict()
-        #: Per-scene mean seconds-per-ray of whole-frame (wavefront)
-        #: renders — a scalar EMA per key, separate from the density
-        #: maps (a frame traced whole yields no intra-frame skew info,
-        #: so it must not dilute the per-tile maps).
-        self._frame_rates: OrderedDict[Hashable, float] = OrderedDict()
         self.frames_recorded = 0
 
     def __contains__(self, key: Hashable) -> bool:
@@ -65,7 +60,6 @@ class TileCostModel:
 
     def forget(self, key: Hashable) -> None:
         self._maps.pop(key, None)
-        self._frame_rates.pop(key, None)
 
     # -- feedback -------------------------------------------------------
 
@@ -110,45 +104,6 @@ class TileCostModel:
         while len(self._maps) > self.capacity:
             self._maps.popitem(last=False)
         self.frames_recorded += 1
-
-    def record_frame(self, key: Hashable, frame_width: int,
-                     frame_height: int, cost: float) -> None:
-        """Fold one whole-frame measurement (seconds) into the scene's
-        seconds-per-ray rate.
-
-        The wavefront engine traces a frame in one pass, so there are no
-        per-tile costs to learn borders from; what *is* learnable is the
-        scene's overall rate, which :meth:`suggest_chunk` turns into a
-        frontier chunk size for the next frame.
-        """
-        n = frame_width * frame_height
-        if n < 1 or cost < 0.0:
-            return
-        rate = float(cost) / n
-        previous = self._frame_rates.pop(key, None)
-        if previous is not None:
-            rate = self.blend * rate + (1.0 - self.blend) * previous
-        self._frame_rates[key] = rate
-        while len(self._frame_rates) > self.capacity:
-            self._frame_rates.popitem(last=False)
-        self.frames_recorded += 1
-
-    def suggest_chunk(self, key: Hashable, budget_s: float = 0.25,
-                      lo: int = 8192, hi: int = 1 << 20) -> int | None:
-        """Rays per wavefront chunk so one chunk costs about
-        ``budget_s`` seconds at the scene's recorded rate, clamped to
-        ``[lo, hi]`` — or ``None`` without history (callers keep the
-        engine's default).
-
-        Bounding chunk *time* bounds the peak size of the frontier
-        temporaries on expensive scenes while letting cheap scenes run
-        the whole frame in one pass.
-        """
-        rate = self._frame_rates.get(key)
-        if rate is None or rate <= 0.0:
-            return None
-        self._frame_rates.move_to_end(key)
-        return int(min(max(budget_s / rate, lo), hi))
 
     # -- prediction -----------------------------------------------------
 

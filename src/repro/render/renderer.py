@@ -136,16 +136,13 @@ class RenderResult:
 
 
 #: Engines a renderer can trace with.  ``"scalar"`` is the per-ray
-#: Python tracer (full feature set, per-ray fetch traces); ``"packet"``
-#: is the numpy-vectorized ray-packet engine (both structure families,
-#: multiround/singleround, no fetch traces), parity-matched to the
-#: scalar images within 1e-9 per channel; ``"wavefront"`` batches the
-#: whole ray set breadth-first through the same kernels (same parity
-#: contract, built for frame-sized batches); ``"auto"`` picks a batch
-#: engine whenever one covers the (structure, config) pair — the
-#: wavefront engine when the batch is frame-sized (``n_rays`` hint
-#: reaches :func:`repro.rt.packet.resolve_engine`), the packet engine
-#: otherwise — and the scalar tracer when neither applies.
+#: Python tracer (full feature set, including GRTX-HW checkpointing);
+#: ``"wavefront"`` is the numpy-vectorized batched engine (both
+#: structure families, multiround/singleround, fetch-trace recording),
+#: parity-matched to the scalar images within 1e-9 per channel;
+#: ``"packet"`` is a deprecated alias of ``"wavefront"``; ``"auto"``
+#: picks the wavefront engine whenever it covers the (structure, config)
+#: pair and the scalar tracer otherwise.
 ENGINES = ("scalar", "packet", "wavefront", "auto")
 
 
@@ -161,23 +158,18 @@ class GaussianRayTracer:
     config:
         Tracing configuration (k, multi/single round, checkpointing, ...).
     engine:
-        ``"scalar"`` (default), ``"packet"``, ``"wavefront"`` or
-        ``"auto"``.  The batch engines cover both structure families
-        without checkpointing; an explicit ``"packet"``/``"wavefront"``
-        on an unsupported combination falls back to the scalar tracer —
-        counted by :func:`repro.rt.packet.packet_fallback_count` and
-        warned about once per reason — while ``"auto"`` silently picks
-        whichever engine covers the pair: the wavefront engine when
-        ``n_rays`` says the batch is frame-sized, the packet engine
-        otherwise (``engine_active`` reports the choice).
-    n_rays:
-        Optional batch-size hint for ``"auto"`` (callers that know the
-        frame resolution pass ``width * height``); without it ``"auto"``
-        resolves to the packet engine as before.
+        ``"scalar"`` (default), ``"wavefront"``, ``"packet"`` (alias of
+        ``"wavefront"``) or ``"auto"``.  The wavefront engine covers
+        both structure families without checkpointing; an explicit
+        ``"wavefront"``/``"packet"`` on an unsupported combination
+        falls back to the scalar tracer — counted by the registry
+        counter ``rt.packet_fallbacks`` and warned about once per
+        reason — while ``"auto"`` silently picks whichever engine covers
+        the pair (``engine_active`` reports the choice).
 
     ``structure`` may also be an already-flattened
     :class:`~repro.bvh.flatten.FlatStructure` (what pool workers
-    receive); all engines consume the flattened layout natively.
+    receive); both engines consume the flattened layout natively.
     """
 
     def __init__(
@@ -186,7 +178,6 @@ class GaussianRayTracer:
         structure: MonolithicBVH | TwoLevelBVH,
         config: TraceConfig | None = None,
         engine: str = "scalar",
-        n_rays: int | None = None,
     ) -> None:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -195,30 +186,24 @@ class GaussianRayTracer:
         self.config = config or TraceConfig()
         self.engine = engine
         self.shading = SceneShading(cloud)
+        #: The batched tracer (``None`` on the scalar engine); every
+        #: consumer (tile scheduler, tests, pool workers) holds it
+        #: through this attribute.
         self.packet = None
         self._scalar_tracer: Tracer | None = None
-        from repro.rt.packet import PacketTracer, resolve_engine
-        from repro.rt.wavefront import WavefrontTracer
+        from repro.rt.wavefront import WavefrontTracer, resolve_engine
 
-        resolved = resolve_engine(engine, structure, self.config,
-                                  n_rays=n_rays)
-        self._engine_active = resolved
-        if resolved == "wavefront":
-            #: The batch tracer keeps the historical ``packet`` name —
-            #: both batch engines share the PacketTracer API and every
-            #: consumer (tile scheduler, tests, pool workers) holds it
-            #: through this attribute.
+        self._engine_active = resolve_engine(engine, structure, self.config)
+        if self._engine_active == "wavefront":
             self.packet = WavefrontTracer(structure, self.shading,
                                           self.config)
-        elif resolved == "packet":
-            self.packet = PacketTracer(structure, self.shading, self.config)
         else:
             self._scalar_tracer = Tracer(structure, self.shading, self.config)
 
     @property
     def tracer(self) -> Tracer:
-        """The scalar tracer — built lazily when the packet engine is
-        active (its table setup is O(scene) and the packet path never
+        """The scalar tracer — built lazily when the wavefront engine is
+        active (its table setup is O(scene) and the batched path never
         touches it), eagerly otherwise."""
         if self._scalar_tracer is None:
             self._scalar_tracer = Tracer(self.structure, self.shading, self.config)
@@ -271,9 +256,9 @@ class GaussianRayTracer:
         tile sliced out of a full-frame bundle traces bit-identically to
         the untiled render.
 
-        With the packet engine active the whole batch is traced as one
-        ray packet. ``keep_traces`` selects the *recorded* packet path
-        (:meth:`PacketTracer.trace_packet_recorded`): per-ray fetch
+        With the wavefront engine active the whole batch is traced as one
+        bundle. ``keep_traces`` selects the *recorded* path
+        (:meth:`WavefrontTracer.trace_packet_recorded`): per-ray fetch
         traces stream- and counter-identical to the scalar recorder's,
         at extra recording cost — so serving paths keep it off and
         timing runs turn it on.
@@ -289,7 +274,7 @@ class GaussianRayTracer:
         # Per-phase timing at bundle granularity: the tracer accumulates
         # traversal/blend seconds across all rays of this bundle and the
         # totals flush as one histogram sample each — the same shape the
-        # packet engine reports per chunk.
+        # wavefront engine reports per chunk.
         profile = tracer.profile = PhaseAccumulator()
         bundle_span = span("rt.scalar.trace", rays=n)
         bundle_span.__enter__()
@@ -351,10 +336,10 @@ class GaussianRayTracer:
         objects: SceneObjects | None,
         keep_traces: bool = False,
     ) -> BundleResult:
-        """Packet-engine ray batch: one vectorized primary packet plus
-        (when scene objects clip primaries) one secondary packet.
+        """Wavefront-engine ray batch: one vectorized primary bundle plus
+        (when scene objects clip primaries) one secondary bundle.
 
-        With ``keep_traces`` the packets run through the recording path
+        With ``keep_traces`` the bundles run through the recording path
         and the stats are absorbed from the reconstructed traces exactly
         like the scalar loop's, so every RenderStats counter matches the
         scalar engine (not just the parity trio)."""
@@ -415,7 +400,7 @@ class GaussianRayTracer:
 
     @staticmethod
     def _absorb_recorded(stats: RenderStats, result, traces, primary: bool) -> None:
-        """Absorb a recorded packet like the scalar per-ray loop does:
+        """Absorb a recorded bundle like the scalar per-ray loop does:
         every counter (visit totals, anyhit calls, k-buffer ops, ...)
         comes from the reconstructed traces, so the stats block equals
         the scalar engine's exactly."""

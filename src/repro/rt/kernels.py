@@ -1,21 +1,19 @@
-"""Shared vectorized kernels for the batched tracing engines.
+"""Shared vectorized kernels of the batched tracing engine.
 
-The packet engine (:mod:`repro.rt.packet`, depth-first per-node
-dispatch) and the wavefront engine (:mod:`repro.rt.wavefront`,
-breadth-first frontier dispatch) differ only in *how they schedule*
-traversal work.  Everything that actually touches geometry or color —
-the slab arithmetic's input conventions, masked Möller–Trumbore,
-world→object ray transforms, the sphere-BLAS root-box test, the
-canonical any-hit evaluation and the front-to-back blend — is identical
-arithmetic, extracted here so the engines cannot drift apart on it.
+Everything in :mod:`repro.rt.wavefront` and the trace recorder
+(:mod:`repro.rt.tracerecord`) that touches geometry or color — leaf
+candidate expansion, masked Möller–Trumbore, world→object ray
+transforms, the sphere-BLAS root-box test, the canonical any-hit
+evaluation and the front-to-back blend — lives here, so the plain and
+recorded paths cannot drift apart on it.
 
 Every kernel is elementwise over its batch (no cross-element reductions
-except the documented sorted ones), which is what makes the engines
-bit-identical to each other and to the scalar tracer regardless of how
-candidates were batched or ordered: IEEE float ops are deterministic
-per element, and the blend stage re-sorts candidates by the fully
-determining key ``(ray, t, gid)`` before any order-sensitive
-accumulation.
+except the documented sorted ones), which is what makes the engine
+bit-identical to itself however rays are batched, and within 1e-9 of
+the scalar tracer regardless of how candidates were ordered: IEEE float
+ops are deterministic per element, and the blend stage re-sorts
+candidates by the fully determining key ``(ray, t, gid)`` before any
+order-sensitive accumulation.
 """
 
 from __future__ import annotations
@@ -86,14 +84,24 @@ class PacketResult:
 
 
 class Level:
-    """Contiguous traversal arrays for one flattened BVH level."""
+    """Contiguous traversal arrays for one flattened BVH level.
 
-    __slots__ = ("child_lo", "child_hi", "child_kind", "child_ref",
-                 "leaf_start", "leaf_count")
+    ``boxes`` is an axis-major ``(6, n_nodes, width)`` copy of the child
+    boxes: plane ``2a``/``2a+1`` holds axis ``a``'s lo/hi as its own
+    contiguous ``(n_nodes, width)`` table, so the wavefront slab test's
+    per-axis gathers produce contiguous outputs the in-place ufuncs run
+    fastest on.
+    """
+
+    __slots__ = ("boxes", "child_kind", "child_ref", "leaf_start",
+                 "leaf_count")
 
     def __init__(self, bvh: FlatBVH) -> None:
-        self.child_lo = np.ascontiguousarray(bvh.child_lo)
-        self.child_hi = np.ascontiguousarray(bvh.child_hi)
+        n, width, _ = bvh.child_lo.shape
+        self.boxes = np.empty((6, n, width))
+        for a in range(3):
+            self.boxes[2 * a] = bvh.child_lo[:, :, a]
+            self.boxes[2 * a + 1] = bvh.child_hi[:, :, a]
         self.child_kind = bvh.child_kind
         self.child_ref = bvh.child_ref
         self.leaf_start = bvh.leaf_start
@@ -110,6 +118,32 @@ def empty_result(n: int, record_blended: bool) -> PacketResult:
         rounds=np.ones(n, dtype=np.int64),
         blend_records=([[] for _ in range(n)] if record_blended else None),
     )
+
+
+def expand_pairs(
+    level: Level, l_rays: np.ndarray, l_refs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Expand accepted ``(ray, leaf)`` pairs into ``(ray,
+    ordered-primitive)`` candidate pairs in one shot.
+
+    ``np.repeat`` by per-leaf counts plus an offset ramp derived from
+    the counts' prefix sum; ``np.repeat(l_refs, counts)`` is the
+    matching leaf column.
+    """
+    empty = np.empty(0, dtype=np.int64)
+    if l_rays.size == 0:
+        return empty, empty
+    counts = level.leaf_count[l_refs].astype(np.int64)
+    starts = level.leaf_start[l_refs].astype(np.int64)
+    total = int(counts.sum())
+    if total == 0:
+        return empty, empty
+    rp = np.repeat(l_rays, counts)
+    ends = np.cumsum(counts)
+    offsets = (np.arange(total, dtype=np.int64)
+               - np.repeat(ends - counts, counts))
+    pp = np.repeat(starts, counts) + offsets
+    return rp, pp
 
 
 def entering_hits(
@@ -167,15 +201,31 @@ def to_object_space(lin, off, oc, dc):
     return o2, d2
 
 
-def sphere_blas_hits(o2, d2, clip) -> np.ndarray:
-    """Batched unit-box test of the sphere BLAS root record —
-    the scalar instance path's one box test, vectorized (same
+def box_slab(lo, hi, o2, d2):
+    """Slab test of one box against per-pair rays (the shared mesh
+    BLAS's root box): ``(tn, tf, inv_d2)`` with the scalar tracer's
+    degenerate-direction guard."""
+    safe = np.where(np.abs(d2) < 1e-12, 1e-12, d2)
+    inv_d2 = 1.0 / safe
+    t0 = (lo[None, :] - o2) * inv_d2
+    t1 = (hi[None, :] - o2) * inv_d2
+    return (np.minimum(t0, t1).max(axis=1), np.maximum(t0, t1).min(axis=1),
+            inv_d2)
+
+
+def unit_box_slab(o2, d2):
+    """Slab test of the sphere BLAS root record, the unit box: ``(tn,
+    tf)`` — the scalar instance path's one box test, vectorized (same
     exact-zero direction guard)."""
     safe = np.where(d2 == 0.0, 1e-12, d2)  # repro: lint-ok[float-eq] exact-zero guard mirrors the scalar engine's slab divide bit-for-bit
     t0 = (-1.0 - o2) / safe
     t1 = (1.0 - o2) / safe
-    tn = np.minimum(t0, t1).max(axis=1)
-    tf = np.maximum(t0, t1).min(axis=1)
+    return np.minimum(t0, t1).max(axis=1), np.maximum(t0, t1).min(axis=1)
+
+
+def sphere_blas_hits(o2, d2, clip) -> np.ndarray:
+    """Which pairs the sphere BLAS root box accepts."""
+    tn, tf = unit_box_slab(o2, d2)
     return (tn <= tf) & (tf >= 0.0) & (tn <= clip)
 
 
@@ -205,8 +255,8 @@ def shade_and_blend(
 
     Candidate *order* does not matter: the full ``(ray, t, gid)``
     lexsort below fully determines the blend sequence, which is what
-    lets the depth-first and breadth-first engines share this stage
-    bit-for-bit.
+    lets the plain and recorded paths (and any ray batching) share this
+    stage bit-for-bit.
     """
     n = o.shape[0]
     result = empty_result(n, config.record_blended)

@@ -47,6 +47,28 @@ class SceneShading:
         self.sh = cloud.sh
         self._sh_degree = cloud.sh_degree
 
+    def to_object(self, gaussian_id: int, origin: np.ndarray,
+                  direction: np.ndarray):
+        """One ray in one Gaussian's object space, as ``(o, d)`` float
+        triples.
+
+        The row-expanded 3x3 matvec of
+        :func:`repro.rt.kernels.to_object_space`, term for term and in
+        the same order, so the scalar and batched engines transform
+        rays bit-identically (a BLAS ``linear @ vec`` is free to fuse or
+        reorder the products, and does on some hosts).
+        """
+        (a, b, c), (e, f, g), (h, i, j) = self.w2o_linear[gaussian_id].tolist()
+        o0, o1, o2 = self.w2o_offset[gaussian_id].tolist()
+        ox, oy, oz = origin.tolist()
+        dx, dy, dz = direction.tolist()
+        return ((a * ox + b * oy + c * oz + o0,
+                 e * ox + f * oy + g * oz + o1,
+                 h * ox + i * oy + j * oz + o2),
+                (a * dx + b * dy + c * dz,
+                 e * dx + f * dy + g * dz,
+                 h * dx + i * dy + j * dz))
+
     def evaluate_hit(
         self,
         gaussian_id: int,
@@ -66,9 +88,7 @@ class SceneShading:
         ``alpha`` is evaluated at the point of maximum response
         (``t_alpha`` in the paper), matching Section II-B.
         """
-        linear = self.w2o_linear[gaussian_id]
-        o = linear @ origin + self.w2o_offset[gaussian_id]
-        d = linear @ direction
+        o, d = self.to_object(gaussian_id, origin, direction)
         dd = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
         if dd < 1e-30:
             return None

@@ -184,7 +184,7 @@ class FlatTables:
     """Plain-list views of one flattened structure for per-ray loops.
 
     The scalar tracer's hot loops index Python lists (faster than numpy
-    scalars at this granularity), and the packet trace recorder's
+    scalars at this granularity), and the wavefront trace recorder's
     control-flow reconstruction reads the *same* tables — one builder,
     so the two consumers cannot disagree on addresses, child layouts or
     leaf contents. Built once per :class:`~repro.bvh.flatten.FlatStructure`
@@ -301,7 +301,7 @@ class Tracer:
     ) -> None:
         # Both engines consume the same flattened layout (leaf-ordered
         # primitive tables, instance table, shared-BLAS slots), so the
-        # scalar and packet tracers cannot drift apart on what a
+        # scalar and wavefront tracers cannot drift apart on what a
         # structure is.  A pre-flattened structure (what pool workers
         # receive) is accepted directly.
         flat = flatten(structure)
@@ -597,9 +597,8 @@ class Tracer:
                     prim_kind=PRIM_TRANSFORM,
                 )
                 ray_trace.note_fetch(inst_addr, FETCH_LEAF)
-                linear = self.shading.w2o_linear[gid]
-                o2 = linear @ self._o + self.shading.w2o_offset[gid]
-                d2 = linear @ self._d
+                o2, d2 = self.shading.to_object(gid, self._o, self._d)
+                o2, d2 = np.array(o2), np.array(d2)
                 start_kind = KIND_INTERNAL if kind == CKPT_BLAS_NODE else KIND_LEAF
                 tables = (self._blas_tables_all[self._gid_blas[gid]]
                           if self._gid_blas is not None else None)
@@ -844,9 +843,7 @@ class Tracer:
             blas = self._blas_list[slot]
             blas_tables = self._blas_tables_all[slot]
         rt = state.round_trace
-        linear = shading.w2o_linear[gid]
-        o2 = linear @ self._o + shading.w2o_offset[gid]
-        d2 = linear @ self._d
+        o2, d2 = shading.to_object(gid, self._o, self._d)
 
         if blas.kind == "sphere":
             # One root-box test + one sphere test, both against the shared
@@ -880,6 +877,7 @@ class Tracer:
             return
 
         # Icosphere BLAS: traverse the small template triangle BVH.
+        o2, d2 = np.array(o2), np.array(d2)
         tables = blas_tables if blas_tables is not None else self._blas_tables
         root_lo, root_hi = tables.root_lo, tables.root_hi
         safe = np.where(np.abs(d2) < 1e-12, 1e-12, d2)

@@ -1,25 +1,26 @@
-"""Packet-order fetch-trace recording.
+"""Fetch-trace recording on the wavefront frontier.
 
 The scalar :class:`~repro.rt.tracer.Tracer` records per-ray fetch traces
-as a side effect of walking the BVH one ray at a time — which pinned
-every timing-model figure to the slowest engine.  This module teaches
-the packet engine to produce the *same* traces from its batched
-traversal, in two phases:
+as a side effect of walking the BVH one ray at a time.  This module
+teaches the batched engine (:class:`~repro.rt.wavefront.WavefrontTracer`)
+to produce the *same* traces from its breadth-first traversal, in two
+phases:
 
-**Phase A — batched geometry.**  One recording traversal per packet
-(:meth:`~repro.rt.packet.PacketTracer._traverse_log`) visits every node
-reachable with ``t_min = 0`` and no ``t_max`` — a superset of what any
-tracing round visits — and logs each visiting ray's child slab results.
-Leaf visits feed one masked Möller–Trumbore over all candidate pairs
-(kept per-leaf), batched instance transforms, one shared-BLAS traversal
-per instance group, and one vectorized canonical any-hit evaluation per
-candidate ``(ray, gaussian)`` pair.  The shade/blend stage then runs on
-exactly the candidate sets a plain ``trace_packet`` would build, so the
-recorded render's :class:`~repro.rt.packet.PacketResult` matches the
-plain packet path.
+**Phase A — batched geometry.**  One recording frontier traversal per
+bundle visits every ``(ray, node)`` pair reachable with ``t_min = 0``
+and no ``t_max`` — a superset of what any tracing round visits — and
+logs each level's ``(rays, nodes, tn, tf, hit)`` rows: every visiting
+pair's child slab results and accept mask.  Leaf pairs feed one masked
+Möller–Trumbore over all candidate pairs (kept per leaf), batched
+instance transforms, one shared-BLAS frontier traversal per instance
+group, and one vectorized canonical any-hit evaluation per candidate
+``(ray, gaussian)`` pair.  The shade/blend stage then runs on exactly
+the candidate sets a plain ``trace_packet`` would build, so the
+recorded render's :class:`~repro.rt.kernels.PacketResult` matches the
+plain path.
 
 **Phase B — per-ray control-flow reconstruction.**  Per ray, the
-Phase-A logs are folded into a *round template*: the ray's DFS visit
+Phase-A rows are folded into a *round template*: the ray's DFS visit
 sequence (node ordering depends only on per-ray entry distances, which
 are round-invariant) with all static accept tests and the fixed-width
 fetch records pre-baked.  Each tracing round is then one linear walk of
@@ -39,10 +40,12 @@ each such accept implies the template's weaker ``(0, inf, t_clip)``
 accept — so the template contains every node any round can visit, in
 the round's visit order (pruning removes contiguous subtree blocks
 without reordering survivors, and ``t_max`` at an entry's walk position
-is exactly the scalar's value at that node's pop).  The static per-node
-tables come from the same :class:`~repro.rt.tracer.FlatTables` the
-scalar tracer binds, so the two recorders cannot drift on what a
-structure looks like.
+is exactly the scalar's value at that node's pop).  The frontier's
+visit *order* is irrelevant: Phase A folds its rows into per-ray
+``node -> row`` tables, and the DFS order is rebuilt from entry
+distances.  The static per-node tables come from the same
+:class:`~repro.rt.tracer.FlatTables` the scalar tracer binds, so the two
+recorders cannot drift on what a structure looks like.
 
 Checkpointing (GRTX-HW) restructures the traversal itself and stays on
 the scalar engine (``resolve_engine`` routes it there).
@@ -58,6 +61,16 @@ from repro.bvh.flatten import BLAS_SPHERE, PRIMS_GAUSSIANS, PRIMS_TRIANGLES
 from repro.bvh.layout import INSTANCE_BYTES, LEAF_HEADER_BYTES, SPHERE_PRIM_BYTES
 from repro.bvh.node import KIND_INTERNAL, KIND_LEAF
 from repro.rt.kbuffer import KBuffer, KBufferEntry
+from repro.rt.kernels import (
+    PacketResult,
+    box_slab,
+    empty_result,
+    entering_hits,
+    expand_pairs,
+    shade_and_blend,
+    to_object_space,
+    unit_box_slab,
+)
 from repro.rt.recorder import (
     FETCH_INTERNAL,
     FETCH_LEAF,
@@ -77,7 +90,8 @@ _get0 = itemgetter(0)
 
 def _visit_tables(n, visits):
     """Per-ray ``node -> (tn row, tf row, child order, child count)``
-    lookup tables from a recording traversal's visit log.
+    lookup tables from a recording traversal's ``(rays, nodes, tn, tf,
+    hit)`` frontier rows.
 
     The child order is the scalar DFS push order — accepted slots by
     descending entry distance, slot order on ties (``argsort`` is
@@ -85,20 +99,27 @@ def _visit_tables(n, visits):
     per-ray template build does no slot arithmetic at all.
     """
     out: list[dict] = [dict() for _ in range(n)]
-    for node, rays, tn, tf, hit in visits:
+    for rays, nodes, tn, tf, hit in visits:
         key = np.where(hit, -tn, np.inf)
         order_l = np.argsort(key, axis=1, kind="stable").tolist()
         cnt_l = hit.sum(axis=1).tolist()
         tn_l = tn.tolist()
         tf_l = tf.tolist()
-        for j, r in enumerate(rays.tolist()):
+        for j, (r, node) in enumerate(zip(rays.tolist(), nodes.tolist())):
             out[r][node] = (tn_l[j], tf_l[j], order_l[j], cnt_l[j])
     return out
 
 
+def _leaf_columns(level, l_rays, l_refs):
+    """``(ray, primitive, leaf)`` candidate columns for accepted
+    ``(ray, leaf)`` pairs."""
+    rp, pp = expand_pairs(level, l_rays, l_refs)
+    return rp, pp, np.repeat(l_refs, level.leaf_count[l_refs])
+
+
 #: Rays per recording chunk.  Recording keeps per-(ray, node) slab rows
 #: alive until the chunk's traces are built, so it chunks finer than the
-#: plain packet path to bound peak memory.
+#: plain path to bound peak memory.
 _MAX_RECORD_PACKET = 1024
 
 # Template entry kinds.  Every entry is the tuple ``(kind, tn, tf,
@@ -114,11 +135,11 @@ _T_BLAS_LEAF = 5    # shared mesh-BLAS leaf
 
 
 class PacketTraceRecorder:
-    """Produces scalar-identical fetch traces from packet traversal.
+    """Produces scalar-identical fetch traces from frontier traversal.
 
-    Built once per :class:`~repro.rt.packet.PacketTracer` (the tracer
-    memoizes it); carries only static tables, so one instance records
-    any number of packets.
+    Built once per :class:`~repro.rt.wavefront.WavefrontTracer` (the
+    tracer memoizes it); carries only static tables, so one instance
+    records any number of ray bundles.
     """
 
     def __init__(self, tracer) -> None:
@@ -160,14 +181,12 @@ class PacketTraceRecorder:
     def record(self, origins, directions, t_clip=None, label="primary"):
         """Trace a bundle with recording; ``(PacketResult, traces)``.
 
-        The :class:`~repro.rt.packet.PacketResult` matches a plain
+        The :class:`~repro.rt.kernels.PacketResult` matches a plain
         ``trace_packet`` of the same bundle (the shade/blend stage runs
         on the same candidate sets), with ``rounds`` replaced by the
         reconstruction's exact per-ray round counts.  ``traces`` is one
         :class:`~repro.rt.recorder.RayTrace` per ray, in ray order.
         """
-        from repro.rt.packet import PacketResult
-
         o = np.ascontiguousarray(origins, dtype=np.float64)
         d = np.ascontiguousarray(directions, dtype=np.float64)
         n = o.shape[0]
@@ -176,7 +195,7 @@ class PacketTraceRecorder:
         else:
             t_clip = np.asarray(t_clip, dtype=np.float64)
         if n == 0:
-            return self.tracer._empty_result(0), []
+            return empty_result(0, self.config.record_blended), []
         if n <= _MAX_RECORD_PACKET:
             return self._record_chunk(o, d, t_clip, label)
         parts = []
@@ -200,10 +219,12 @@ class PacketTraceRecorder:
         safe = np.where(np.abs(d) < 1e-12, 1e-12, d)
         inv_d = 1.0 / safe
 
-        visits, leaf_rays, leaf_refs = tracer._traverse_log(
-            tracer._root, o, inv_d, t_clip)
+        visits: list = []
+        leaf_rays, leaf_refs = tracer._traverse_wave(
+            tracer._root, o, inv_d, t_clip, log=visits)
 
         node_rows = _visit_tables(n, visits)
+        del visits
 
         tri_hits = sph_box = mesh_root = mesh_nodes = mesh_leaf_best = None
         o2c = d2c = None
@@ -211,7 +232,7 @@ class PacketTraceRecorder:
             tri_hits, ray_c, gid_c, t_proxy = self._tri_leaf_hits(
                 n, o, d, leaf_rays, leaf_refs)
         elif self.prims == PRIMS_GAUSSIANS:
-            ray_c, gid_c = tracer._leaf_customs(leaf_rays, leaf_refs)
+            ray_c, gid_c = tracer._wave_customs(leaf_rays, leaf_refs)
             t_proxy = None
         elif self._sphere_blas:
             sph_box, ray_c, gid_c, o2c, d2c = self._sphere_box_tables(
@@ -222,8 +243,8 @@ class PacketTraceRecorder:
              ray_c, gid_c, t_proxy, o2c, d2c) = self._mesh_tables(
                 n, o, d, t_clip, leaf_rays, leaf_refs)
 
-        result = tracer._shade_and_blend(o, d, t_clip, ray_c, gid_c, t_proxy,
-                                         o2=o2c, d2=d2c)
+        result = shade_and_blend(self.shading, self.config, o, d, t_clip,
+                                 ray_c, gid_c, t_proxy, o2=o2c, d2=d2c)
 
         eval_map = self._eval_tables(n, o, d, ray_c, gid_c, o2c, d2c)
 
@@ -249,40 +270,19 @@ class PacketTraceRecorder:
         result.rounds = rounds_out
         return result, traces
 
-    def _leaf_pair_tables(self, level_start, level_count, leaf_rays,
-                          leaf_refs):
-        """(ray, primitive, leaf) pair arrays over a leaf visit list."""
-        ray_parts, prim_parts, leaf_parts = [], [], []
-        for rays, ref in zip(leaf_rays, leaf_refs):
-            count = int(level_count[ref])
-            start = int(level_start[ref])
-            prims = np.arange(start, start + count, dtype=np.int64)
-            ray_parts.append(np.repeat(rays, count))
-            prim_parts.append(np.tile(prims, rays.size))
-            leaf_parts.append(np.full(rays.size * count, ref, dtype=np.int64))
-        if not ray_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty
-        return (np.concatenate(ray_parts), np.concatenate(prim_parts),
-                np.concatenate(leaf_parts))
-
     def _tri_leaf_hits(self, n, o, d, leaf_rays, leaf_refs):
         """Per (ray, leaf) entering proxy hits as the scalar leaf loop
         sees them — sorted by ``(t, gid)``, deduplicated per Gaussian
         keeping the nearest — plus the global per-(ray, gid) candidates
         (nearest entering triangle over all leaves, the values the plain
-        packet path's reduction produces)."""
-        tables = self.tables
-        tracer = self.tracer
-        rp, tp, lf = self._leaf_pair_tables(
-            tables.leaf_start, tables.leaf_count, leaf_rays, leaf_refs)
+        path's reduction produces)."""
+        rp, tp, lf = _leaf_columns(self.tracer._root, leaf_rays, leaf_refs)
         out: list[dict] = [dict() for _ in range(n)]
         empty = np.empty(0, dtype=np.int64)
         if rp.size == 0:
             return out, empty, empty, np.empty(0)
         mesh = self.flat.mesh
-        sel, t = tracer._entering_hits(o[rp], d[rp], tp,
-                                       mesh.v0, mesh.e1, mesh.e2)
+        sel, t = entering_hits(o[rp], d[rp], tp, mesh.v0, mesh.e1, mesh.e2)
         if sel.size == 0:
             return out, empty, empty, np.empty(0)
         hr, hl = rp[sel], lf[sel]
@@ -315,13 +315,13 @@ class PacketTraceRecorder:
 
     def _instance_pairs(self, o, d, leaf_rays, leaf_refs):
         """The TLAS (ray, instance) pair bundle with object-space rays —
-        the recording twin of the head of ``_leaf_instances``."""
-        tracer = self.tracer
-        rp, pp = tracer._leaf_pairs(tracer._root, leaf_rays, leaf_refs)
+        the recording twin of the head of the engine's
+        ``_wave_instances``."""
+        rp, pp = expand_pairs(self.tracer._root, leaf_rays, leaf_refs)
         if rp.size == 0:
             return rp, pp, None, None, None
         gid = self.flat.prim_gid[pp]
-        o2, d2 = tracer._to_object_space(
+        o2, d2 = to_object_space(
             self.flat.inst_w2o_linear[pp], self.flat.inst_w2o_offset[pp],
             o[rp], d[rp])
         return rp, pp, gid, o2, d2
@@ -336,11 +336,7 @@ class PacketTraceRecorder:
         empty = np.empty(0, dtype=np.int64)
         if rp.size == 0:
             return out, empty, empty, None, None
-        safe = np.where(d2 == 0.0, 1e-12, d2)  # repro: lint-ok[float-eq] exact-zero guard mirrors the scalar engine's slab divide bit-for-bit
-        t0 = (-1.0 - o2) / safe
-        t1 = (1.0 - o2) / safe
-        tn = np.minimum(t0, t1).max(axis=1)
-        tf = np.maximum(t0, t1).min(axis=1)
+        tn, tf = unit_box_slab(o2, d2)
         for r, g, a, b in zip(rp.tolist(), gid.tolist(), tn.tolist(),
                               tf.tolist()):
             out[r][g] = (a, b)
@@ -363,13 +359,7 @@ class PacketTraceRecorder:
                 np.empty(0), None, None)
         if rp.size == 0:
             return none
-        safe = np.where(np.abs(d2) < 1e-12, 1e-12, d2)
-        inv_d2 = 1.0 / safe
-        root_lo, root_hi = tracer._blas_roots[0]
-        t0 = (root_lo[None, :] - o2) * inv_d2
-        t1 = (root_hi[None, :] - o2) * inv_d2
-        rtn = np.minimum(t0, t1).max(axis=1)
-        rtf = np.maximum(t0, t1).min(axis=1)
+        rtn, rtf, inv_d2 = box_slab(*tracer._blas_roots[0], o2, d2)
         rp_l, gid_l = rp.tolist(), gid.tolist()
         for i, (a, b) in enumerate(zip(rtn.tolist(), rtf.tolist())):
             mesh_root[rp_l[i]][gid_l[i]] = (a, b)
@@ -380,13 +370,15 @@ class PacketTraceRecorder:
             return none
         level = tracer._blas_levels[0]
         o_l, d_l = o2[live], d2[live]
-        bvisits, bleaf_rays, bleaf_refs = tracer._traverse_log(
-            level, o_l, inv_d2[live], clip[live])
+        bvisits: list = []
+        bleaf_rays, bleaf_refs = tracer._traverse_wave(
+            level, o_l, inv_d2[live], clip[live], log=bvisits)
         # Each live pair is one (ray, instance): decode its BLAS visit
         # rows through the same helper as the root level (one home for
         # the DFS child-order rule), then key them by (ray, gid).
         live_l = live.tolist()
         pair_tables = _visit_tables(live.size, bvisits)
+        del bvisits
         for p, rows in enumerate(pair_tables):
             if rows:
                 i = live_l[p]
@@ -394,13 +386,11 @@ class PacketTraceRecorder:
 
         # Per (pair, BLAS leaf): nearest entering template triangle.
         blas = self._blas
-        pr, tp, lf = self._leaf_pair_tables(
-            level.leaf_start, level.leaf_count, bleaf_rays, bleaf_refs)
+        pr, tp, lf = _leaf_columns(level, bleaf_rays, bleaf_refs)
         if pr.size == 0:
             return none
-        sel, t = tracer._entering_hits(o_l[pr], d_l[pr], tp,
-                                       blas.mesh.v0, blas.mesh.e1,
-                                       blas.mesh.e2)
+        sel, t = entering_hits(o_l[pr], d_l[pr], tp, blas.mesh.v0,
+                               blas.mesh.e1, blas.mesh.e2)
         if sel.size == 0:
             return none
         pr, lf = pr[sel], lf[sel]
@@ -432,14 +422,12 @@ class PacketTraceRecorder:
         candidate pair: ``(t_entry, alpha)`` or ``False`` (rejected) —
         the vectorized mirror of ``SceneShading.evaluate_hit``, sharing
         the shade stage's expressions."""
-        from repro.rt.packet import PacketTracer
-
         shading = self.shading
         out: list[dict] = [dict() for _ in range(n)]
         if ray_c.size == 0:
             return out
         if o2 is None:
-            o2, d2 = PacketTracer._to_object_space(
+            o2, d2 = to_object_space(
                 shading.w2o_linear[gid_c], shading.w2o_offset[gid_c],
                 o[ray_c], d[ray_c])
         dd = d2[:, 0] * d2[:, 0] + d2[:, 1] * d2[:, 1] + d2[:, 2] * d2[:, 2]

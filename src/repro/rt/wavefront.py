@@ -1,137 +1,263 @@
-"""Wavefront (breadth-first) ray traversal over the flattened layout.
+"""The batched engine: wavefront (breadth-first) ray tracing over the
+flattened layout, plus engine selection.
 
-The packet engine (:mod:`repro.rt.packet`) already batches geometry
-work, but its *schedule* is still a depth-first walk: one Python-level
-stack iteration — several numpy calls on a tile-sized ray subset — per
-visited node.  On frame-sized batches the interpreter dispatch per node
-dominates again.  This module restructures traversal as a **wavefront**:
+The scalar :class:`~repro.rt.tracer.Tracer` walks acceleration
+structures one ray at a time in pure Python.  This module traces a whole
+bundle of rays (a tile or a frame) *together* over the one flattened
+layout every structure lowers to (:func:`repro.bvh.flatten.flatten`),
+with the traversal restructured as a **wavefront**:
 
 * the unit of work is a frontier of live ``(ray, node)`` pairs, all at
-  the same tree depth, across the *whole frame's* ray set;
+  the same tree depth, across the bundle's whole ray set;
 * each Python-level step gathers every pair's child boxes and runs
   **one** vectorized slab test over the entire frontier, so the number
-  of interpreter iterations drops from O(nodes visited) to O(tree
-  height);
+  of interpreter iterations is O(tree height), not O(nodes visited);
 * surviving internal pairs are compacted with ``np.nonzero`` and binned
   by node id with a stable ``np.argsort`` (gather coherence — pairs at
   the same node read the same child rows); leaf pairs are expanded to
   ``(ray, primitive)`` candidates with ``np.repeat`` offsets from the
   leaf-count prefix sums;
-* leaf batches then flow through the exact shared kernels the packet
-  engine uses (:mod:`repro.rt.kernels`): one masked Möller–Trumbore per
-  candidate batch, the batched sphere-BLAS root test, and the canonical
-  any-hit + front-to-back blend.
+* leaf batches then flow through the shared kernels
+  (:mod:`repro.rt.kernels`): one masked Möller–Trumbore per candidate
+  batch, batched world->object instance transforms, the batched
+  sphere-BLAS root test, a breadth-first traversal of each shared mesh
+  BLAS with its whole instance group, and the canonical any-hit +
+  front-to-back blend.
 
 **Parity argument.**  The accept test per ``(ray, node)`` pair is the
-same elementwise arithmetic as the packet engine's (and the scalar
-slab), and neither engine prunes by a shrinking ``t_max`` — so
-breadth-first and depth-first order visit the *identical* pair set and
-produce the identical candidate multiset.  Every kernel after traversal
-is elementwise per candidate, and the blend stage sorts by the fully
-determining ``(ray, t, gid)`` key before any order-sensitive
-accumulation.  Candidate *order* is the only thing the schedule
-changes, and nothing downstream depends on it — hence bit-identical
-images and exactly equal counters across all three engines.
+scalar slab's arithmetic with ``t_min = 0`` and no shrinking ``t_max``,
+so the frontier visits every node any tracing round could visit.  Every
+kernel after traversal is elementwise per candidate, and the blend stage
+sorts by the fully determining ``(ray, t, gid)`` key before any
+order-sensitive accumulation — so candidate *order* (and hence how rays
+are batched into bundles or chunks) changes nothing: a tile traced alone
+is bit-identical to the same rays traced inside a frame.  Images match
+the scalar tracer within 1e-9 per channel with exactly equal functional
+counters; :meth:`WavefrontTracer.trace_packet_recorded` additionally
+emits scalar-identical fetch traces (:mod:`repro.rt.tracerecord` reads
+the frontier's per-level slab rows).
 
-Heterogeneous TLAS scenes (per-instance multi-BLAS tables, activated
-with this engine) work day one: instance candidates are grouped by
-their ``inst_blas`` slot and each shared BLAS is intersected once with
-its group — the same (previously dormant) grouping the packet engine
-carries.
+GRTX-HW checkpointing stays scalar-engine-only: :func:`resolve_engine`
+routes it there, counting and warning when an explicitly requested
+batched engine cannot be honored.
 
 Per-phase ``repro.obs`` histograms: ``rt.phase.bin`` (frontier
-compaction: nonzero/argsort/expand) alongside the same
-``rt.phase.traversal`` / ``rt.phase.intersect`` / ``rt.phase.blend``
-the other engines report, so the phase breakdown compares directly.
+compaction: nonzero/argsort/expand) alongside the ``rt.phase.traversal``
+/ ``rt.phase.intersect`` / ``rt.phase.blend`` the scalar tracer also
+reports, so the phase breakdown compares directly.
 """
 
 from __future__ import annotations
 
+import threading
 import time
+import warnings
 
 import numpy as np
 
-from repro.obs import get_registry, span
+from repro.obs import events as obs_events
+from repro.obs import flight, get_registry, span
 
-from repro.bvh.flatten import BLAS_SPHERE, PRIMS_GAUSSIANS, PRIMS_TRIANGLES
-from repro.bvh.node import KIND_INTERNAL
-from repro.rt.kernels import Level, PacketResult, entering_hits, sphere_blas_hits
-from repro.rt.packet import (
-    WAVEFRONT_MIN_RAYS,
-    PacketTracer,
-    fallback_reason,
-    packet_supported,
+from repro.bvh.flatten import (
+    BLAS_SPHERE,
+    PRIMS_GAUSSIANS,
+    PRIMS_TRIANGLES,
+    flatten,
+    flattenable,
 )
+from repro.bvh.node import KIND_INTERNAL
+from repro.rt.kernels import (
+    Level,
+    PacketResult,
+    box_slab,
+    empty_result,
+    entering_hits,
+    expand_pairs,
+    shade_and_blend,
+    sphere_blas_hits,
+    to_object_space,
+)
+from repro.rt.shading import SceneShading
 from repro.rt.tracer import TraceConfig
 
 __all__ = [
-    "WAVEFRONT_MIN_RAYS",
+    "MONOLITHIC_PROXIES",
+    "TWO_LEVEL_PROXIES",
+    "WAVEFRONT_PROXIES",
     "WAVEFRONT_RAY_CHUNK",
     "WavefrontTracer",
-    "wavefront_supported",
+    "fallback_reason",
+    "resolve_engine",
+    "wavefront_config_supported",
 ]
 
 #: Rays per wavefront chunk.  Frontier temporaries scale with the live
-#: pair count (bounded separately by :data:`_MAX_FRONTIER`), so the ray
-#: chunk can be far larger than the packet engine's — a whole frame in
-#: one chunk is the common case.  The serving layer tunes the effective
-#: chunk per scene from measured frame costs (``TileCostModel``).
+#: pair count (bounded separately by :data:`_MAX_FRONTIER`), so a whole
+#: frame in one chunk is the common case.
 WAVEFRONT_RAY_CHUNK = 1 << 16
 
 #: Maximum live pairs slab-tested in one vectorized step; bounds the
-#: (pairs, width, 3) broadcast temporaries to tens of MB.  Splitting a
+#: (pairs, width) per-axis temporaries to tens of MB.  Splitting a
 #: frontier changes nothing numerically (every op is elementwise).
 _MAX_FRONTIER = 1 << 17
 
 _INF = float("inf")
 
 
-def wavefront_supported(structure, config) -> bool:
-    """Whether the wavefront engine covers this (structure, config)
-    pair — exactly the packet engine's predicate: both consume the one
-    flattened layout and neither does GRTX-HW checkpointing."""
-    return packet_supported(structure, config)
+# ---------------------------------------------------------------------------
+# Engine selection
+
+#: Proxy labels that build monolithic structures.
+MONOLITHIC_PROXIES = ("20-tri", "80-tri", "custom")
+
+#: Proxy labels that build two-level (GRTX-SW) structures.
+TWO_LEVEL_PROXIES = ("tlas+sphere", "tlas+20-tri", "tlas+80-tri")
+
+#: Every proxy label the wavefront engine covers — the single source for
+#: request-level engine resolution, so the serving layer can never
+#: drift from :func:`fallback_reason`.
+WAVEFRONT_PROXIES = MONOLITHIC_PROXIES + TWO_LEVEL_PROXIES
 
 
-class WavefrontTracer(PacketTracer):
-    """Traces whole-frame ray sets breadth-first through one flattened
-    scene structure.
+def wavefront_config_supported(config: TraceConfig) -> bool:
+    """The config half of :func:`fallback_reason`: GRTX-HW
+    checkpointing stays on the scalar engine."""
+    return not config.checkpointing
 
-    Construction and the public API mirror
-    :class:`~repro.rt.packet.PacketTracer` (``trace_packet`` /
-    ``trace_packet_recorded``), so every consumer of the packet engine
-    can hold either.  Only the traversal schedule differs; the leaf and
-    blend kernels are shared, which is what keeps the engines
-    bit-identical.  Like the scalar tracer, one instance serves one
-    caller at a time (it carries small per-trace phase-timing scratch).
+
+def fallback_reason(structure, config: TraceConfig) -> str | None:
+    """Why this (structure, config) pair needs the scalar engine
+    (``None`` when the wavefront engine covers it).
+
+    Structural support is :func:`repro.bvh.flatten.flattenable` — the
+    same predicate the scalar tracer's table setup uses — so both
+    engines agree by construction on what a structure is.
+    """
+    if not flattenable(structure):
+        return f"unsupported structure type {type(structure).__name__}"
+    if not wavefront_config_supported(config):
+        return "checkpointing (GRTX-HW) is scalar-engine-only"
+    return None
+
+
+# A one-time warning per distinct reason, so an explicit batched-engine
+# request silently degrading to the scalar tracer is visible to callers.
+# How often it happened is the registry counter ``rt.packet_fallbacks``
+# (worker deltas ride back to the parent with task results); why and
+# when is the flight event.
+_warn_lock = threading.Lock()
+_warned_reasons: set[str] = set()
+
+
+def _note_fallback(engine: str, reason: str) -> None:
+    """Record one explicit-engine -> scalar degrade; warns once per
+    reason."""
+    with _warn_lock:
+        first = reason not in _warned_reasons
+        _warned_reasons.add(reason)
+    get_registry().add("rt.packet_fallbacks")
+    flight.record(obs_events.FALLBACK, "rt.packet_fallback", reason=reason)
+    if first:
+        warnings.warn(
+            f"{engine} engine unavailable ({reason}); falling back to the "
+            "scalar tracer", RuntimeWarning, stacklevel=3)
+
+
+def resolve_engine(engine: str, structure, config: TraceConfig) -> str:
+    """The concrete engine a (structure, config) pair will trace with:
+    ``"scalar"`` or ``"wavefront"``.
+
+    ``"auto"`` silently picks the wavefront engine whenever it covers
+    the pair and the scalar tracer otherwise — that is its contract.
+    ``"packet"`` is a deprecated alias of ``"wavefront"``.  An explicit
+    ``"packet"`` or ``"wavefront"`` that cannot be honored *degrades*
+    to scalar: the degrade is counted (registry counter
+    ``rt.packet_fallbacks``) and warned about once per reason, because
+    the caller asked for something they are not getting.  Unknown
+    engine names are a fail-fast ``ValueError`` (a typo must not
+    silently render with the wrong engine).
+    """
+    if engine == "scalar":
+        return "scalar"
+    if engine not in ("packet", "wavefront", "auto"):
+        raise ValueError(
+            f"unknown engine {engine!r}; valid engines are: "
+            "scalar, packet, wavefront, auto")
+    reason = fallback_reason(structure, config)
+    if reason is None:
+        return "wavefront"
+    if engine != "auto":
+        _note_fallback(engine, reason)
+    return "scalar"
+
+
+# ---------------------------------------------------------------------------
+# The tracer
+
+
+class WavefrontTracer:
+    """Traces ray bundles breadth-first through one flattened scene
+    structure.
+
+    Built once per (structure, shading, config) like the scalar
+    :class:`~repro.rt.tracer.Tracer`.  Accepts raw structures
+    (flattened on construction, memoized) or an already-flattened
+    :class:`~repro.bvh.flatten.FlatStructure`.  Like the scalar tracer,
+    one instance serves one caller at a time (it carries small
+    per-trace phase-timing scratch).
     """
 
     def __init__(
         self,
         structure,
-        shading,
+        shading: SceneShading,
         config: TraceConfig | None = None,
-        ray_chunk: int = WAVEFRONT_RAY_CHUNK,
     ) -> None:
         config = config or TraceConfig()
-        if not wavefront_supported(structure, config):
+        reason = fallback_reason(structure, config)
+        if reason is not None:
             raise ValueError(
                 "wavefront engine supports flattenable structures without "
-                "checkpointing; use the scalar Tracer "
-                f"({fallback_reason(structure, config)})")
-        super().__init__(structure, shading, config)
-        self.ray_chunk = int(ray_chunk)
+                f"checkpointing; use the scalar Tracer ({reason})")
+        flat = flatten(structure)
+        self.structure = structure
+        self.flat = flat
+        self.shading = shading
+        self.config = config
+        self._recorder = None
+        self._root = Level(flat.root)
+        self._prims = flat.root_prims
+        if flat.root_prims == PRIMS_TRIANGLES:
+            mesh = flat.mesh
+            self._v0, self._e1, self._e2 = mesh.v0, mesh.e1, mesh.e2
+            self._owner = mesh.owner
+        else:
+            # Custom primitives or instances: leaf-ordered Gaussian ids.
+            self._gids = flat.prim_gid
+        if flat.two_level:
+            # The instance table (leaf-ordered, aligned with prim_gid) —
+            # bit-equal to the shading tables by construction, which the
+            # test suite guards, so consuming it preserves scalar parity.
+            self._inst_lin = flat.inst_w2o_linear
+            self._inst_off = flat.inst_w2o_offset
+            self._inst_blas = flat.inst_blas
+            self._blas = flat.blas
+            self._blas_levels = [
+                Level(b.bvh) if b.bvh is not None else None
+                for b in flat.blas
+            ]
+            self._blas_roots = [
+                b.bvh.root_box() if b.bvh is not None else None
+                for b in flat.blas
+            ]
         #: Seconds spent in frontier compaction during the current
         #: chunk (reset per chunk; reported as ``rt.phase.bin``).
         self._bin_s = 0.0
         #: Per-level axis-major box tables (built on first traversal of
-        #: each level, keyed by the level's stable slot name): ``(3,
+        #: each level, keyed by the level's stable slot name): ``(6,
         #: n_nodes, width)`` C-contiguous, so the frontier's per-axis
         #: gather reads contiguous rows.
-        self._axis_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        #: Lazy plain packet tracer backing ``trace_packet_recorded``
-        #: (the recorder replays depth-first control flow).
-        self._record_delegate: PacketTracer | None = None
+        self._axis_cache: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -143,7 +269,12 @@ class WavefrontTracer(PacketTracer):
         directions: np.ndarray,
         t_clip: np.ndarray | None = None,
     ) -> PacketResult:
-        """Trace a frame-sized bundle of rays to completion."""
+        """Trace a bundle of rays to completion.
+
+        ``t_clip`` optionally bounds each ray's traced segment (analytic
+        scene objects truncating primaries), per ray; ``None`` means
+        unbounded.
+        """
         o = np.ascontiguousarray(origins, dtype=np.float64)
         d = np.ascontiguousarray(directions, dtype=np.float64)
         n = o.shape[0]
@@ -152,8 +283,8 @@ class WavefrontTracer(PacketTracer):
         else:
             t_clip = np.asarray(t_clip, dtype=np.float64)
         if n == 0:
-            return self._empty_result(0)
-        chunk = max(int(self.ray_chunk), 1)
+            return empty_result(0, self.config.record_blended)
+        chunk = WAVEFRONT_RAY_CHUNK
         with span("rt.wavefront.trace", rays=n):
             if n <= chunk:
                 return self._trace_chunk(o, d, t_clip)
@@ -173,25 +304,25 @@ class WavefrontTracer(PacketTracer):
     ):
         """Trace a bundle *and* record per-ray fetch traces.
 
-        The trace recorder reconstructs per-ray *depth-first* control
-        flow (that is what the scalar RT unit executes and the timing
-        model replays), so recording runs on an internal packet tracer
-        over the same flattened tables — identical results, identical
-        traces; the wavefront schedule only accelerates the unrecorded
-        path.
+        Returns ``(PacketResult, traces)`` where ``traces`` is one
+        :class:`~repro.rt.recorder.RayTrace` per input ray, stream- and
+        counter-equal to what the scalar tracer would have recorded (the
+        timing model replays either interchangeably).  The result's
+        ``rounds`` array carries the reconstructed exact round counts.
+        See :mod:`repro.rt.tracerecord` for the recording pipeline.
         """
-        if self._record_delegate is None:
-            self._record_delegate = PacketTracer(
-                self.flat, self.shading, self.config)
-        return self._record_delegate.trace_packet_recorded(
-            origins, directions, t_clip, label)
+        from repro.rt.tracerecord import PacketTraceRecorder
+
+        if self._recorder is None:
+            self._recorder = PacketTraceRecorder(self)
+        return self._recorder.record(origins, directions, t_clip, label)
 
     # ------------------------------------------------------------------
     # Pipeline
     # ------------------------------------------------------------------
 
     def _trace_chunk(self, o, d, t_clip) -> PacketResult:
-        # Same degenerate-direction guard as the other engines, so slab
+        # Same degenerate-direction guard as the scalar tracer, so slab
         # tests agree bit-for-bit.
         safe = np.where(np.abs(d) < 1e-12, 1e-12, d)
         inv_d = 1.0 / safe
@@ -199,8 +330,7 @@ class WavefrontTracer(PacketTracer):
         registry = get_registry()
         self._bin_s = 0.0
         t_start = time.perf_counter()
-        l_rays, l_refs = self._traverse_wave(self._root, o, inv_d, t_clip,
-                                             "root")
+        l_rays, l_refs = self._traverse_wave(self._root, o, inv_d, t_clip)
         bin_traversal = self._bin_s
         t_traversal = time.perf_counter()
         o2 = d2 = None
@@ -214,8 +344,8 @@ class WavefrontTracer(PacketTracer):
                 o, d, t_clip, l_rays, l_refs)
         bin_intersect = self._bin_s - bin_traversal
         t_intersect = time.perf_counter()
-        result = self._shade_and_blend(o, d, t_clip, ray_c, gid_c, t_proxy,
-                                       o2=o2, d2=d2)
+        result = shade_and_blend(self.shading, self.config, o, d, t_clip,
+                                 ray_c, gid_c, t_proxy, o2=o2, d2=d2)
         t_blend = time.perf_counter()
         registry.observe("rt.phase.bin", self._bin_s)
         registry.observe("rt.phase.traversal",
@@ -225,36 +355,13 @@ class WavefrontTracer(PacketTracer):
         registry.observe("rt.phase.blend", t_blend - t_intersect)
         return result
 
-    def _axis_boxes(self, level: Level, key: str) -> np.ndarray:
-        """Axis-major ``(6, n_nodes, width)`` copy of a level's boxes.
-
-        ``Level`` stores slot-major ``(n_nodes, width, 3)`` tables shared
-        with the packet engine; the wavefront slab test gathers one axis
-        plane at a time, so plane ``2a``/``2a+1`` holds axis ``a``'s
-        lo/hi as its own contiguous ``(n_nodes, width)`` table (gathers
-        from a contiguous plane produce contiguous outputs the in-place
-        ufuncs run fastest on).  Cached under the level's slot name
-        ("root" or "blas<i>") — the tracer owns its levels and they are
-        immutable after flattening, so the names are stable for the
-        tracer's lifetime.
-        """
-        cached = self._axis_cache.get(key)
-        if cached is None:
-            n, width, _ = level.child_lo.shape
-            cached = np.empty((6, n, width))
-            for a in range(3):
-                cached[2 * a] = level.child_lo[:, :, a]
-                cached[2 * a + 1] = level.child_hi[:, :, a]
-            self._axis_cache[key] = cached
-        return cached
-
     def _traverse_wave(
         self,
         level: Level,
         o: np.ndarray,
         inv_d: np.ndarray,
         t_clip: np.ndarray,
-        cache_key: str,
+        log: list | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Breadth-first traversal of one flattened level.
 
@@ -262,14 +369,18 @@ class WavefrontTracer(PacketTracer):
         runs one gathered slab test over the whole frontier (sliced at
         :data:`_MAX_FRONTIER` pairs to bound temporaries) and compacts
         survivors.  Returns the accepted ``(ray, leaf record)`` pairs as
-        flat parallel arrays.  The accept test matches the packet
-        engine's :meth:`~repro.rt.packet.PacketTracer._traverse`
-        elementwise, and there is no ``t_max`` pruning — so both visit
-        the identical pair set (see the module docstring).
+        flat parallel arrays.  The accept test is the scalar slab's with
+        ``t_min = 0`` and no ``t_max`` pruning, so the frontier holds
+        every pair any tracing round can visit.
+
+        With ``log`` given, every slice appends its ``(rays, nodes, tn,
+        tf, hit)`` rows — each visiting pair's slab results for *all*
+        child slots plus the accept mask — which the trace recorder
+        folds into per-ray visit tables.
         """
         kinds = level.child_kind
         refs = level.child_ref
-        packed = self._axis_boxes(level, cache_key)
+        packed = level.boxes
         # Axis-major ray tables: contiguous per-axis rows, gathered once
         # per frontier slice.
         oT = np.ascontiguousarray(o.T)
@@ -288,12 +399,10 @@ class WavefrontTracer(PacketTracer):
                 fn = f_nodes[s0:s0 + _MAX_FRONTIER]
                 # Axis-split slab test: per-axis contiguous
                 # (pairs, width) gathers updated in place — 3x smaller
-                # temporaries than the (pairs, width, 3) broadcast, and
-                # every ufunc runs on contiguous memory.  Elementwise
-                # the arithmetic is the packet engine's exactly
-                # ((lo-o)*inv per axis, min/max per axis, then an
-                # associative max/min across axes), so accept decisions
-                # are bit-equal.
+                # temporaries than a (pairs, width, 3) broadcast, and
+                # every ufunc runs on contiguous memory ((lo-o)*inv per
+                # axis, min/max per axis, then an associative max/min
+                # across axes).
                 tn = tf = None
                 for a in range(3):
                     roa = oT[a][fr][:, None]
@@ -312,12 +421,14 @@ class WavefrontTracer(PacketTracer):
                         np.maximum(tn, near, out=tn)
                         np.minimum(tf, far, out=tf)
                 k = kinds[fn]
-                # Same accept test as the packet/scalar slab (t_min = 0,
-                # no shrinking t_max); empty slots masked by kind.
+                # The scalar slab's accept test (t_min = 0, no
+                # shrinking t_max); empty slots masked by kind.
                 hit = tn <= tf
                 hit &= tf >= 0.0
                 hit &= tn <= t_clip[fr, None]
                 hit &= k != 0
+                if log is not None:
+                    log.append((fr, fn, tn, tf, hit))
                 b0 = time.perf_counter()
                 pair, slot = np.nonzero(hit)
                 child_kind = k[pair, slot]
@@ -351,34 +462,7 @@ class WavefrontTracer(PacketTracer):
         self._bin_s += time.perf_counter() - b0
         return l_rays, l_refs
 
-    @staticmethod
-    def _expand_pairs(
-        level: Level, l_rays: np.ndarray, l_refs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Expand accepted ``(ray, leaf)`` pairs into ``(ray,
-        ordered-primitive)`` candidate pairs in one shot.
-
-        ``np.repeat`` by per-leaf counts plus an offset ramp derived
-        from the counts' prefix sum — the vectorized equivalent of the
-        packet engine's per-leaf-visit repeat/tile, producing the same
-        candidate multiset.
-        """
-        empty = np.empty(0, dtype=np.int64)
-        if l_rays.size == 0:
-            return empty, empty
-        counts = level.leaf_count[l_refs].astype(np.int64)
-        starts = level.leaf_start[l_refs].astype(np.int64)
-        total = int(counts.sum())
-        if total == 0:
-            return empty, empty
-        rp = np.repeat(l_rays, counts)
-        ends = np.cumsum(counts)
-        offsets = (np.arange(total, dtype=np.int64)
-                   - np.repeat(ends - counts, counts))
-        pp = np.repeat(starts, counts) + offsets
-        return rp, pp
-
-    # -- leaf stages (pair-array twins of the packet leaf methods) -----
+    # -- leaf stages ---------------------------------------------------
 
     def _wave_triangles(
         self,
@@ -389,11 +473,11 @@ class WavefrontTracer(PacketTracer):
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Monolithic triangle leaves: one masked Möller–Trumbore over
         every candidate pair, reduced to the nearest entering triangle
-        per (ray, gaussian) — the packet engine's reduction on the
-        breadth-first candidate order (the full-key sort makes the
-        selected values order-independent)."""
+        per (ray, gaussian): backface-culled entering hits only (the
+        proxy meshes are convex, so the reduction is exact), and the
+        full-key sort makes the selected values order-independent."""
         b0 = time.perf_counter()
-        rp, tp = self._expand_pairs(self._root, l_rays, l_refs)
+        rp, tp = expand_pairs(self._root, l_rays, l_refs)
         self._bin_s += time.perf_counter() - b0
         if rp.size == 0:
             empty = np.empty(0, dtype=np.int64)
@@ -418,7 +502,7 @@ class WavefrontTracer(PacketTracer):
         """Custom-primitive leaves: candidates are the (ray, gaussian)
         pairs directly."""
         b0 = time.perf_counter()
-        rp, pp = self._expand_pairs(self._root, l_rays, l_refs)
+        rp, pp = expand_pairs(self._root, l_rays, l_refs)
         self._bin_s += time.perf_counter() - b0
         if rp.size == 0:
             return rp, pp
@@ -438,12 +522,12 @@ class WavefrontTracer(PacketTracer):
         ``inst_blas`` partitions the bundle per template."""
         empty = np.empty(0, dtype=np.int64)
         b0 = time.perf_counter()
-        rp, pp = self._expand_pairs(self._root, l_rays, l_refs)
+        rp, pp = expand_pairs(self._root, l_rays, l_refs)
         self._bin_s += time.perf_counter() - b0
         if rp.size == 0:
             return empty, empty, None, None, None
         gid = self._gids[pp]
-        o2, d2 = self._to_object_space(
+        o2, d2 = to_object_space(
             self._inst_lin[pp], self._inst_off[pp], o[rp], d[rp])
 
         sub_parts: list[np.ndarray] = []
@@ -483,16 +567,11 @@ class WavefrontTracer(PacketTracer):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Traverse one shared mesh BLAS breadth-first with a whole
         instance group, then reduce to the nearest entering template
-        triangle per pair — the packet engine's
-        :meth:`~repro.rt.packet.PacketTracer._mesh_blas_hits` on the
-        wavefront schedule."""
-        safe = np.where(np.abs(d2) < 1e-12, 1e-12, d2)
-        inv_d2 = 1.0 / safe
-        root_lo, root_hi = self._blas_roots[slot]
-        t0 = (root_lo[None, :] - o2) * inv_d2
-        t1 = (root_hi[None, :] - o2) * inv_d2
-        tn = np.minimum(t0, t1).max(axis=1)
-        tf = np.maximum(t0, t1).min(axis=1)
+        triangle per pair — the scalar ``_traverse_blas``'s ``best``.
+        Returns ``(sel, t)``: indices into the input group with a hit,
+        and the proxy depths (object-space t equals world t; the
+        transform is affine in the ray parameter)."""
+        tn, tf, inv_d2 = box_slab(*self._blas_roots[slot], o2, d2)
         live = np.nonzero((tn <= tf) & (tf >= 0.0) & (tn <= clip))[0]
         if live.size == 0:
             return np.empty(0, dtype=np.int64), np.empty(0)
@@ -500,9 +579,9 @@ class WavefrontTracer(PacketTracer):
         level = self._blas_levels[slot]
         o_l, d_l = o2[live], d2[live]
         l_rays, l_refs = self._traverse_wave(level, o_l, inv_d2[live],
-                                             clip[live], f"blas{slot}")
+                                             clip[live])
         b0 = time.perf_counter()
-        pr, tp = self._expand_pairs(level, l_rays, l_refs)
+        pr, tp = expand_pairs(level, l_rays, l_refs)
         self._bin_s += time.perf_counter() - b0
         if pr.size == 0:
             return np.empty(0, dtype=np.int64), np.empty(0)

@@ -76,7 +76,7 @@ def bench_tile_speedup(
     The measured structure is the paper's headline ``tlas+sphere`` for
     every engine; the config follows the engine: the scalar engine
     measures the service's GRTX defaults (checkpointing on), while
-    ``packet``/``auto`` measure baseline mode (no checkpointing) so the
+    ``wavefront``/``auto`` measure baseline mode (no checkpointing) so the
     vectorized two-level path is actually the thing timed rather than
     silently falling back to scalar.
     """
@@ -270,8 +270,8 @@ def run_benchmark(
 ) -> BenchReport:
     """Run all three measurements and format the report.
 
-    With ``engine="packet"`` or ``"auto"`` the workload switches to
-    baseline mode (no checkpointing) — the packet engine now covers
+    With ``engine="wavefront"`` or ``"auto"`` the workload switches to
+    baseline mode (no checkpointing) — the wavefront engine covers
     both structure families, so the default proxies stay the service's
     two-level-plus-monolithic mix and the benchmark exercises the
     vectorized path instead of measuring a scalar fallback.

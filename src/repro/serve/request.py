@@ -117,30 +117,22 @@ class RenderRequest:
     def engine_active(self) -> str:
         """The engine that will actually trace this request.
 
-        Evaluates :func:`repro.rt.packet.packet_supported`'s rule from
+        Evaluates :func:`repro.rt.wavefront.fallback_reason`'s rule from
         request fields alone (the proxy label stands in for the
         structure family), so cache keys always carry the engine a
-        render would really use — in particular ``engine="auto"``
-        resolves *before* any frame or tracer key is formed.  ``"auto"``
-        picks the wavefront engine when the frame carries at least
-        :data:`repro.rt.packet.WAVEFRONT_MIN_RAYS` rays, the packet
-        engine for smaller frames.
+        render would really use — in particular ``engine="auto"`` and
+        the ``"packet"`` alias resolve *before* any frame or tracer key
+        is formed.
         """
-        from repro.rt.packet import (
-            PACKET_PROXIES,
-            WAVEFRONT_MIN_RAYS,
-            packet_config_supported,
+        from repro.rt.wavefront import (
+            WAVEFRONT_PROXIES,
+            wavefront_config_supported,
         )
 
         if (self.engine in ("packet", "wavefront", "auto")
-                and self.proxy in PACKET_PROXIES
-                and packet_config_supported(self.trace_config())):
-            if self.engine == "wavefront":
-                return "wavefront"
-            if (self.engine == "auto"
-                    and self.width * self.height >= WAVEFRONT_MIN_RAYS):
-                return "wavefront"
-            return "packet"
+                and self.proxy in WAVEFRONT_PROXIES
+                and wavefront_config_supported(self.trace_config())):
+            return "wavefront"
         return "scalar"
 
     def trace_config(self) -> TraceConfig:

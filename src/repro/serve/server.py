@@ -483,18 +483,17 @@ class RenderServer:
             return entry, True
 
     def _render_now(self, request: RenderRequest, cloud, scene_hash: str) -> RenderResult:
-        from repro.rt.packet import resolve_engine
+        from repro.rt.wavefront import resolve_engine
 
         structure = self.registry.structure(
             request.scene_ref, request.proxy, self.build_params)
         camera = self._camera_for(request, cloud)
         config = request.trace_config()
         # Resolve the engine exactly once per rendered request (counting
-        # a degraded explicit "packet" exactly once, whatever the tracer
-        # cache holds), then hand the concrete engine to the renderer
-        # and scheduler so nothing downstream re-resolves.
-        engine = resolve_engine(request.engine, structure, config,
-                                n_rays=request.width * request.height)
+        # a degraded explicit batched engine exactly once, whatever the
+        # tracer cache holds), then hand the concrete engine to the
+        # renderer and scheduler so nothing downstream re-resolves.
+        engine = resolve_engine(request.engine, structure, config)
         renderer = None
         tracer_key = None
         if self.scheduler.workers <= 1:
@@ -600,13 +599,12 @@ class RenderServer:
     def _gauges(self) -> dict[str, float]:
         """Instantaneous load gauges merged into metric snapshots.
 
-        ``packet_fallbacks`` counts engine="packet" requests that
-        degraded to the scalar tracer. It reads the process-global
-        registry counter ``rt.packet_fallbacks`` rather than the legacy
-        in-process global: worker processes fold their fallback counts
-        into that registry with every task result, so pooled renders
-        whose fallback fired *inside a worker* are counted too (the old
-        gauge silently missed them).
+        ``packet_fallbacks`` counts explicit batched-engine requests
+        that degraded to the scalar tracer. It reads the registry
+        counter ``rt.packet_fallbacks``: worker processes fold their
+        fallback counts into that registry with every task result, so
+        pooled renders whose fallback fired *inside a worker* are
+        counted too.
         """
         pool = self.scheduler.pool
         with self._dispatch_lock:

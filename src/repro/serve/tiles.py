@@ -34,12 +34,7 @@ from repro.obs import get_registry, span
 from repro.pool import TileCostModel, WorkerPool, available_workers, scene_key
 from repro.render.effects import SceneObjects
 from repro.render.image import ImageBuffer
-from repro.render.renderer import (
-    BundleResult,
-    GaussianRayTracer,
-    RenderResult,
-    RenderStats,
-)
+from repro.render.renderer import GaussianRayTracer, RenderResult, RenderStats
 from repro.rt import TraceConfig
 
 
@@ -245,41 +240,32 @@ class TileScheduler:
         full-frame bundle. Traces default to off (they are the expensive
         part to ship between processes); enable ``keep_traces`` when the
         caller needs a timing replay — both engines record them (the
-        packet engine through its trace recorder), and pooled tile
+        wavefront engine through its trace recorder), and pooled tile
         workers ship the per-ray traces back with their tile results, so
-        a pooled trace-producing render still fans out across cores. ``renderer`` lets a caller reuse an
-        already-constructed tracer for this (cloud, structure, config,
-        engine) — per-frame shading setup is O(scene) — and only applies
-        to the serial path (pool workers resolve their own from their
-        scene caches). ``engine`` selects the tracing engine
-        (``"scalar"``/``"packet"``/``"wavefront"``/``"auto"``); it is
-        resolved to the concrete engine *here* (with the frame's ray
-        count, so ``auto`` picks the wavefront engine for frame-sized
-        batches), before any cache key is formed, so ``auto`` and an
-        equivalent explicit engine share worker scene caches, and an
-        explicit batch engine that degrades to scalar is counted by
-        :func:`repro.rt.packet.packet_fallback_count` in the parent
-        process (workers only ever see resolved engines).  A resolved
-        ``"wavefront"`` traces the frame *whole* in-process — the
-        engine's entire advantage is frame-wide breadth-first batching,
-        which tile-sliced pool fan-out would undo — and the frame
-        result is split back into per-tile parts, so reassembly and
-        every tile-level API downstream are untouched.
+        a pooled trace-producing render still fans out across cores.
+        ``renderer`` lets a caller reuse an already-constructed tracer
+        for this (cloud, structure, config, engine) — per-frame shading
+        setup is O(scene) — and only applies to the serial path (pool
+        workers resolve their own from their scene caches). ``engine``
+        selects the tracing engine
+        (``"scalar"``/``"wavefront"``/``"packet"``/``"auto"``); it is
+        resolved to the concrete engine *here*, before any cache key is
+        formed, so ``auto`` and an equivalent explicit engine share
+        worker scene caches, and an explicit batched engine that
+        degrades to scalar is counted (``rt.packet_fallbacks``) in the
+        parent process (workers only ever see resolved engines).  Every
+        engine fans out the same way: a wavefront tile traced alone is
+        bit-identical to the same rays traced inside the whole frame.
         Pooled tiles ship the *flattened* structure
         (:func:`repro.bvh.flatten.flatten`): workers build either
         engine straight from the one SoA layout.
         """
-        from repro.rt.packet import resolve_engine
+        from repro.rt.wavefront import resolve_engine
 
-        engine = resolve_engine(engine, structure, config,
-                                n_rays=camera.width * camera.height)
+        engine = resolve_engine(engine, structure, config)
         bundle = camera.generate_rays()
 
         registry = get_registry()
-        if engine == "wavefront":
-            return self._render_wavefront(
-                cloud, structure, config, camera, bundle, objects,
-                keep_traces, renderer)
         tiles = split_frame(camera.width, camera.height,
                             self.tile_width, self.tile_height)
         if force_serial or self.workers <= 1 or len(tiles) <= 1:
@@ -345,76 +331,6 @@ class TileScheduler:
             self.last_tile_costs = list(zip(tiles, costs))
             with span("tiles.reassemble", tiles=len(tiles)):
                 return self._assemble(parts, camera, config, structure)
-
-    def _render_wavefront(
-        self,
-        cloud: GaussianCloud,
-        structure,
-        config: TraceConfig,
-        camera,
-        bundle,
-        objects: SceneObjects | None,
-        keep_traces: bool,
-        renderer: GaussianRayTracer | None,
-    ) -> RenderResult:
-        """One whole-frame breadth-first render, split back into tiles.
-
-        The frame is traced as a single wavefront batch (that is the
-        engine), then the one BundleResult is sliced into the uniform
-        tile partition's parts and fed through the same
-        :meth:`_assemble` every other path uses — tile-level consumers
-        (reassembly, stats merging, trace collection) cannot tell the
-        difference.  The cost model learns the scene's whole-frame rate
-        (:meth:`~repro.pool.TileCostModel.record_frame`; the per-tile
-        density maps are left alone — a frame traced whole carries no
-        intra-frame skew signal) and in return tunes the engine's ray
-        chunk so one chunk stays within a fixed time budget.
-        """
-        registry = get_registry()
-        if renderer is None:
-            renderer = GaussianRayTracer(cloud, structure, config,
-                                         engine="wavefront")
-        key = scene_key(cloud, structure, config, objects, "wavefront")
-        if self.adaptive and renderer.engine_active == "wavefront":
-            chunk = self.cost_model.suggest_chunk(key)
-            if chunk is not None:
-                renderer.packet.ray_chunk = chunk
-        tiles = split_frame(camera.width, camera.height,
-                            self.tile_width, self.tile_height)
-        with span("tiles.render", tiles=len(tiles), mode="wavefront"):
-            started = time.perf_counter()
-            whole = renderer.trace_rays(
-                bundle.origins, bundle.directions, bundle.pixel_ids,
-                objects=objects, keep_traces=keep_traces)
-            cost = time.perf_counter() - started
-            registry.observe("tiles.frame_seconds", cost)
-            self.cost_model.record_frame(key, camera.width, camera.height,
-                                         cost)
-            self.last_tile_costs = []
-            parts = self._split_frame_result(whole, tiles, camera.width)
-            return self._assemble(parts, camera, config, structure)
-
-    @staticmethod
-    def _split_frame_result(whole: BundleResult, tiles: list[Tile],
-                            frame_width: int) -> list[BundleResult]:
-        """Slice one frame-wide BundleResult into per-tile parts.
-
-        The frame bundle is row-major, so a tile's global pixel ids are
-        exactly its row indices into the result arrays.  Stats and
-        traces are frame-granular (the engine traced the frame whole);
-        they ride on the first part — RenderStats.merge is additive, so
-        the assembled totals are exact.
-        """
-        parts = []
-        for i, tile in enumerate(tiles):
-            ids = tile.pixel_ids(frame_width)
-            parts.append(BundleResult(
-                colors=whole.colors[ids],
-                pixel_ids=whole.pixel_ids[ids],
-                stats=whole.stats if i == 0 else RenderStats(),
-                traces=whole.traces if i == 0 else [],
-            ))
-        return parts
 
     @staticmethod
     def _assemble(parts, camera, config, structure) -> RenderResult:

@@ -43,7 +43,7 @@ def _bump_counters(n):
 
 
 def _fallback_in_worker(scale):
-    """Worker-side: force an explicit packet-engine degrade."""
+    """Worker-side: force an explicit batched-engine degrade."""
     from repro.eval.harness import build_structure_for
     from repro.gaussians import make_workload
     from repro.render import GaussianRayTracer
@@ -54,10 +54,9 @@ def _fallback_in_worker(scale):
     config = TraceConfig(k=4, checkpointing=True)  # packet can't checkpoint
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        GaussianRayTracer(cloud, structure, config, engine="packet")
-    from repro.rt.packet import packet_fallback_count
-
-    return packet_fallback_count()
+        renderer = GaussianRayTracer(cloud, structure, config,
+                                     engine="packet")
+    return renderer.engine_active
 
 
 # -- histograms ----------------------------------------------------------
@@ -232,19 +231,15 @@ class TestWorkerDeltaRideBack:
         assert registry.histogram("worker.call_seconds").count >= 4
 
     def test_worker_packet_fallback_reaches_parent(self):
-        """Satellite regression: a packet fallback that fires *inside a
-        worker process* must show up in the parent registry (the legacy
-        in-process global provably still misses it)."""
+        """A batched-engine fallback that fires *inside a worker
+        process* must show up in the parent registry."""
         from repro.pool import WorkerPool
-        from repro.rt.packet import packet_fallback_count, reset_packet_fallbacks
 
-        reset_packet_fallbacks()
         registry = get_registry()
         before = registry.counter_value("rt.packet_fallbacks")
         with WorkerPool(workers=2, start_method="fork") as pool:
             remote = pool.submit(_fallback_in_worker, SCALE).result(timeout=60)
-        assert remote >= 1  # the worker really did degrade
-        assert packet_fallback_count() == 0  # ...invisible to the old global
+        assert remote == "scalar"  # the worker really did degrade
         assert registry.counter_value("rt.packet_fallbacks") - before >= 1
 
     def test_pooled_tile_render_ships_tile_timings(self):

@@ -1,13 +1,14 @@
-"""Packet-engine parity (both structure families) and regressions.
+"""Batched-engine parity (both structure families) and regressions.
 
-The packet engine's contract (ISSUEs 2 and 4): for every supported
-proxy/mode combination — monolithic *and* two-level — it renders the
-scalar tracer's image within 1e-9 per channel, and the parity-matched
+The wavefront engine's contract: for every supported proxy/mode
+combination — monolithic *and* two-level — it renders the scalar
+tracer's image within 1e-9 per channel, and the parity-matched
 functional counters — ``n_rays``, ``blended_total``,
 ``rays_terminated_early`` — agree exactly.  Alongside live the
 regression tests for the equal-t hit drop in multiround tracing (tied
 depths must survive k-buffer overflow), the flattened-layout round-trip
-guarantees, engine="auto" resolution, and fallback observability.
+guarantees, engine="auto" resolution (and the deprecated ``"packet"``
+alias), and fallback observability.
 """
 
 from __future__ import annotations
@@ -17,15 +18,11 @@ import pytest
 
 from repro.bvh import build_monolithic, build_two_level, flatten
 from repro.gaussians import GaussianCloud
+from repro.obs import get_registry
 from repro.render import GaussianRayTracer, SceneObjects, default_camera_for
 from repro.rt import RayTrace, SceneShading, TraceConfig, Tracer
-from repro.rt.packet import (
-    PacketTracer,
-    packet_fallback_count,
-    packet_supported,
-    reset_packet_fallbacks,
-    resolve_engine,
-)
+from repro.rt import wavefront
+from repro.rt.wavefront import WavefrontTracer, fallback_reason, resolve_engine
 from repro.serve import TileScheduler
 
 from tests.conftest import tiny_cloud
@@ -59,6 +56,17 @@ def opaque_cloud():
     )
 
 
+@pytest.fixture
+def rearm_fallback_warnings(monkeypatch):
+    """Forget which fallback reasons already warned (the warning fires
+    once per reason per process)."""
+    monkeypatch.setattr(wavefront, "_warned_reasons", set())
+
+
+def fallback_count() -> int:
+    return int(get_registry().counter_value("rt.packet_fallbacks"))
+
+
 @pytest.fixture(scope="module")
 def structures(cloud):
     return {
@@ -74,8 +82,8 @@ def render_pair(cloud, structure, config, res=10, objects=None):
     scalar = GaussianRayTracer(cloud, structure, config).render(
         camera, objects=objects, keep_traces=False)
     packet_renderer = GaussianRayTracer(cloud, structure, config,
-                                        engine="packet")
-    assert packet_renderer.engine_active == "packet"
+                                        engine="wavefront")
+    assert packet_renderer.engine_active == "wavefront"
     packet = packet_renderer.render(camera, objects=objects, keep_traces=False)
     return scalar, packet
 
@@ -98,7 +106,7 @@ class TestPacketParity:
     @pytest.mark.parametrize("mode", ["multiround", "singleround"])
     def test_parity_with_scene_objects(self, cloud, structures, proxy, mode):
         """Secondary rays (t_clip-truncated primaries + scattered
-        continuations) trace through the packet engine too."""
+        continuations) trace through the wavefront engine too."""
         objects = SceneObjects.default_for(cloud)
         scalar, packet = render_pair(
             cloud, structures[proxy], TraceConfig(k=4, mode=mode),
@@ -113,7 +121,7 @@ class TestPacketParity:
         config = TraceConfig(k=4)
         shading = SceneShading(cloud)
         scalar = Tracer(structure, shading, config)
-        packet = PacketTracer(structure, shading, config)
+        packet = WavefrontTracer(structure, shading, config)
         bundle = default_camera_for(cloud, 8, 8).generate_rays()
         extent = float(np.linalg.norm(cloud.means.std(axis=0)))
         clip = np.linspace(0.5 * extent, 6.0 * extent,
@@ -148,7 +156,7 @@ class TestPacketParity:
     @pytest.mark.parametrize("proxy", ["20-tri", "tlas+sphere"])
     def test_max_rounds_cap_parity(self, cloud, structures, proxy):
         """The scalar loop blends at most max_rounds * k hits per ray;
-        the packet engine applies the identical cap."""
+        the wavefront engine applies the identical cap."""
         config = TraceConfig(k=1, max_rounds=3)
         scalar, packet = render_pair(cloud, structures[proxy], config)
         assert_parity(scalar, packet)
@@ -156,15 +164,15 @@ class TestPacketParity:
     @pytest.mark.parametrize("proxy", ["20-tri", "tlas+sphere", "tlas+ico"])
     def test_tiled_packet_render_matches_untiled(self, cloud, structures,
                                                  proxy):
-        """Rays are independent, so a tiled packet render must be
-        bit-identical to the untiled packet render."""
+        """Rays are independent, so a tiled wavefront render must be
+        bit-identical to the untiled wavefront render."""
         config = TraceConfig(k=4)
         camera = default_camera_for(cloud, 12, 12)
         whole = GaussianRayTracer(
-            cloud, structures[proxy], config, engine="packet").render(
+            cloud, structures[proxy], config, engine="wavefront").render(
                 camera, keep_traces=False)
         tiled = TileScheduler(tile_size=(5, 5), workers=1).render(
-            cloud, structures[proxy], config, camera, engine="packet")
+            cloud, structures[proxy], config, camera, engine="wavefront")
         np.testing.assert_array_equal(whole.image, tiled.image)
 
 
@@ -177,30 +185,31 @@ class TestEngineSelection:
     @pytest.mark.parametrize("proxy", TWO_LEVEL)
     def test_two_level_runs_on_the_packet_engine(self, cloud, structures,
                                                  proxy):
-        """The paper's headline structures no longer fall back (the PR-2
-        era silently traced every tlas+* scene on the slow path)."""
+        """The paper's headline structures trace on the batched engine
+        (the deprecated "packet" alias included), never the slow path."""
         renderer = GaussianRayTracer(cloud, structures[proxy],
                                      TraceConfig(k=4), engine="packet")
-        assert renderer.engine_active == "packet"
+        assert renderer.engine_active == "wavefront"
 
-    def test_checkpointing_falls_back_to_scalar(self, cloud, structures):
-        reset_packet_fallbacks()  # re-arm the one-time warning
+    def test_checkpointing_falls_back_to_scalar(self, cloud, structures,
+                                                rearm_fallback_warnings):
         config = TraceConfig(k=4, checkpointing=True)
-        with pytest.warns(RuntimeWarning, match="falling back"):
+        with pytest.warns(RuntimeWarning,
+                          match="wavefront engine unavailable.*falling back"):
             renderer = GaussianRayTracer(cloud, structures["tlas+sphere"],
-                                         config, engine="packet")
+                                         config, engine="wavefront")
         assert renderer.engine_active == "scalar"
 
     def test_record_blended_stays_on_packet(self, cloud, structures):
-        """record_blended is packetized: no fallback, and the per-ray
+        """record_blended is batched: no fallback, and the per-ray
         blend lists match the scalar tracer's (same gids in the same
         blend order; alpha/t to float noise)."""
-        reset_packet_fallbacks()
+        before = fallback_count()
         config = TraceConfig(k=4, record_blended=True)
         renderer = GaussianRayTracer(cloud, structures["20-tri"], config,
-                                     engine="packet")
-        assert renderer.engine_active == "packet"
-        assert packet_fallback_count() == 0
+                                     engine="wavefront")
+        assert renderer.engine_active == "wavefront"
+        assert fallback_count() == before
 
         camera = default_camera_for(cloud, 6, 6)
         bundle = camera.generate_rays()
@@ -219,20 +228,20 @@ class TestEngineSelection:
 
     def test_packet_tracer_rejects_unsupported(self, cloud, structures):
         config = TraceConfig(k=4, checkpointing=True)
-        assert not packet_supported(structures["tlas+sphere"], config)
-        with pytest.raises(ValueError, match="packet engine"):
-            PacketTracer(structures["tlas+sphere"], SceneShading(cloud),
-                         config)
+        assert fallback_reason(structures["tlas+sphere"], config)
+        with pytest.raises(ValueError, match="wavefront engine"):
+            WavefrontTracer(structures["tlas+sphere"], SceneShading(cloud),
+                            config)
 
     def test_both_engines_keep_traces(self, cloud, structures):
-        """Per-ray fetch traces come from either engine now; the packet
+        """Per-ray fetch traces come from either engine; the frontier
         recorder emits one RayTrace per ray like the scalar loop (deep
         equivalence is covered by tests/test_tracerecord.py)."""
         config = TraceConfig(k=4)
         camera = default_camera_for(cloud, 4, 4)
         scalar = GaussianRayTracer(cloud, structures["20-tri"], config)
         packet = GaussianRayTracer(cloud, structures["20-tri"], config,
-                                   engine="packet")
+                                   engine="wavefront")
         s = scalar.render(camera, keep_traces=True)
         p = packet.render(camera, keep_traces=True)
         assert len(s.traces) == len(p.traces) == 16
@@ -241,14 +250,14 @@ class TestEngineSelection:
 
 
 class TestAutoEngine:
-    """engine="auto": packet whenever supported, scalar otherwise —
-    silently (no fallback counter, no warning)."""
+    """engine="auto": the batched (wavefront) engine whenever supported,
+    scalar otherwise — silently (no fallback counter, no warning)."""
 
     def test_auto_picks_packet_when_supported(self, cloud, structures):
         for proxy in ALL_PROXIES:
             renderer = GaussianRayTracer(cloud, structures[proxy],
                                          TraceConfig(k=4), engine="auto")
-            assert renderer.engine_active == "packet", proxy
+            assert renderer.engine_active == "wavefront", proxy
 
     def test_auto_picks_scalar_for_checkpointing(self, cloud, structures):
         config = TraceConfig(k=4, checkpointing=True)
@@ -257,11 +266,11 @@ class TestAutoEngine:
         assert renderer.engine_active == "scalar"
 
     def test_auto_never_counts_a_fallback(self, cloud, structures):
-        reset_packet_fallbacks()
+        before = fallback_count()
         config = TraceConfig(k=4, checkpointing=True)
         GaussianRayTracer(cloud, structures["tlas+sphere"], config,
                           engine="auto")
-        assert packet_fallback_count() == 0
+        assert fallback_count() == before
 
     def test_resolve_engine_values(self, structures):
         supported = TraceConfig(k=4)
@@ -269,7 +278,9 @@ class TestAutoEngine:
         assert resolve_engine("scalar", structures["tlas+sphere"],
                               supported) == "scalar"
         assert resolve_engine("auto", structures["tlas+sphere"],
-                              supported) == "packet"
+                              supported) == "wavefront"
+        assert resolve_engine("packet", structures["tlas+sphere"],
+                              supported) == "wavefront"
         assert resolve_engine("auto", structures["tlas+sphere"],
                               unsupported) == "scalar"
         with pytest.raises(ValueError, match="engine"):
@@ -277,26 +288,28 @@ class TestAutoEngine:
 
 
 class TestFallbackObservability:
-    """An explicit engine="packet" degrade is counted and warned about
-    (once per reason), instead of being invisible to callers."""
+    """An explicit batched-engine degrade is counted (registry counter
+    ``rt.packet_fallbacks``) and warned about once per reason, naming
+    the engine that was asked for, instead of being invisible."""
 
     def test_explicit_packet_degrade_counts_and_warns_once(
-            self, cloud, structures):
-        reset_packet_fallbacks()
+            self, cloud, structures, rearm_fallback_warnings):
+        before = fallback_count()
         config = TraceConfig(k=4, checkpointing=True)
-        with pytest.warns(RuntimeWarning, match="scalar-engine-only"):
+        with pytest.warns(RuntimeWarning,
+                          match="packet engine unavailable.*"
+                                "scalar-engine-only"):
             GaussianRayTracer(cloud, structures["tlas+sphere"], config,
                               engine="packet")
         # Second degrade for the same reason: counted, but not re-warned.
         with warnings_none():
             GaussianRayTracer(cloud, structures["tlas+sphere"], config,
-                              engine="packet")
-        assert packet_fallback_count() == 2
+                              engine="wavefront")
+        assert fallback_count() - before == 2
 
     def test_server_exposes_fallback_gauge(self, tmp_path):
         from repro.serve import RenderRequest, RenderServer
 
-        reset_packet_fallbacks()
         with RenderServer(workers=1) as server:
             # mode="grtx" checkpoints, so an explicit packet request
             # degrades; the gauge must reflect it.
@@ -385,7 +398,7 @@ class TestFlattenRoundTrip:
         config = TraceConfig(k=4)
         camera = default_camera_for(cloud, 8, 8)
         flat = flatten(structures[proxy])
-        for engine in ("scalar", "packet"):
+        for engine in ("scalar", "wavefront"):
             src = GaussianRayTracer(cloud, structures[proxy], config,
                                     engine=engine).render(
                                         camera, keep_traces=False)

@@ -359,7 +359,7 @@ class TestTracerReuseCache:
         assert len(keys) == 3
         configs = {(key[3], key[4].checkpointing) for key in keys}
         assert configs == {("scalar", False), ("scalar", True),
-                           ("packet", False)}
+                           ("wavefront", False)}
 
     def test_tracer_reuse_across_frames_of_same_scene(self):
         """Same scene + config at a different frame size reuses the one
@@ -405,7 +405,7 @@ class TestTracerReuseCache:
         auto = _request(proxy="tlas+sphere", mode="baseline", engine="auto")
         packet = _request(proxy="tlas+sphere", mode="baseline",
                           engine="packet")
-        assert auto.engine_active == "packet"
+        assert auto.engine_active == "wavefront"
         assert auto.frame_key("h") == packet.frame_key("h")
         checkpointed = _request(proxy="tlas+sphere", mode="grtx",
                                 engine="auto")
@@ -417,12 +417,13 @@ class TestTracerReuseCache:
         assert second.frame_cache_hit
 
     def test_two_level_packet_request_serves_packet_frames(self):
-        """tlas+sphere (the paper's structure) renders on the packet
-        engine through the whole serving stack, matching a scalar
-        server's frame within the parity bound."""
+        """tlas+sphere (the paper's structure) requested through the
+        deprecated "packet" alias renders on the wavefront engine
+        through the whole serving stack, matching a scalar server's
+        frame within the parity bound."""
         request = _request(proxy="tlas+sphere", mode="baseline",
                            engine="packet")
-        assert request.engine_active == "packet"
+        assert request.engine_active == "wavefront"
         with RenderServer(workers=1) as server:
             packet = server.render(request)
         with RenderServer(workers=1) as server:

@@ -1,7 +1,7 @@
-"""Trace equivalence: the packet recorder vs the scalar tracer.
+"""Trace equivalence: the frontier recorder vs the scalar tracer.
 
 The contract under test is exact stream equality — for every supported
-(structure, mode) pair, the packet engine's recorded per-ray
+(structure, mode) pair, the wavefront engine's recorded per-ray
 ``RayTrace``s are event-for-event the scalar tracer's: same fetch
 records (addresses, sizes, kinds, test counts), same prefetch pair
 lists, same per-round counters, same round structure, same unique/total
@@ -82,13 +82,13 @@ def _render_pair(cloud, structure, config, camera, objects=None):
                                engine="scalar").render(
         camera, objects=objects, keep_traces=True)
     packet = GaussianRayTracer(cloud, structure, config,
-                               engine="packet").render(
+                               engine="wavefront").render(
         camera, objects=objects, keep_traces=True)
     return scalar, packet
 
 
 class TestTraceEquivalence:
-    """Scalar-vs-packet per-ray streams across the support matrix."""
+    """Scalar-vs-wavefront per-ray streams across the support matrix."""
 
     @pytest.mark.parametrize("proxy", STRUCTURES)
     @pytest.mark.parametrize("mode", ["multiround", "singleround"])
@@ -151,15 +151,15 @@ class TestTraceEquivalence:
 
     def test_recorded_result_matches_plain_packet(self, cloud, structures):
         """Recording must not perturb the render: colors and parity
-        counters equal the plain packet path bit for bit."""
-        from repro.rt import PacketTracer, SceneShading
+        counters equal the plain path bit for bit."""
+        from repro.rt import SceneShading, WavefrontTracer
 
         config = TraceConfig(k=4)
         shading = SceneShading(cloud)
         camera = default_camera_for(cloud, 8, 8)
         bundle = camera.generate_rays()
         for proxy in STRUCTURES:
-            tracer = PacketTracer(structures[proxy], shading, config)
+            tracer = WavefrontTracer(structures[proxy], shading, config)
             plain = tracer.trace_packet(bundle.origins, bundle.directions)
             recorded, traces = tracer.trace_packet_recorded(
                 bundle.origins, bundle.directions)
@@ -178,12 +178,12 @@ class TestTraceEquivalence:
         config = TraceConfig(k=4)
         camera = default_camera_for(cloud, 8, 8)
         ref = GaussianRayTracer(cloud, structures["tlas+sphere"], config,
-                                engine="packet").render(
+                                engine="wavefront").render(
             camera, keep_traces=True)
         with TileScheduler(tile_size=(4, 4), workers=2) as scheduler:
             pooled = scheduler.render(cloud, structures["tlas+sphere"],
                                       config, camera, keep_traces=True,
-                                      engine="packet")
+                                      engine="wavefront")
         assert np.array_equal(ref.image, pooled.image)
         assert len(pooled.traces) == len(ref.traces)
         ref_ms = sorted(tuple(sorted(t.fetch_multiset().items()))
@@ -284,8 +284,8 @@ class TestReplayVectorization:
 
     def test_recorded_packet_traces_replay_identically(self, cloud,
                                                        structures):
-        """End to end: packet traces through the batched replay equal
-        scalar traces through the reference replay."""
+        """End to end: wavefront-recorded traces through the batched
+        replay equal scalar traces through the reference replay."""
         config = TraceConfig(k=4)
         camera = default_camera_for(cloud, 8, 8)
         scalar, packet = _render_pair(cloud, structures["tlas+20-tri"],
