@@ -1,6 +1,6 @@
 """Worker-pool benchmark (standalone script).
 
-Three measurements, matching the ``repro.pool`` subsystem's claims:
+Two measurements, matching the ``repro.pool`` subsystem's claims:
 
 1. **Pool reuse** — ``--frames`` repeated frames of one scene rendered
    (a) the old way: a fresh pool constructed and torn down per render,
@@ -11,11 +11,8 @@ Three measurements, matching the ``repro.pool`` subsystem's claims:
 2. **Work stealing** — a deliberately skewed task load (every task
    placed on one worker's deque by affinity) timed with stealing on vs
    off. Uses synthetic sleep tasks so the skew is exact and the expected
-   ratio is known (~``workers``x).
-3. **Cost-aware tiles** — a frame rendered twice on the pool: the first
-   frame records per-tile costs on the uniform grid, the second renders
-   on the cost-balanced partition. Reports the tile-cost tail ratio
-   (max/mean) for both — lower means less tail-latency-bounding.
+   ratio is known (~``workers``x). Frames are cut into a uniform tile
+   grid, so stealing is the pool's only load balancer.
 
 Unlike the figure benchmarks in this directory (which run under
 ``pytest --benchmark-only``), this is a plain script::
@@ -51,7 +48,7 @@ RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 def _parse(argv: list[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
-        description="persistent-pool reuse, work stealing, cost-aware tiles")
+        description="persistent-pool reuse and work stealing")
     parser.add_argument("--scene", default="train")
     parser.add_argument("--size", type=int, default=48,
                         help="frame width=height (default 48)")
@@ -178,58 +175,23 @@ def bench_stealing(args) -> dict:
     }
 
 
-def bench_adaptive_tiles(args) -> dict:
-    """Tile-cost tail on the uniform grid vs the cost-aware partition."""
-    from repro.eval.harness import build_structure_for
-    from repro.gaussians import make_workload
-    from repro.rt import TraceConfig
-    from repro.serve.tiles import TileScheduler
-
-    cloud = make_workload(args.scene, scale=args.scale)
-    structure = build_structure_for(cloud, args.proxy)
-    config = TraceConfig(k=8, checkpointing=True)
-    from repro.render import default_camera_for
-
-    camera = default_camera_for(cloud, args.size, args.size)
-
-    def tail(costs: list[float]) -> float:
-        if not costs:
-            return 0.0
-        mean = sum(costs) / len(costs)
-        return max(costs) / mean if mean > 0 else 0.0
-
-    with TileScheduler(tile_size=(args.tile, args.tile),
-                       workers=args.workers) as scheduler:
-        scheduler.render(cloud, structure, config, camera)
-        uniform = [cost for _, cost in scheduler.last_tile_costs]
-        scheduler.render(cloud, structure, config, camera)
-        adaptive = [cost for _, cost in scheduler.last_tile_costs]
-    return {
-        "uniform_tiles": len(uniform),
-        "adaptive_tiles": len(adaptive),
-        "uniform_tail_ratio": tail(uniform),
-        "adaptive_tail_ratio": tail(adaptive),
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parse(argv)
     from repro.eval.report import format_table
     from repro.pool import available_workers
 
-    # The stealing and adaptive-tile sections need a real fleet; gate
-    # them (and their --check bars) on the *resolved* width so
-    # --workers 0 on a one-core host degrades instead of failing.
+    # The stealing section needs a real fleet; gate it (and its --check
+    # bar) on the *resolved* width so --workers 0 on a one-core host
+    # degrades instead of failing.
     resolved_workers = args.workers or available_workers()
     multi = resolved_workers > 1
 
     reuse = bench_pool_reuse(args)
     stealing = bench_stealing(args) if multi else None
-    adaptive = bench_adaptive_tiles(args) if multi else None
 
     sections = [
         format_table(
-            f"pool 1/3: persistent pool vs per-render pool "
+            f"pool 1/2: persistent pool vs per-render pool "
             f"({reuse['frames']} x {reuse['frame']} {reuse['proxy']} frames, "
             f"{reuse['workers']} workers, parity {reuse['parity']})",
             ["fresh pool (s/frame)", "persistent (s/frame)", "speedup",
@@ -243,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
     ]
     if stealing is not None:
         sections.append(format_table(
-            f"pool 2/3: work stealing ({stealing['tasks']} x "
+            f"pool 2/2: work stealing ({stealing['tasks']} x "
             f"{stealing['task_seconds']*1e3:.0f} ms tasks, all placed on "
             f"one of {stealing['workers']} workers)",
             ["no stealing (s)", "stealing (s)", "ratio", "steals",
@@ -253,19 +215,9 @@ def main(argv: list[str] | None = None) -> int:
               f"{stealing['steal_ratio']:.2f}x",
               stealing["steals"], stealing["stolen_tasks"]]],
         ))
-    if adaptive is not None:
-        sections.append(format_table(
-            "pool 3/3: cost-aware tiles (tile-cost max/mean, lower = "
-            "less tail-bound)",
-            ["uniform tiles", "tail ratio", "adaptive tiles", "tail ratio "],
-            [[adaptive["uniform_tiles"],
-              f"{adaptive['uniform_tail_ratio']:.2f}",
-              adaptive["adaptive_tiles"],
-              f"{adaptive['adaptive_tail_ratio']:.2f}"]],
-        ))
     if not multi:
-        sections.append("(work-stealing and cost-aware-tile sections "
-                        "skipped: pool resolves to 1 worker)")
+        sections.append("(work-stealing section skipped: pool resolves "
+                        "to 1 worker)")
     report = "\n\n".join(sections)
     print(report)
 
@@ -278,8 +230,7 @@ def main(argv: list[str] | None = None) -> int:
                 "workers": resolved_workers,
                 "steal_tasks": args.steal_tasks,
                 "steal_sleep": args.steal_sleep},
-        sections={"pool_reuse": reuse, "work_stealing": stealing,
-                  "adaptive_tiles": adaptive})
+        sections={"pool_reuse": reuse, "work_stealing": stealing})
     print(f"\nwrote {out}")
 
     if args.check:

@@ -63,14 +63,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=["baseline", "grtx-sw", "grtx-hw", "grtx"],
                         help="optimization mode (grtx-hw/grtx enable checkpointing)")
     render.add_argument("--engine", default="auto",
-                        choices=["scalar", "packet", "wavefront", "auto"],
+                        choices=["scalar", "wavefront", "auto"],
                         help="tracing engine: per-ray scalar (full feature "
                              "set, including GRTX-HW checkpointing), "
                              "breadth-first batched wavefront (both structure "
                              "families, no checkpointing; an unsupported "
                              "combination falls back to scalar with a "
-                             "warning), packet (deprecated alias of "
-                             "wavefront), or auto (default: wavefront "
+                             "warning), or auto (default: wavefront "
                              "whenever it covers the scene, scalar "
                              "otherwise)")
     render.add_argument("--size", type=int, default=32, help="image width=height")
@@ -129,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_bench.add_argument("--unique", type=int, default=5,
                              help="distinct request configs in the workload")
     serve_bench.add_argument("--engine", default="auto",
-                             choices=["scalar", "packet", "wavefront", "auto"],
+                             choices=["scalar", "wavefront", "auto"],
                              help="tracing engine to benchmark; wavefront/auto "
                                   "switch the workload to baseline mode "
                                   "(no checkpointing) so the vectorized "

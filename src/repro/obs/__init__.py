@@ -10,9 +10,8 @@ One subsystem gives the whole stack its measurement substrate:
   ``about:tracing``-compatible JSON-lines traces of the request path
   end-to-end (server admission → queue wait → scene build → tile
   dispatch → worker trace → reassembly).
-* :class:`PhaseAccumulator` / :func:`phase_timer` — per-phase engine
-  and replay timing feeding the histograms (and, through the tile
-  scheduler, the :class:`~repro.pool.TileCostModel`).
+* :class:`PhaseAccumulator` — per-phase engine and replay timing
+  feeding the histograms.
 * :mod:`repro.obs.flight` / :mod:`repro.obs.doctor` — the always-on
   flight recorder (bounded ring of :mod:`repro.obs.events` structured
   events, worker spool checkpoints, incident bundles) and the
@@ -34,7 +33,7 @@ from repro.obs.metrics import (
     get_registry,
     reset_registry,
 )
-from repro.obs.profile import PhaseAccumulator, phase_timer
+from repro.obs.profile import PhaseAccumulator
 from repro.obs.snapshot import (
     DEFAULT_SNAPSHOT_PATH,
     SNAPSHOT_SCHEMA,
@@ -101,7 +100,6 @@ __all__ = [
     "get_registry",
     "install_sink",
     "load_snapshot",
-    "phase_timer",
     "reset_registry",
     "span",
     "start_tracing",

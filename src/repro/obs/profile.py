@@ -3,17 +3,12 @@
 Engine inner loops are too hot for a context manager per phase; they
 accumulate raw seconds into a :class:`PhaseAccumulator` (a plain dict
 add per phase) and flush once per bundle/replay into histogram metrics
-(``rt.phase.traversal``, ``replay.phase.decode``, ...). Code that runs
-per-tile or coarser can use :func:`phase_timer` directly.
+(``rt.phase.traversal``, ``replay.phase.decode``, ...).
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-
 from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.obs.tracing import emit_span, tracing_active
 
 
 class PhaseAccumulator:
@@ -22,7 +17,7 @@ class PhaseAccumulator:
     One accumulator covers one unit of work (a ray bundle, one replay);
     ``flush()`` records each phase total as a single histogram sample,
     so the histogram's distribution is *per unit of work*, which is the
-    granularity the tile cost model and the bench reports want.
+    granularity the bench reports want.
     """
 
     __slots__ = ("seconds",)
@@ -42,24 +37,3 @@ class PhaseAccumulator:
         for phase, seconds in self.seconds.items():
             reg.observe(f"{prefix}.{phase}", seconds)
         self.seconds.clear()
-
-
-@contextmanager
-def phase_timer(metric: str, registry: MetricsRegistry | None = None,
-                span_name: str | None = None, **span_args):
-    """Time a block into histogram ``metric``; optionally emit a span.
-
-    For per-tile-or-coarser code paths. The histogram sample is always
-    recorded; the span only when tracing is active and ``span_name`` is
-    given.
-    """
-    start_ns = time.time_ns()  # repro: lint-ok[parity-nondeterminism] span timestamps must share the workers' wall clock for cross-process timelines; observability only, never image bits
-    try:
-        yield
-    finally:
-        end_ns = time.time_ns()  # repro: lint-ok[parity-nondeterminism] same wall-clock span contract as the start stamp above
-
-        reg = registry if registry is not None else get_registry()
-        reg.observe(metric, (end_ns - start_ns) / 1e9)
-        if span_name is not None and tracing_active():
-            emit_span(span_name, start_ns, end_ns, **span_args)

@@ -11,9 +11,7 @@ serving layer and the paper campaign:
   and steal-half-on-idle balancing;
 * :mod:`repro.pool.worker` — the long-lived worker process, holding a
   content-hash-keyed scene cache so repeated frames of one scene ship
-  only a hash;
-* :mod:`repro.pool.costs` — cost-aware tile splitting fed by per-tile
-  cost measurements from previous frames.
+  only a hash.
 
 Quickstart::
 
@@ -25,7 +23,6 @@ Quickstart::
             future.result()
 """
 
-from repro.pool.costs import TileCostModel
 from repro.pool.executor import (
     RemoteTaskError,
     WorkerCrashError,
@@ -41,7 +38,6 @@ __all__ = [
     "RemoteTaskError",
     "SceneCacheMirror",
     "StealingScheduler",
-    "TileCostModel",
     "WorkerCrashError",
     "WorkerPool",
     "as_completed",

@@ -25,9 +25,9 @@ Two task kinds exist:
   (e.g. the eval harness render caches) across calls, which is the whole
   point of a persistent pool.
 
-Results carry the worker-measured execution seconds, which feed the
-cost-aware tile splitter in :mod:`repro.pool.costs`, plus an
-observability delta: whatever the task recorded into the worker's
+Results carry the worker-measured execution seconds (the parent's
+per-tile ``tiles.tile_seconds`` observations), plus an observability
+delta: whatever the task recorded into the worker's
 :mod:`repro.obs` registry (engine fallbacks, per-phase engine timings)
 and any trace spans, collected-and-reset per task so each result ships
 exactly the measurements of its own task. The parent folds the delta
@@ -163,8 +163,8 @@ def execute_task(task, cache: SceneCacheMirror):
 
     For tile tasks the cost covers only the tracing itself — one-time
     scene unpickling / tracer construction on a cold ship is excluded,
-    so the cost-aware tile splitter sees steady-state per-tile costs,
-    not setup noise attributed to whichever tile shipped the scene.
+    so per-tile costs are steady-state tracing time, not setup noise
+    attributed to whichever tile shipped the scene.
     """
     kind = task[0]
     if kind == TASK_TILE:

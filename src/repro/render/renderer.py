@@ -140,10 +140,9 @@ class RenderResult:
 #: ``"wavefront"`` is the numpy-vectorized batched engine (both
 #: structure families, multiround/singleround, fetch-trace recording),
 #: parity-matched to the scalar images within 1e-9 per channel;
-#: ``"packet"`` is a deprecated alias of ``"wavefront"``; ``"auto"``
-#: picks the wavefront engine whenever it covers the (structure, config)
-#: pair and the scalar tracer otherwise.
-ENGINES = ("scalar", "packet", "wavefront", "auto")
+#: ``"auto"`` picks the wavefront engine whenever it covers the
+#: (structure, config) pair and the scalar tracer otherwise.
+ENGINES = ("scalar", "wavefront", "auto")
 
 
 class GaussianRayTracer:
@@ -158,14 +157,13 @@ class GaussianRayTracer:
     config:
         Tracing configuration (k, multi/single round, checkpointing, ...).
     engine:
-        ``"scalar"`` (default), ``"wavefront"``, ``"packet"`` (alias of
-        ``"wavefront"``) or ``"auto"``.  The wavefront engine covers
-        both structure families without checkpointing; an explicit
-        ``"wavefront"``/``"packet"`` on an unsupported combination
-        falls back to the scalar tracer — counted by the registry
-        counter ``rt.packet_fallbacks`` and warned about once per
-        reason — while ``"auto"`` silently picks whichever engine covers
-        the pair (``engine_active`` reports the choice).
+        ``"scalar"`` (default), ``"wavefront"`` or ``"auto"``.  The
+        wavefront engine covers both structure families without
+        checkpointing; an explicit ``"wavefront"`` on an unsupported
+        combination falls back to the scalar tracer — counted by the
+        registry counter ``rt.packet_fallbacks`` and warned about once
+        per reason — while ``"auto"`` silently picks whichever engine
+        covers the pair (``engine_active`` reports the choice).
 
     ``structure`` may also be an already-flattened
     :class:`~repro.bvh.flatten.FlatStructure` (what pool workers

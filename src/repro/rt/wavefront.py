@@ -169,9 +169,8 @@ def resolve_engine(engine: str, structure, config: TraceConfig) -> str:
 
     ``"auto"`` silently picks the wavefront engine whenever it covers
     the pair and the scalar tracer otherwise — that is its contract.
-    ``"packet"`` is a deprecated alias of ``"wavefront"``.  An explicit
-    ``"packet"`` or ``"wavefront"`` that cannot be honored *degrades*
-    to scalar: the degrade is counted (registry counter
+    An explicit ``"wavefront"`` that cannot be honored *degrades* to
+    scalar: the degrade is counted (registry counter
     ``rt.packet_fallbacks``) and warned about once per reason, because
     the caller asked for something they are not getting.  Unknown
     engine names are a fail-fast ``ValueError`` (a typo must not
@@ -179,10 +178,10 @@ def resolve_engine(engine: str, structure, config: TraceConfig) -> str:
     """
     if engine == "scalar":
         return "scalar"
-    if engine not in ("packet", "wavefront", "auto"):
+    if engine not in ("wavefront", "auto"):
         raise ValueError(
             f"unknown engine {engine!r}; valid engines are: "
-            "scalar, packet, wavefront, auto")
+            "scalar, wavefront, auto")
     reason = fallback_reason(structure, config)
     if reason is None:
         return "wavefront"
@@ -253,11 +252,6 @@ class WavefrontTracer:
         #: Seconds spent in frontier compaction during the current
         #: chunk (reset per chunk; reported as ``rt.phase.bin``).
         self._bin_s = 0.0
-        #: Per-level axis-major box tables (built on first traversal of
-        #: each level, keyed by the level's stable slot name): ``(6,
-        #: n_nodes, width)`` C-contiguous, so the frontier's per-axis
-        #: gather reads contiguous rows.
-        self._axis_cache: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Public API

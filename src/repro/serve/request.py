@@ -120,16 +120,15 @@ class RenderRequest:
         Evaluates :func:`repro.rt.wavefront.fallback_reason`'s rule from
         request fields alone (the proxy label stands in for the
         structure family), so cache keys always carry the engine a
-        render would really use — in particular ``engine="auto"`` and
-        the ``"packet"`` alias resolve *before* any frame or tracer key
-        is formed.
+        render would really use — in particular ``engine="auto"``
+        resolves *before* any frame or tracer key is formed.
         """
         from repro.rt.wavefront import (
             WAVEFRONT_PROXIES,
             wavefront_config_supported,
         )
 
-        if (self.engine in ("packet", "wavefront", "auto")
+        if (self.engine in ("wavefront", "auto")
                 and self.proxy in WAVEFRONT_PROXIES
                 and wavefront_config_supported(self.trace_config())):
             return "wavefront"

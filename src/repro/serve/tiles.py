@@ -12,10 +12,8 @@ Pixel-exactness is the contract: the parent generates the *full* camera
 bundle once and hands each worker verbatim slices of it, so a tiled
 render — serial or parallel, any tile partition — is bit-identical to
 the untiled render. (Re-deriving rays per tile could differ in the last
-ulp; slicing cannot.) Cost-aware tiling exploits exactly this freedom:
-per-tile cost measurements from the previous frame of a scene move the
-tile *borders* toward equal-cost tiles, never changing what any pixel
-computes.
+ulp; slicing cannot.) Tiles are a uniform grid; the pool's work
+stealing balances uneven tile costs across workers.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from repro.bvh.monolithic import MonolithicBVH
 from repro.bvh.two_level import TwoLevelBVH
 from repro.gaussians import GaussianCloud
 from repro.obs import get_registry, span
-from repro.pool import TileCostModel, WorkerPool, available_workers, scene_key
+from repro.pool import WorkerPool, available_workers, scene_key
 from repro.render.effects import SceneObjects
 from repro.render.image import ImageBuffer
 from repro.render.renderer import GaussianRayTracer, RenderResult, RenderStats
@@ -104,9 +102,8 @@ class TileScheduler:
     Parameters
     ----------
     tile_size:
-        ``(width, height)`` of a tile in pixels (the uniform-grid
-        fallback; cost-aware splitting overrides the borders once a
-        scene has per-tile cost history).
+        ``(width, height)`` of a tile in pixels; every frame is cut into
+        the uniform :func:`split_frame` grid of this size.
     workers:
         Process count. ``1`` renders tiles serially in-process (no pool,
         no pickling); ``>1`` uses a persistent
@@ -125,8 +122,6 @@ class TileScheduler:
         An existing :class:`~repro.pool.WorkerPool` to render on (shared
         with other schedulers/callers). The scheduler never closes a
         pool it was given; it only closes one it created.
-    adaptive:
-        Enable cost-aware tile splitting from per-tile cost feedback.
     task_deadline_s:
         Per-tile wall-clock deadline forwarded to a pool this scheduler
         creates (the hung-worker watchdog; see
@@ -140,7 +135,6 @@ class TileScheduler:
         workers: int | None = 1,
         start_method: str | None = None,
         pool: WorkerPool | None = None,
-        adaptive: bool = True,
         task_deadline_s: float | None = None,
     ) -> None:
         self.tile_width, self.tile_height = int(tile_size[0]), int(tile_size[1])
@@ -152,11 +146,9 @@ class TileScheduler:
             raise ValueError("workers must be >= 1 (or 0/None for auto)")
         self.workers = workers
         self.start_method = start_method
-        self.adaptive = adaptive
         self.task_deadline_s = task_deadline_s
-        self.cost_model = TileCostModel()
-        #: The tile partition and worker-measured cost (seconds) of the
-        #: last pooled render: ``[(Tile, cost), ...]``.
+        #: The tile partition and measured cost (seconds) of the last
+        #: multi-tile render: ``[(Tile, cost), ...]``.
         self.last_tile_costs: list[tuple[Tile, float]] = []
         self._pool = pool
         self._owns_pool = False
@@ -204,18 +196,6 @@ class TileScheduler:
 
     # -- rendering ------------------------------------------------------
 
-    def _plan_tiles(self, key: tuple, width: int, height: int,
-                    n_workers: int, uniform: list[Tile]) -> list[Tile]:
-        """The tile partition for one pooled frame: cost-aware when the
-        scene has history, the uniform grid otherwise."""
-        if not self.adaptive:
-            return uniform
-        target = min(max(len(uniform), 4 * n_workers), 256)
-        rects = self.cost_model.plan(key, width, height, target)
-        if rects is None:
-            return uniform
-        return [Tile(*rect) for rect in rects]
-
     def render(
         self,
         cloud: GaussianCloud,
@@ -248,7 +228,7 @@ class TileScheduler:
         setup is O(scene) — and only applies to the serial path (pool
         workers resolve their own from their scene caches). ``engine``
         selects the tracing engine
-        (``"scalar"``/``"wavefront"``/``"packet"``/``"auto"``); it is
+        (``"scalar"``/``"wavefront"``/``"auto"``); it is
         resolved to the concrete engine *here*, before any cache key is
         formed, so ``auto`` and an equivalent explicit engine share
         worker scene caches, and an explicit batched engine that
@@ -288,23 +268,11 @@ class TileScheduler:
                     costs.append(cost)
                     registry.observe("tiles.tile_seconds", cost)
                 if len(tiles) > 1:
-                    # Serial multi-tile renders feed the cost model the
-                    # same measured per-tile seconds pooled renders do,
-                    # so a scheduler warmed serially plans cost-aware
-                    # tiles on its first pooled frame.
-                    key = scene_key(cloud, structure, config, objects,
-                                    engine)
-                    rects = [(t.x0, t.y0, t.width, t.height)
-                             for t in tiles]
-                    self.cost_model.record(key, camera.width,
-                                           camera.height, rects, costs)
                     self.last_tile_costs = list(zip(tiles, costs))
                 return self._assemble(parts, camera, config, structure)
 
         key = scene_key(cloud, structure, config, objects, engine)
         pool = self._ensure_pool()
-        tiles = self._plan_tiles(key, camera.width, camera.height,
-                                 pool.n_workers, tiles)
         with span("tiles.render", tiles=len(tiles), mode="pooled"):
             # Workers receive the flattened SoA layout, not the original
             # structure objects; the key stays content-based on the
@@ -325,9 +293,6 @@ class TileScheduler:
                 parts.append(part)
                 costs.append(cost)
                 registry.observe("tiles.tile_seconds", cost)
-            rects = [(t.x0, t.y0, t.width, t.height) for t in tiles]
-            self.cost_model.record(key, camera.width, camera.height, rects,
-                                   costs)
             self.last_tile_costs = list(zip(tiles, costs))
             with span("tiles.reassemble", tiles=len(tiles)):
                 return self._assemble(parts, camera, config, structure)

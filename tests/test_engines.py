@@ -6,15 +6,16 @@ two-level structures, and the heterogeneous multi-BLAS TLAS — in both
 trace modes.  The standing contract checked here:
 
 * the wavefront engine matches the scalar golden within 1e-9 per
-  channel, whether requested as ``"wavefront"`` or through the
-  deprecated ``"packet"`` alias;
+  channel, whether the frame is traced as one wavefront or as
+  tile-sized packets;
 * the parity-matched functional counters (``n_rays``, ``n_primary``,
   ``n_secondary``, ``blended_total``, ``rays_terminated_early``) agree
   exactly;
 * the wavefront engine is additionally *bit-identical* to itself however
   the rays are batched (whole frame, tile-sized packets, ray chunks);
-* ``resolve_engine`` rejects unknown engines loudly and resolves "auto"
-  without regard to batch size.
+* ``resolve_engine`` rejects unknown engines (the retired ``"packet"``
+  alias included) loudly and resolves "auto" without regard to batch
+  size.
 """
 
 from __future__ import annotations
@@ -81,22 +82,31 @@ def goldens(cloud, structures):
 class TestEngineMatrix:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("structure_name", ALL_STRUCTURES)
-    @pytest.mark.parametrize("engine", ["packet", "wavefront"])
+    @pytest.mark.parametrize("batching", ["packet", "wavefront"])
     def test_engine_matches_scalar_golden(self, cloud, structures, goldens,
-                                          structure_name, mode, engine):
-        """``engine`` is the *requested* name: the deprecated "packet"
-        alias must land on the wavefront engine with the same parity."""
+                                          structure_name, mode, batching):
+        """The wavefront engine holds the parity bound whether the frame
+        is traced as one wavefront or as 4x4-pixel packets (the tile
+        scheduler's serial path, merging per-packet counters)."""
+        from repro.serve import TileScheduler
+
         config = TraceConfig(k=4, mode=mode)
         camera = default_camera_for(cloud, 10, 10)
-        renderer = GaussianRayTracer(cloud, structures[structure_name],
-                                     config, engine=engine)
+        structure = structures[structure_name]
+        renderer = GaussianRayTracer(cloud, structure, config,
+                                     engine="wavefront")
         assert renderer.engine_active == "wavefront"
-        result = renderer.render(camera, keep_traces=False)
+        if batching == "packet":
+            result = TileScheduler(tile_size=(4, 4)).render(
+                cloud, structure, config, camera, renderer=renderer,
+                engine="wavefront")
+        else:
+            result = renderer.render(camera, keep_traces=False)
         golden = goldens[structure_name, mode]
         assert np.abs(golden.image - result.image).max() <= TOL
         for name in PARITY_COUNTERS:
             assert getattr(golden.stats, name) == getattr(
-                result.stats, name), (name, engine)
+                result.stats, name), (name, batching)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("structure_name", ALL_STRUCTURES)
@@ -144,18 +154,27 @@ class TestResolveEngineHardening:
         with pytest.raises(ValueError, match="unknown engine 'wavefont'"):
             resolve_engine("wavefont", structures["tlas+sphere"], config)
 
-    def test_rejection_names_the_valid_engines(self, structures):
-        config = TraceConfig(k=4)
-        with pytest.raises(ValueError, match="scalar, packet, wavefront"):
-            resolve_engine("gpu", structures["tlas+sphere"], config)
+    def test_rejection_names_the_valid_engines(self, cloud, structures):
+        from repro.serve import RenderRequest
 
-    def test_auto_and_the_packet_alias_resolve_to_wavefront(self,
-                                                            structures):
-        """No frame-size threshold: "auto" and the deprecated "packet"
-        alias both resolve to the one batched engine."""
+        config = TraceConfig(k=4)
+        with pytest.raises(ValueError, match="scalar, wavefront, auto"):
+            resolve_engine("gpu", structures["tlas+sphere"], config)
+        # The retired "packet" alias is an unknown engine everywhere.
+        with pytest.raises(ValueError, match="unknown engine 'packet'"):
+            resolve_engine("packet", structures["tlas+sphere"], config)
+        with pytest.raises(ValueError, match="unknown engine 'packet'"):
+            GaussianRayTracer(cloud, structures["tlas+sphere"], config,
+                              engine="packet")
+        with pytest.raises(ValueError, match="unknown engine 'packet'"):
+            RenderRequest(scene="train", engine="packet")
+
+    def test_auto_and_wavefront_resolve_to_wavefront(self, structures):
+        """No frame-size threshold: "auto" and an explicit "wavefront"
+        both resolve to the one batched engine."""
         config = TraceConfig(k=4)
         structure = structures["tlas+sphere"]
-        for engine in ("auto", "packet", "wavefront"):
+        for engine in ("auto", "wavefront"):
             assert resolve_engine(engine, structure, config) == "wavefront"
 
     def test_auto_degrades_to_scalar_when_unsupported(self, structures):
@@ -182,20 +201,20 @@ class TestResolveEngineHardening:
 
 
 class TestWavefrontDeployment:
-    def test_tiled_wavefront_equals_tiled_packet(self, cloud, structures):
-        """The "packet" alias and "wavefront" tile the frame the same
-        way and assemble the identical image."""
+    def test_tiled_auto_equals_tiled_wavefront(self, cloud, structures):
+        """"auto" and an explicit "wavefront" tile the frame the same
+        way and assemble the identical image and stats."""
         from repro.serve import TileScheduler
 
         camera = default_camera_for(cloud, 12, 12)
         scheduler = TileScheduler(tile_size=(8, 8))
         config = TraceConfig(k=4)
-        packet = scheduler.render(cloud, structures["tlas+sphere"], config,
-                                  camera, engine="packet")
+        auto = scheduler.render(cloud, structures["tlas+sphere"], config,
+                                camera, engine="auto")
         wavefront = scheduler.render(cloud, structures["tlas+sphere"], config,
                                      camera, engine="wavefront")
-        assert np.array_equal(packet.image, wavefront.image)
-        assert packet.stats == wavefront.stats
+        assert np.array_equal(auto.image, wavefront.image)
+        assert auto.stats == wavefront.stats
 
     def test_pooled_auto_frame_fans_wavefront_tiles(self, cloud, structures):
         """A frame-sized "auto" render fans its wavefront tiles across the

@@ -51,11 +51,11 @@ def _fallback_in_worker(scale):
 
     cloud = make_workload("train", scale=scale)
     structure = build_structure_for(cloud, "tlas+sphere")
-    config = TraceConfig(k=4, checkpointing=True)  # packet can't checkpoint
+    config = TraceConfig(k=4, checkpointing=True)  # wavefront can't checkpoint
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         renderer = GaussianRayTracer(cloud, structure, config,
-                                     engine="packet")
+                                     engine="wavefront")
     return renderer.engine_active
 
 

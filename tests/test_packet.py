@@ -7,8 +7,7 @@ functional counters — ``n_rays``, ``blended_total``,
 ``rays_terminated_early`` — agree exactly.  Alongside live the
 regression tests for the equal-t hit drop in multiround tracing (tied
 depths must survive k-buffer overflow), the flattened-layout round-trip
-guarantees, engine="auto" resolution (and the deprecated ``"packet"``
-alias), and fallback observability.
+guarantees, engine="auto" resolution, and fallback observability.
 """
 
 from __future__ import annotations
@@ -185,10 +184,10 @@ class TestEngineSelection:
     @pytest.mark.parametrize("proxy", TWO_LEVEL)
     def test_two_level_runs_on_the_packet_engine(self, cloud, structures,
                                                  proxy):
-        """The paper's headline structures trace on the batched engine
-        (the deprecated "packet" alias included), never the slow path."""
+        """The paper's headline structures trace on the batched engine,
+        never the slow path."""
         renderer = GaussianRayTracer(cloud, structures[proxy],
-                                     TraceConfig(k=4), engine="packet")
+                                     TraceConfig(k=4), engine="wavefront")
         assert renderer.engine_active == "wavefront"
 
     def test_checkpointing_falls_back_to_scalar(self, cloud, structures,
@@ -279,7 +278,7 @@ class TestAutoEngine:
                               supported) == "scalar"
         assert resolve_engine("auto", structures["tlas+sphere"],
                               supported) == "wavefront"
-        assert resolve_engine("packet", structures["tlas+sphere"],
+        assert resolve_engine("wavefront", structures["tlas+sphere"],
                               supported) == "wavefront"
         assert resolve_engine("auto", structures["tlas+sphere"],
                               unsupported) == "scalar"
@@ -297,10 +296,10 @@ class TestFallbackObservability:
         before = fallback_count()
         config = TraceConfig(k=4, checkpointing=True)
         with pytest.warns(RuntimeWarning,
-                          match="packet engine unavailable.*"
+                          match="wavefront engine unavailable.*"
                                 "scalar-engine-only"):
             GaussianRayTracer(cloud, structures["tlas+sphere"], config,
-                              engine="packet")
+                              engine="wavefront")
         # Second degrade for the same reason: counted, but not re-warned.
         with warnings_none():
             GaussianRayTracer(cloud, structures["tlas+sphere"], config,
@@ -311,11 +310,11 @@ class TestFallbackObservability:
         from repro.serve import RenderRequest, RenderServer
 
         with RenderServer(workers=1) as server:
-            # mode="grtx" checkpoints, so an explicit packet request
+            # mode="grtx" checkpoints, so an explicit wavefront request
             # degrades; the gauge must reflect it.
             request = RenderRequest(scene="train", scale=1 / 4000.0,
                                     width=6, height=6, proxy="tlas+sphere",
-                                    mode="grtx", engine="packet")
+                                    mode="grtx", engine="wavefront")
             assert request.engine_active == "scalar"
             import warnings as _w
 

@@ -20,7 +20,6 @@ from repro.pool import (
     RemoteTaskError,
     SceneCacheMirror,
     StealingScheduler,
-    TileCostModel,
     WorkerCrashError,
     WorkerPool,
     available_workers,
@@ -165,59 +164,6 @@ class TestFingerprint:
         a = make_workload("train", scale=SCALE, seed=7)
         b = make_workload("train", scale=SCALE, seed=8)
         assert stable_fingerprint(a) != stable_fingerprint(b)
-
-
-class TestTileCostModel:
-    def test_no_history_returns_none(self):
-        model = TileCostModel()
-        assert model.plan("scene", 32, 32, 8) is None
-
-    @staticmethod
-    def _skewed_model(width=32, height=32):
-        """Uniform 8x8 grid where the top-left 8x8 tile is 50x hotter."""
-        model = TileCostModel()
-        rects, costs = [], []
-        for y0 in range(0, height, 8):
-            for x0 in range(0, width, 8):
-                rects.append((x0, y0, 8, 8))
-                costs.append(50.0 if (x0, y0) == (0, 0) else 1.0)
-        model.record("scene", width, height, rects, costs)
-        return model, rects, costs
-
-    def test_plan_is_exact_partition(self):
-        model, _, _ = self._skewed_model()
-        rects = model.plan("scene", 32, 32, 16)
-        covered = np.zeros((32, 32), dtype=int)
-        for x0, y0, w, h in rects:
-            covered[y0:y0 + h, x0:x0 + w] += 1
-        assert (covered == 1).all()
-
-    def test_plan_balances_skew(self):
-        model, rects, costs = self._skewed_model()
-        plan = model.plan("scene", 32, 32, len(rects))
-        predicted = [model.predicted_cost("scene", r, 32, 32) for r in plan]
-        uniform = [model.predicted_cost("scene", r, 32, 32) for r in rects]
-
-        def tail(values):
-            return max(values) / (sum(values) / len(values))
-
-        assert tail(predicted) < tail(uniform)
-        # The hot corner got split into smaller tiles than the cold bulk.
-        hot = [r for r in plan if r[0] < 8 and r[1] < 8]
-        assert len(hot) > 1
-
-    def test_plan_respects_resolution_change(self):
-        model, _, _ = self._skewed_model()
-        rects = model.plan("scene", 64, 48, 12)
-        covered = np.zeros((48, 64), dtype=int)
-        for x0, y0, w, h in rects:
-            covered[y0:y0 + h, x0:x0 + w] += 1
-        assert (covered == 1).all()
-
-    def test_record_validates(self):
-        model = TileCostModel()
-        with pytest.raises(ValueError):
-            model.record("s", 8, 8, [(0, 0, 8, 8)], [1.0, 2.0])
 
 
 class TestWorkerPool:
@@ -429,10 +375,11 @@ def reference(scene):
 
 
 class TestPooledTileIdentity:
-    def test_pooled_frames_bit_identical_and_adaptive(self, scene, reference):
-        """Frame 1 (uniform tiles) and frame 2 (cost-aware tiles) on a
-        warm pool both reproduce the serial frame bit-for-bit."""
-        from repro.serve.tiles import TileScheduler
+    def test_pooled_frames_bit_identical_on_uniform_tiles(self, scene,
+                                                          reference):
+        """Frame 1 (cold pool) and frame 2 (warm pool) both render on the
+        uniform tile grid and reproduce the serial frame bit-for-bit."""
+        from repro.serve.tiles import TileScheduler, split_frame
 
         cloud, structure, config, camera = scene
         with TileScheduler(tile_size=(4, 4), workers=2,
@@ -449,9 +396,8 @@ class TestPooledTileIdentity:
         # Scene shipped once per worker; the warm frame was hash-only.
         assert stats["scene_ships"] == 2
         assert stats["scene_cache_hits"] > 0
-        # The adaptive plan still partitions the frame exactly.
-        ids = np.concatenate([t.pixel_ids(camera.width) for t in plans])
-        assert np.array_equal(np.sort(ids), np.arange(camera.n_pixels))
+        # The warm frame of the same scene keeps the uniform grid.
+        assert plans == split_frame(camera.width, camera.height, 4, 4)
 
     def test_frame_exact_after_worker_massacre(self, scene, reference):
         """SIGKILLing every pool worker between frames must not change a

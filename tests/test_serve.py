@@ -354,7 +354,7 @@ class TestTracerReuseCache:
             server.render(_request(proxy="20-tri", mode="baseline"))
             server.render(_request(proxy="20-tri", mode="grtx"))
             server.render(_request(proxy="20-tri", mode="baseline",
-                                   engine="packet"))
+                                   engine="wavefront"))
             keys = list(server._tracers._entries)
         assert len(keys) == 3
         configs = {(key[3], key[4].checkpointing) for key in keys}
@@ -385,14 +385,14 @@ class TestTracerReuseCache:
 
     def test_engine_is_part_of_frame_key(self):
         """Engines are parity-matched to 1e-9, not bit-identical, so a
-        packet request must not be answered from a scalar frame."""
+        wavefront request must not be answered from a scalar frame."""
         with RenderServer(workers=1) as server:
             scalar = server.render(_request(proxy="20-tri", mode="baseline"))
-            packet = server.render(_request(proxy="20-tri", mode="baseline",
-                                            engine="packet"))
-        assert not packet.frame_cache_hit
+            batched = server.render(_request(proxy="20-tri", mode="baseline",
+                                             engine="wavefront"))
+        assert not batched.frame_cache_hit
         assert server.metrics.rendered == 2
-        assert np.abs(scalar.image - packet.image).max() <= 1e-9
+        assert np.abs(scalar.image - batched.image).max() <= 1e-9
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(ValueError):
@@ -403,26 +403,26 @@ class TestTracerReuseCache:
         equivalent explicit engine share one cache entry, and auto's
         resolution follows the mode (checkpointing => scalar)."""
         auto = _request(proxy="tlas+sphere", mode="baseline", engine="auto")
-        packet = _request(proxy="tlas+sphere", mode="baseline",
-                          engine="packet")
+        explicit = _request(proxy="tlas+sphere", mode="baseline",
+                            engine="wavefront")
         assert auto.engine_active == "wavefront"
-        assert auto.frame_key("h") == packet.frame_key("h")
+        assert auto.frame_key("h") == explicit.frame_key("h")
         checkpointed = _request(proxy="tlas+sphere", mode="grtx",
                                 engine="auto")
         assert checkpointed.engine_active == "scalar"
         with RenderServer(workers=1) as server:
             first = server.render(auto)
-            second = server.render(packet)
+            second = server.render(explicit)
         assert not first.frame_cache_hit
         assert second.frame_cache_hit
 
     def test_two_level_packet_request_serves_packet_frames(self):
-        """tlas+sphere (the paper's structure) requested through the
-        deprecated "packet" alias renders on the wavefront engine
-        through the whole serving stack, matching a scalar server's
-        frame within the parity bound."""
+        """tlas+sphere (the paper's structure) requested on the batched
+        engine renders on the wavefront engine through the whole serving
+        stack, matching a scalar server's frame within the parity
+        bound."""
         request = _request(proxy="tlas+sphere", mode="baseline",
-                           engine="packet")
+                           engine="wavefront")
         assert request.engine_active == "wavefront"
         with RenderServer(workers=1) as server:
             packet = server.render(request)
