@@ -1,9 +1,15 @@
-"""Setuptools shim.
+"""Setuptools packaging for the ``repro`` library (``src/`` layout).
 
-Kept alongside pyproject.toml so `pip install -e .` works on minimal
-offline environments whose setuptools lacks PEP 660 editable-wheel
-support (no `wheel` package available).
+The project has no pyproject.toml; this file is the whole packaging
+configuration. It keeps `pip install -e .` working on minimal offline
+environments whose setuptools lacks PEP 660 editable-wheel support (no
+`wheel` package available).
 """
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

@@ -14,7 +14,7 @@ hit rates come from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -211,8 +211,7 @@ def build_two_level(
     # TLAS leaves hold exactly one instance: hardware instance nodes are
     # individual records the RT unit fetches (and transforms through) one
     # at a time, unlike packed triangle leaves.
-    from dataclasses import replace as _replace
-    tlas_params = _replace(params, leaf_size=1)
+    tlas_params = replace(params, leaf_size=1)
     tlas = build_bvh(lo, hi, INSTANCE_BYTES, tlas_params)
     blas_base = -(-tlas.total_bytes // _REGION_ALIGN) * _REGION_ALIGN
     blas = _build_shared_blas(blas_kind, subdivisions, blas_base)
@@ -283,8 +282,7 @@ def build_two_level_hetero(
             )
     if params is None:
         params = BuildParams()
-    from dataclasses import replace as _replace
-    tlas_params = _replace(params, leaf_size=1)
+    tlas_params = replace(params, leaf_size=1)
     tlas = build_bvh(lo, hi, INSTANCE_BYTES, tlas_params)
     base = -(-tlas.total_bytes // _REGION_ALIGN) * _REGION_ALIGN
     blas_list = []
