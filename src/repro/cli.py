@@ -64,14 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="optimization mode (grtx-hw/grtx enable checkpointing)")
     render.add_argument("--engine", default="auto",
                         choices=["scalar", "wavefront", "auto"],
-                        help="tracing engine: per-ray scalar (full feature "
-                             "set, including GRTX-HW checkpointing), "
-                             "breadth-first batched wavefront (both structure "
-                             "families, no checkpointing; an unsupported "
-                             "combination falls back to scalar with a "
-                             "warning), or auto (default: wavefront "
-                             "whenever it covers the scene, scalar "
-                             "otherwise)")
+                        help="tracing engine: breadth-first batched "
+                             "wavefront (every structure family and mode, "
+                             "GRTX-HW checkpointing included), auto (the "
+                             "default; the same engine), or per-ray scalar "
+                             "(the reference)")
     render.add_argument("--size", type=int, default=32, help="image width=height")
     render.add_argument("--k", type=int, default=8, help="k-buffer capacity")
     render.add_argument("--scale", type=float, default=1 / 400.0,
@@ -129,11 +126,10 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="distinct request configs in the workload")
     serve_bench.add_argument("--engine", default="auto",
                              choices=["scalar", "wavefront", "auto"],
-                             help="tracing engine to benchmark; wavefront/auto "
-                                  "switch the workload to baseline mode "
-                                  "(no checkpointing) so the vectorized "
-                                  "path is what gets measured, on the "
-                                  "paper's tlas+sphere structure")
+                             help="tracing engine to benchmark, on the "
+                                  "paper's tlas+sphere structure with the "
+                                  "service's GRTX defaults (checkpointing "
+                                  "on)")
     _add_obs_flags(serve_bench)
 
     chaos_drill = sub.add_parser(
@@ -319,8 +315,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
     camera = _make_camera(args.camera, cloud, args.size)
     from repro.rt import resolve_engine
 
-    # Resolve auto (and count/warn an explicit batched-engine degrade)
-    # once, then pass the concrete engine down so nothing re-resolves.
+    # Resolve auto once, then pass the concrete engine down so nothing
+    # re-resolves.
     engine_active = resolve_engine(args.engine, structure, config)
     if tiles:
         from repro.serve import TileScheduler

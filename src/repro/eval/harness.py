@@ -157,10 +157,10 @@ def normalize_config(
     worker whose module defaults may differ.
 
     ``engine`` defaults to ``"auto"``: trace-producing campaign renders
-    run on the wavefront engine's recording path whenever it covers the
-    (structure, config) pair — per-ray fetch traces and every replayed
-    timing figure are engine-identical — and fall back to the scalar
-    tracer otherwise (GRTX-HW checkpointing).
+    run on the wavefront engine's recording path, GRTX-HW checkpointing
+    included — per-ray fetch traces and every replayed timing figure
+    are engine-identical.  Only a heterogeneous multi-BLAS structure
+    records on the scalar tracer.
     """
     return dict(
         scene=scene, proxy=proxy, k=k, mode=mode, checkpointing=checkpointing,

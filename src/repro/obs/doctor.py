@@ -40,7 +40,6 @@ ANOMALY_COUNTERS = (
     "serve.timed_out",
     "serve.pool_fallbacks",
     "registry.disk_rejects",
-    "rt.packet_fallbacks",
     "chaos.injected",
 )
 

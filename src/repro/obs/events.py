@@ -30,7 +30,8 @@ CRASH = "crash"
 REQUEUE = "requeue"
 #: Admission control rejected work (load shedding).
 SHED = "shed"
-#: An engine degraded to a slower implementation, with the reason.
+#: A render degraded to a slower path (the pool's serial fallback),
+#: with the reason.
 FALLBACK = "fallback"
 #: A bounded cache evicted an entry.
 EVICTION = "eviction"

@@ -699,7 +699,7 @@ class WorkerPool:
         # Fold the worker's observability delta into this process before
         # taking the pool lock: the merge takes the registry lock, and
         # the delta is independent of pool state (the previously-lost
-        # worker-side fallback counts and per-tile timings land here).
+        # worker-side phase and per-tile timings land here).
         delta = message[5] if len(message) > 5 else None
         absorb_worker_delta(delta)
         registry = get_registry()

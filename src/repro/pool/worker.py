@@ -28,11 +28,11 @@ Two task kinds exist:
 Results carry the worker-measured execution seconds (the parent's
 per-tile ``tiles.tile_seconds`` observations), plus an observability
 delta: whatever the task recorded into the worker's
-:mod:`repro.obs` registry (engine fallbacks, per-phase engine timings)
+:mod:`repro.obs` registry (per-phase engine timings, per-tile seconds)
 and any trace spans, collected-and-reset per task so each result ships
 exactly the measurements of its own task. The parent folds the delta
 into its registry — worker-side metrics were previously lost entirely
-(a fallback inside a worker never reached the parent's gauge).
+(a counter bumped inside a worker never reached the parent).
 """
 
 from __future__ import annotations

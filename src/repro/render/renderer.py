@@ -21,6 +21,7 @@ from repro.render.camera import PinholeCamera
 from repro.render.effects import SceneObjects
 from repro.render.image import ImageBuffer
 from repro.rt import RayTrace, SceneShading, TraceConfig, Tracer
+from repro.rt.tracerecord import recordable
 
 #: Secondary rays whose carried weight is below this contribute nothing
 #: visible; skip them (matches shooting secondary rays only from surviving
@@ -135,13 +136,12 @@ class RenderResult:
         self.traces = []
 
 
-#: Engines a renderer can trace with.  ``"scalar"`` is the per-ray
-#: Python tracer (full feature set, including GRTX-HW checkpointing);
-#: ``"wavefront"`` is the numpy-vectorized batched engine (both
-#: structure families, multiround/singleround, fetch-trace recording),
-#: parity-matched to the scalar images within 1e-9 per channel;
-#: ``"auto"`` picks the wavefront engine whenever it covers the
-#: (structure, config) pair and the scalar tracer otherwise.
+#: Engines a renderer can trace with.  ``"wavefront"`` is the
+#: numpy-vectorized batched engine (both structure families,
+#: multiround/singleround, GRTX-HW checkpointing, fetch-trace
+#: recording), parity-matched to the scalar images within 1e-9 per
+#: channel; ``"auto"`` is the same engine; ``"scalar"`` is the per-ray
+#: Python tracer, the explicit reference.
 ENGINES = ("scalar", "wavefront", "auto")
 
 
@@ -158,12 +158,12 @@ class GaussianRayTracer:
         Tracing configuration (k, multi/single round, checkpointing, ...).
     engine:
         ``"scalar"`` (default), ``"wavefront"`` or ``"auto"``.  The
-        wavefront engine covers both structure families without
-        checkpointing; an explicit ``"wavefront"`` on an unsupported
-        combination falls back to the scalar tracer — counted by the
-        registry counter ``rt.packet_fallbacks`` and warned about once
-        per reason — while ``"auto"`` silently picks whichever engine
-        covers the pair (``engine_active`` reports the choice).
+        wavefront engine (which ``"auto"`` resolves to) covers every
+        flattenable structure and config, checkpointing included; a
+        recorded bundle (``keep_traces``) on a heterogeneous multi-BLAS
+        structure traces on the scalar tracer, the one recording limit
+        (:func:`repro.rt.tracerecord.recordable`).  ``engine_active``
+        reports the engine.
 
     ``structure`` may also be an already-flattened
     :class:`~repro.bvh.flatten.FlatStructure` (what pool workers
@@ -209,7 +209,7 @@ class GaussianRayTracer:
 
     @property
     def engine_active(self) -> str:
-        """The engine actually tracing (after unsupported-combo fallback)."""
+        """The engine tracing this renderer's bundles."""
         return self._engine_active
 
     def render(
@@ -259,9 +259,12 @@ class GaussianRayTracer:
         (:meth:`WavefrontTracer.trace_packet_recorded`): per-ray fetch
         traces stream- and counter-identical to the scalar recorder's,
         at extra recording cost — so serving paths keep it off and
-        timing runs turn it on.
+        timing runs turn it on.  A recorded bundle the frontier recorder
+        does not cover (a multi-BLAS structure) traces on the scalar
+        tracer.
         """
-        if self.packet is not None:
+        if self.packet is not None and (
+                not keep_traces or recordable(self.packet.flat)):
             return self._trace_rays_packet(origins, directions, pixel_ids,
                                            objects, keep_traces)
         n = origins.shape[0]
@@ -418,6 +421,10 @@ class GaussianRayTracer:
             stats.n_primary += n
         else:
             stats.n_secondary += n
+        # The round rule assumes the scalar's k-sized blend rounds; with
+        # checkpointing the scalar also stops a round early when no
+        # checkpoint or eviction is left, so rounds_total is an
+        # engine-specific work measure for those configs.
         stats.rounds_total += int(result.rounds.sum())
         stats.blended_total += int(result.blended.sum())
         stats.rays_terminated_early += int(np.count_nonzero(result.terminated))

@@ -31,14 +31,9 @@ from repro.rt.pipeline import (
 )
 from repro.rt.kernels import PacketResult
 from repro.rt.wavefront import (
-    MONOLITHIC_PROXIES,
-    TWO_LEVEL_PROXIES,
-    WAVEFRONT_PROXIES,
     WAVEFRONT_RAY_CHUNK,
     WavefrontTracer,
-    fallback_reason,
     resolve_engine,
-    wavefront_config_supported,
 )
 from repro.rt.predictor import PredictorReport, RayPredictor, analyze_predictor
 from repro.rt.shading import SceneShading
@@ -72,14 +67,9 @@ __all__ = [
     "TraceConfig",
     "Tracer",
     "WavefrontTracer",
-    "MONOLITHIC_PROXIES",
-    "TWO_LEVEL_PROXIES",
-    "WAVEFRONT_PROXIES",
     "WAVEFRONT_RAY_CHUNK",
     "analyze_predictor",
     "depth_pipeline",
-    "fallback_reason",
     "resolve_engine",
     "shadow_pipeline",
-    "wavefront_config_supported",
 ]

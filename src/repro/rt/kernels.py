@@ -34,9 +34,9 @@ class PacketResult:
     """Per-ray outcome arrays for one traced packet.
 
     ``colors`` is aligned with the input ray order.  ``rounds`` is the
-    number of k-sized blend chunks the scalar multiround algorithm
-    would need for the blended hits (1 for singleround) — an equivalent
-    work measure, not a claim of per-round parity.
+    scalar multiround tracer's round count for the blended hits (1 for
+    singleround); with checkpointing the scalar may stop one round
+    earlier, so there it is a work measure, not a parity-matched count.
     """
 
     colors: np.ndarray
@@ -390,7 +390,13 @@ def shade_and_blend(
     result.blended = blended
     result.terminated = transmittance < config.transmittance_min
     if config.mode == "multiround":
-        result.rounds = np.maximum(-(-blended // config.k), 1)
+        # The scalar loop's rounds: one per k blends until a round
+        # terminates the ray (ceil(blended / k)); otherwise it ends on a
+        # short round, so a ray that blended exactly m*k hits runs one
+        # more, empty, round — up to max_rounds.
+        result.rounds = np.where(
+            result.terminated, -(-blended // config.k),
+            np.minimum(blended // config.k + 1, config.max_rounds))
     else:
         result.rounds = np.ones(n, dtype=np.int64)
     return result

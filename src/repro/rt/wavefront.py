@@ -37,9 +37,12 @@ counters; :meth:`WavefrontTracer.trace_packet_recorded` additionally
 emits scalar-identical fetch traces (:mod:`repro.rt.tracerecord` reads
 the frontier's per-level slab rows).
 
-GRTX-HW checkpointing stays scalar-engine-only: :func:`resolve_engine`
-routes it there, counting and warning when an explicitly requested
-batched engine cannot be honored.
+Checkpointing (GRTX-HW) changes traversal order and fetch traces, not
+which Gaussians blend, so plain checkpointing frames trace on the same
+path; recorded ones replay the checkpoint/resume rounds over the
+frontier's round templates.  :func:`resolve_engine` therefore maps
+``"wavefront"`` and ``"auto"`` to this engine for every config, and the
+scalar tracer is the explicit reference.
 
 Per-phase ``repro.obs`` histograms: ``rt.phase.bin`` (frontier
 compaction: nonzero/argsort/expand) alongside the ``rt.phase.traversal``
@@ -49,21 +52,17 @@ reports, so the phase breakdown compares directly.
 
 from __future__ import annotations
 
-import threading
 import time
-import warnings
 
 import numpy as np
 
-from repro.obs import events as obs_events
-from repro.obs import flight, get_registry, span
+from repro.obs import get_registry, span
 
 from repro.bvh.flatten import (
     BLAS_SPHERE,
     PRIMS_GAUSSIANS,
     PRIMS_TRIANGLES,
     flatten,
-    flattenable,
 )
 from repro.bvh.node import KIND_INTERNAL
 from repro.rt.kernels import (
@@ -81,14 +80,9 @@ from repro.rt.shading import SceneShading
 from repro.rt.tracer import TraceConfig
 
 __all__ = [
-    "MONOLITHIC_PROXIES",
-    "TWO_LEVEL_PROXIES",
-    "WAVEFRONT_PROXIES",
     "WAVEFRONT_RAY_CHUNK",
     "WavefrontTracer",
-    "fallback_reason",
     "resolve_engine",
-    "wavefront_config_supported",
 ]
 
 #: Rays per wavefront chunk.  Frontier temporaries scale with the live
@@ -107,74 +101,16 @@ _INF = float("inf")
 # ---------------------------------------------------------------------------
 # Engine selection
 
-#: Proxy labels that build monolithic structures.
-MONOLITHIC_PROXIES = ("20-tri", "80-tri", "custom")
-
-#: Proxy labels that build two-level (GRTX-SW) structures.
-TWO_LEVEL_PROXIES = ("tlas+sphere", "tlas+20-tri", "tlas+80-tri")
-
-#: Every proxy label the wavefront engine covers — the single source for
-#: request-level engine resolution, so the serving layer can never
-#: drift from :func:`fallback_reason`.
-WAVEFRONT_PROXIES = MONOLITHIC_PROXIES + TWO_LEVEL_PROXIES
-
-
-def wavefront_config_supported(config: TraceConfig) -> bool:
-    """The config half of :func:`fallback_reason`: GRTX-HW
-    checkpointing stays on the scalar engine."""
-    return not config.checkpointing
-
-
-def fallback_reason(structure, config: TraceConfig) -> str | None:
-    """Why this (structure, config) pair needs the scalar engine
-    (``None`` when the wavefront engine covers it).
-
-    Structural support is :func:`repro.bvh.flatten.flattenable` — the
-    same predicate the scalar tracer's table setup uses — so both
-    engines agree by construction on what a structure is.
-    """
-    if not flattenable(structure):
-        return f"unsupported structure type {type(structure).__name__}"
-    if not wavefront_config_supported(config):
-        return "checkpointing (GRTX-HW) is scalar-engine-only"
-    return None
-
-
-# A one-time warning per distinct reason, so an explicit batched-engine
-# request silently degrading to the scalar tracer is visible to callers.
-# How often it happened is the registry counter ``rt.packet_fallbacks``
-# (worker deltas ride back to the parent with task results); why and
-# when is the flight event.
-_warn_lock = threading.Lock()
-_warned_reasons: set[str] = set()
-
-
-def _note_fallback(engine: str, reason: str) -> None:
-    """Record one explicit-engine -> scalar degrade; warns once per
-    reason."""
-    with _warn_lock:
-        first = reason not in _warned_reasons
-        _warned_reasons.add(reason)
-    get_registry().add("rt.packet_fallbacks")
-    flight.record(obs_events.FALLBACK, "rt.packet_fallback", reason=reason)
-    if first:
-        warnings.warn(
-            f"{engine} engine unavailable ({reason}); falling back to the "
-            "scalar tracer", RuntimeWarning, stacklevel=3)
-
-
 def resolve_engine(engine: str, structure, config: TraceConfig) -> str:
     """The concrete engine a (structure, config) pair will trace with:
     ``"scalar"`` or ``"wavefront"``.
 
-    ``"auto"`` silently picks the wavefront engine whenever it covers
-    the pair and the scalar tracer otherwise — that is its contract.
-    An explicit ``"wavefront"`` that cannot be honored *degrades* to
-    scalar: the degrade is counted (registry counter
-    ``rt.packet_fallbacks``) and warned about once per reason, because
-    the caller asked for something they are not getting.  Unknown
-    engine names are a fail-fast ``ValueError`` (a typo must not
-    silently render with the wrong engine).
+    ``"wavefront"`` and ``"auto"`` both resolve to the wavefront engine,
+    which covers every flattenable structure and every config (both
+    engines reject a structure :func:`repro.bvh.flatten.flatten` cannot
+    lower with the same ``TypeError``); ``"scalar"`` is the explicit
+    reference.  Unknown engine names are a fail-fast ``ValueError`` (a
+    typo must not silently render with the wrong engine).
     """
     if engine == "scalar":
         return "scalar"
@@ -182,12 +118,7 @@ def resolve_engine(engine: str, structure, config: TraceConfig) -> str:
         raise ValueError(
             f"unknown engine {engine!r}; valid engines are: "
             "scalar, wavefront, auto")
-    reason = fallback_reason(structure, config)
-    if reason is None:
-        return "wavefront"
-    if engine != "auto":
-        _note_fallback(engine, reason)
-    return "scalar"
+    return "wavefront"
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +144,6 @@ class WavefrontTracer:
         config: TraceConfig | None = None,
     ) -> None:
         config = config or TraceConfig()
-        reason = fallback_reason(structure, config)
-        if reason is not None:
-            raise ValueError(
-                "wavefront engine supports flattenable structures without "
-                f"checkpointing; use the scalar Tracer ({reason})")
         flat = flatten(structure)
         self.structure = structure
         self.flat = flat
@@ -367,10 +293,10 @@ class WavefrontTracer:
         ``t_min = 0`` and no ``t_max`` pruning, so the frontier holds
         every pair any tracing round can visit.
 
-        With ``log`` given, every slice appends its ``(rays, nodes, tn,
-        tf, hit)`` rows — each visiting pair's slab results for *all*
-        child slots plus the accept mask — which the trace recorder
-        folds into per-ray visit tables.
+        With ``log`` given, every slice appends its ``(depth, rays,
+        nodes, tn, tf, hit)`` rows — each visiting pair's slab results
+        for *all* child slots plus the accept mask, in level order —
+        which the trace recorder folds into round templates.
         """
         kinds = level.child_kind
         refs = level.child_ref
@@ -385,6 +311,7 @@ class WavefrontTracer:
         f_nodes = np.zeros(n, dtype=np.int64)
         leaf_ray_parts: list[np.ndarray] = []
         leaf_ref_parts: list[np.ndarray] = []
+        depth = 0
         while f_rays.size:
             next_ray_parts: list[np.ndarray] = []
             next_node_parts: list[np.ndarray] = []
@@ -422,7 +349,7 @@ class WavefrontTracer:
                 hit &= tn <= t_clip[fr, None]
                 hit &= k != 0
                 if log is not None:
-                    log.append((fr, fn, tn, tf, hit))
+                    log.append((depth, fr, fn, tn, tf, hit))
                 b0 = time.perf_counter()
                 pair, slot = np.nonzero(hit)
                 child_kind = k[pair, slot]
@@ -448,6 +375,7 @@ class WavefrontTracer:
                 f_rays = f_rays[order]
                 f_nodes = f_nodes[order]
             self._bin_s += time.perf_counter() - b0
+            depth += 1
         if not leaf_ray_parts:
             return empty, empty
         b0 = time.perf_counter()

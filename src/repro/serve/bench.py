@@ -73,19 +73,16 @@ def bench_tile_speedup(
     pool-reuse win (and the returned pool counters prove the cache hits
     and steals happened).
 
-    The measured structure is the paper's headline ``tlas+sphere`` for
-    every engine; the config follows the engine: the scalar engine
-    measures the service's GRTX defaults (checkpointing on), while
-    ``wavefront``/``auto`` measure baseline mode (no checkpointing) so the
-    vectorized two-level path is actually the thing timed rather than
-    silently falling back to scalar.
+    The measured structure is the paper's headline ``tlas+sphere`` and
+    the config the service's GRTX defaults (checkpointing on), for every
+    engine.
     """
     if proxy is None:
         proxy = "tlas+sphere"
     registry = SceneRegistry()
     cloud, _ = registry.scene(RenderRequest(scene=scene, scale=scale).scene_ref)
     structure = registry.structure(RenderRequest(scene=scene, scale=scale).scene_ref, proxy)
-    config = TraceConfig(k=8, checkpointing=engine == "scalar")
+    config = TraceConfig(k=8, checkpointing=True)
     from repro.render import default_camera_for
 
     camera = default_camera_for(cloud, size, size)
@@ -139,7 +136,7 @@ def bench_tile_speedup(
 
 def _workload_requests(
     scene: str, size: int, scale: float, proxies: tuple[str, ...],
-    unique: int, total: int, engine: str = "scalar", mode: str = "grtx",
+    unique: int, total: int, engine: str = "scalar",
 ) -> list[RenderRequest]:
     """A deterministic repeated-request trace over ``unique`` configs.
 
@@ -160,7 +157,7 @@ def _workload_requests(
         RenderRequest(
             scene=scene, scale=scale, width=size, height=size,
             proxy=proxies[i % len(proxies)], k=4 + i // len(proxies),
-            engine=engine, mode=mode,
+            engine=engine,
         )
         for i in range(unique)
     ]
@@ -181,7 +178,6 @@ def bench_throughput(
     total: int,
     tile: int,
     engine: str = "scalar",
-    mode: str = "grtx",
     workers: int = 1,
 ) -> dict:
     """Run the repeated-request workload through a server; measure.
@@ -195,7 +191,7 @@ def bench_throughput(
     """
     registry = SceneRegistry()
     requests = _workload_requests(scene, size, scale, proxies, unique, total,
-                                  engine, mode)
+                                  engine)
     with RenderServer(registry=registry, frame_cache_size=max(64, unique),
                       tile_size=(tile, tile), workers=workers,
                       max_pending=max(total, 1)) as server:
@@ -270,19 +266,15 @@ def run_benchmark(
 ) -> BenchReport:
     """Run all three measurements and format the report.
 
-    With ``engine="wavefront"`` or ``"auto"`` the workload switches to
-    baseline mode (no checkpointing) — the wavefront engine covers
-    both structure families, so the default proxies stay the service's
-    two-level-plus-monolithic mix and the benchmark exercises the
-    vectorized path instead of measuring a scalar fallback.
+    Every engine measures the service's GRTX defaults (checkpointing
+    on) over its two-level-plus-monolithic proxy mix.
     """
     if proxies is None:
         proxies = ("tlas+sphere", "20-tri")
-    mode = "grtx" if engine == "scalar" else "baseline"
     speedup = bench_tile_speedup(scene, size, scale, tile, workers,
                                  engine=engine)
     traffic = bench_throughput(scene, request_size, scale, proxies,
-                               unique, requests, tile, engine, mode,
+                               unique, requests, tile, engine,
                                workers=workers)
 
     pool_stats = speedup.get("pool") or {}

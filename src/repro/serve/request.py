@@ -117,22 +117,13 @@ class RenderRequest:
     def engine_active(self) -> str:
         """The engine that will actually trace this request.
 
-        Evaluates :func:`repro.rt.wavefront.fallback_reason`'s rule from
-        request fields alone (the proxy label stands in for the
-        structure family), so cache keys always carry the engine a
-        render would really use — in particular ``engine="auto"``
-        resolves *before* any frame or tracer key is formed.
+        :func:`repro.rt.wavefront.resolve_engine`'s rule from the
+        request field alone (``"scalar"`` only when asked for), so cache
+        keys always carry the engine a render would really use — in
+        particular ``engine="auto"`` resolves *before* any frame or
+        tracer key is formed.
         """
-        from repro.rt.wavefront import (
-            WAVEFRONT_PROXIES,
-            wavefront_config_supported,
-        )
-
-        if (self.engine in ("wavefront", "auto")
-                and self.proxy in WAVEFRONT_PROXIES
-                and wavefront_config_supported(self.trace_config())):
-            return "wavefront"
-        return "scalar"
+        return "scalar" if self.engine == "scalar" else "wavefront"
 
     def trace_config(self) -> TraceConfig:
         return TraceConfig(k=self.k, checkpointing=self.checkpointing)

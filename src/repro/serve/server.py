@@ -489,10 +489,9 @@ class RenderServer:
             request.scene_ref, request.proxy, self.build_params)
         camera = self._camera_for(request, cloud)
         config = request.trace_config()
-        # Resolve the engine exactly once per rendered request (counting
-        # a degraded explicit batched engine exactly once, whatever the
-        # tracer cache holds), then hand the concrete engine to the
-        # renderer and scheduler so nothing downstream re-resolves.
+        # Resolve the engine exactly once per rendered request, then
+        # hand the concrete engine to the renderer and scheduler so
+        # nothing downstream re-resolves.
         engine = resolve_engine(request.engine, structure, config)
         renderer = None
         tracer_key = None
@@ -597,15 +596,7 @@ class RenderServer:
     # -- reporting ------------------------------------------------------
 
     def _gauges(self) -> dict[str, float]:
-        """Instantaneous load gauges merged into metric snapshots.
-
-        ``packet_fallbacks`` counts explicit batched-engine requests
-        that degraded to the scalar tracer. It reads the registry
-        counter ``rt.packet_fallbacks``: worker processes fold their
-        fallback counts into that registry with every task result, so
-        pooled renders whose fallback fired *inside a worker* are
-        counted too.
-        """
+        """Instantaneous load gauges merged into metric snapshots."""
         pool = self.scheduler.pool
         with self._dispatch_lock:
             busy = self._dispatchers_busy
@@ -615,8 +606,6 @@ class RenderServer:
             "dispatchers_busy": busy,
             "worker_utilization": round(
                 pool.utilization() if pool is not None else 0.0, 4),
-            "packet_fallbacks": int(
-                get_registry().counter_value("rt.packet_fallbacks")),
             "circuit_open": int(self._breaker.is_open()),
         }
 

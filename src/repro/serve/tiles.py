@@ -231,9 +231,7 @@ class TileScheduler:
         (``"scalar"``/``"wavefront"``/``"auto"``); it is
         resolved to the concrete engine *here*, before any cache key is
         formed, so ``auto`` and an equivalent explicit engine share
-        worker scene caches, and an explicit batched engine that
-        degrades to scalar is counted (``rt.packet_fallbacks``) in the
-        parent process (workers only ever see resolved engines).  Every
+        worker scene caches (workers only ever see resolved engines).  Every
         engine fans out the same way: a wavefront tile traced alone is
         bit-identical to the same rays traced inside the whole frame.
         Pooled tiles ship the *flattened* structure

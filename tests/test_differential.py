@@ -2,16 +2,20 @@
 on generated inputs.
 
 Hypothesis draws tiny Gaussian clouds, tracing configurations (k,
-``max_rounds``, ``transmittance_min``, trace mode) and per-ray segment
-bounds (``t_clip``), and every flattenable structure family is built
-over each cloud.  On every input:
+``max_rounds``, ``transmittance_min``, trace mode, GRTX-HW
+checkpointing) and per-ray segment bounds (``t_clip``), and every
+flattenable structure family is built over each cloud.  On every input:
 
 * the batched images are within 1e-9 of the scalar tracer's, with
-  exactly equal per-ray blend counts, termination flags and round
-  counts;
+  exactly equal per-ray blend counts and termination flags; the plain
+  path's round counts equal the scalar's without checkpointing, and
+  exceed them by at most one with it (the scalar also stops when a
+  round leaves no checkpoint and no eviction, which the plain path
+  cannot see);
 * the frontier-recorded fetch traces are event-equal to the scalar
-  traces (single-BLAS structures: multi-BLAS recording is out of the
-  recorder's scope);
+  traces, checkpoint/eviction counts and high-water marks included
+  (single-BLAS structures: a multi-BLAS recording runs on the scalar
+  tracer);
 * :func:`repro.hwsim.replay` reports the same timing for both trace
   sets.
 
@@ -31,7 +35,7 @@ from hypothesis import strategies as st
 from repro.bvh import build_monolithic, build_two_level
 from repro.bvh.two_level import build_two_level_hetero
 from repro.hwsim import GpuConfig, replay
-from repro.render import default_camera_for
+from repro.render import GaussianRayTracer, default_camera_for
 from repro.rt import RayTrace, SceneShading, TraceConfig, Tracer
 from repro.rt import WavefrontTracer
 
@@ -65,9 +69,11 @@ def inputs(draw):
     ``t_clip`` bounds."""
     cloud = tiny_cloud(n=draw(st.integers(6, 60)),
                        seed=draw(st.integers(0, 10_000)))
+    mode = draw(st.sampled_from(["multiround", "singleround"]))
     config = TraceConfig(
         k=draw(st.integers(1, 6)),
-        mode=draw(st.sampled_from(["multiround", "singleround"])),
+        mode=mode,
+        checkpointing=mode == "multiround" and draw(st.booleans()),
         max_rounds=draw(st.integers(1, 4)),
         transmittance_min=draw(st.sampled_from([1e-3, 0.2, 0.6, 0.95])),
     )
@@ -114,6 +120,11 @@ def test_wavefront_matches_scalar(family, case):
         assert np.abs(outcome.color - plain.colors[i]).max() <= TOL
         assert outcome.blended == plain.blended[i]
         assert outcome.terminated_early == bool(plain.terminated[i])
+        extra = int(plain.rounds[i]) - outcome.rounds
+        if config.checkpointing:
+            assert 0 <= extra <= 1
+        else:
+            assert extra == 0
 
     if family not in RECORDED:
         return
@@ -122,7 +133,36 @@ def test_wavefront_matches_scalar(family, case):
     assert np.array_equal(recorded.colors, plain.colors)
     assert [o.rounds for o in outcomes] == recorded.rounds.tolist()
     _assert_traces_equal(scalar_traces, traces)
+    for s, p in zip(scalar_traces, traces):
+        assert _ckpt_counts(s) == _ckpt_counts(p)
     a = replay(scalar_traces, GpuConfig.rtx_like())
     b = replay(traces, GpuConfig.rtx_like())
     for field in dataclasses.fields(a):
         assert getattr(a, field.name) == getattr(b, field.name), field.name
+
+
+def _ckpt_counts(trace: RayTrace) -> tuple[int, int, int, int]:
+    """``(checkpoints_written, evictions_written, ckpt_high_water,
+    evict_high_water)`` of one ray."""
+    return (sum(r.checkpoints_written for r in trace.rounds),
+            sum(r.evictions_written for r in trace.rounds),
+            trace.ckpt_high_water, trace.evict_high_water)
+
+
+@pytest.mark.parametrize("checkpointing", [False, True])
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_auto_records_every_family(family, checkpointing):
+    """``auto`` with ``keep_traces`` never raises on a flattenable
+    family — a multi-BLAS recording runs on the scalar tracer — and
+    its traces equal the scalar engine's."""
+    cloud = tiny_cloud(n=40, seed=7)
+    structure = FAMILIES[family](cloud)
+    config = TraceConfig(k=3, checkpointing=checkpointing)
+    camera = default_camera_for(cloud, 5, 5)
+    auto = GaussianRayTracer(cloud, structure, config,
+                             engine="auto").render(camera, keep_traces=True)
+    scalar = GaussianRayTracer(cloud, structure, config,
+                               engine="scalar").render(camera,
+                                                       keep_traces=True)
+    _assert_traces_equal(scalar.traces, auto.traces)
+    assert auto.stats == scalar.stats

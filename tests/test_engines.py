@@ -177,10 +177,12 @@ class TestResolveEngineHardening:
         for engine in ("auto", "wavefront"):
             assert resolve_engine(engine, structure, config) == "wavefront"
 
-    def test_auto_degrades_to_scalar_when_unsupported(self, structures):
+    def test_auto_resolves_checkpointing_to_wavefront(self, structures):
+        """Checkpointing (GRTX-HW) no longer demotes anything: "auto"
+        resolves to the batched engine on every structure family."""
         config = TraceConfig(k=4, checkpointing=True)
-        assert resolve_engine("auto", structures["tlas+sphere"],
-                              config) == "scalar"
+        for structure in structures.values():
+            assert resolve_engine("auto", structure, config) == "wavefront"
 
     def test_explicit_wavefront_respects_small_batches(self, cloud,
                                                        structures):

@@ -4,7 +4,7 @@ Covers the contracts the rest of the stack leans on: exact counter
 totals under thread contention (sharded fast path), mergeable bucketed
 histograms, monotonic snapshots, Chrome-tracing-valid span files, and —
 the regression this subsystem exists for — worker-process metrics
-(packet fallbacks, per-tile timings) reaching the parent registry with
+(counters, per-tile timings) reaching the parent registry with
 task results instead of dying with the worker.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-import warnings
 
 import pytest
 
@@ -40,23 +39,6 @@ def _bump_counters(n):
     registry.add("test.worker_bumps", n)
     registry.observe("test.worker_hist", 0.25)
     return n
-
-
-def _fallback_in_worker(scale):
-    """Worker-side: force an explicit batched-engine degrade."""
-    from repro.eval.harness import build_structure_for
-    from repro.gaussians import make_workload
-    from repro.render import GaussianRayTracer
-    from repro.rt import TraceConfig
-
-    cloud = make_workload("train", scale=scale)
-    structure = build_structure_for(cloud, "tlas+sphere")
-    config = TraceConfig(k=4, checkpointing=True)  # wavefront can't checkpoint
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        renderer = GaussianRayTracer(cloud, structure, config,
-                                     engine="wavefront")
-    return renderer.engine_active
 
 
 # -- histograms ----------------------------------------------------------
@@ -229,18 +211,6 @@ class TestWorkerDeltaRideBack:
         assert hist is not None and hist.count >= 4
         # The pool also times every remote call.
         assert registry.histogram("worker.call_seconds").count >= 4
-
-    def test_worker_packet_fallback_reaches_parent(self):
-        """A batched-engine fallback that fires *inside a worker
-        process* must show up in the parent registry."""
-        from repro.pool import WorkerPool
-
-        registry = get_registry()
-        before = registry.counter_value("rt.packet_fallbacks")
-        with WorkerPool(workers=2, start_method="fork") as pool:
-            remote = pool.submit(_fallback_in_worker, SCALE).result(timeout=60)
-        assert remote == "scalar"  # the worker really did degrade
-        assert registry.counter_value("rt.packet_fallbacks") - before >= 1
 
     def test_pooled_tile_render_ships_tile_timings(self):
         from repro.eval.harness import build_structure_for

@@ -7,7 +7,7 @@ functional counters — ``n_rays``, ``blended_total``,
 ``rays_terminated_early`` — agree exactly.  Alongside live the
 regression tests for the equal-t hit drop in multiround tracing (tied
 depths must survive k-buffer overflow), the flattened-layout round-trip
-guarantees, engine="auto" resolution, and fallback observability.
+guarantees, engine="auto" resolution, and checkpointing routing.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ import pytest
 
 from repro.bvh import build_monolithic, build_two_level, flatten
 from repro.gaussians import GaussianCloud
-from repro.obs import get_registry
 from repro.render import GaussianRayTracer, SceneObjects, default_camera_for
 from repro.rt import RayTrace, SceneShading, TraceConfig, Tracer
-from repro.rt import wavefront
-from repro.rt.wavefront import WavefrontTracer, fallback_reason, resolve_engine
+from repro.rt.wavefront import WavefrontTracer, resolve_engine
 from repro.serve import TileScheduler
 
 from tests.conftest import tiny_cloud
@@ -53,17 +51,6 @@ def opaque_cloud():
         opacities=np.clip(c.opacities * 8.0, 0.0, 0.98),
         sh=c.sh, kappa=c.kappa, name="tiny-opaque",
     )
-
-
-@pytest.fixture
-def rearm_fallback_warnings(monkeypatch):
-    """Forget which fallback reasons already warned (the warning fires
-    once per reason per process)."""
-    monkeypatch.setattr(wavefront, "_warned_reasons", set())
-
-
-def fallback_count() -> int:
-    return int(get_registry().counter_value("rt.packet_fallbacks"))
 
 
 @pytest.fixture(scope="module")
@@ -190,25 +177,33 @@ class TestEngineSelection:
                                      TraceConfig(k=4), engine="wavefront")
         assert renderer.engine_active == "wavefront"
 
-    def test_checkpointing_falls_back_to_scalar(self, cloud, structures,
-                                                rearm_fallback_warnings):
+    def test_checkpointing_runs_on_wavefront(self, cloud, structures):
+        """GRTX-HW checkpointing changes traversal order, not which
+        Gaussians blend: an explicit wavefront request honors it, and the
+        plain frame matches the scalar checkpointing render."""
         config = TraceConfig(k=4, checkpointing=True)
-        with pytest.warns(RuntimeWarning,
-                          match="wavefront engine unavailable.*falling back"):
-            renderer = GaussianRayTracer(cloud, structures["tlas+sphere"],
-                                         config, engine="wavefront")
-        assert renderer.engine_active == "scalar"
+        camera = default_camera_for(cloud, 6, 6)
+        for proxy in ALL_PROXIES:
+            renderer = GaussianRayTracer(cloud, structures[proxy], config,
+                                         engine="wavefront")
+            assert renderer.engine_active == "wavefront"
+            got = renderer.render(camera, keep_traces=False)
+            want = GaussianRayTracer(cloud, structures[proxy],
+                                     config).render(camera,
+                                                    keep_traces=False)
+            assert np.abs(got.image - want.image).max() <= TOL, proxy
+            for name in PARITY_COUNTERS:
+                assert (getattr(got.stats, name)
+                        == getattr(want.stats, name)), (proxy, name)
 
     def test_record_blended_stays_on_packet(self, cloud, structures):
-        """record_blended is batched: no fallback, and the per-ray
-        blend lists match the scalar tracer's (same gids in the same
-        blend order; alpha/t to float noise)."""
-        before = fallback_count()
+        """record_blended is batched, and the per-ray blend lists match
+        the scalar tracer's (same gids in the same blend order; alpha/t
+        to float noise)."""
         config = TraceConfig(k=4, record_blended=True)
         renderer = GaussianRayTracer(cloud, structures["20-tri"], config,
                                      engine="wavefront")
         assert renderer.engine_active == "wavefront"
-        assert fallback_count() == before
 
         camera = default_camera_for(cloud, 6, 6)
         bundle = camera.generate_rays()
@@ -225,12 +220,13 @@ class TestEngineSelection:
                 assert a1 == pytest.approx(a2, abs=1e-12)
                 assert t1 == pytest.approx(t2, abs=1e-12)
 
-    def test_packet_tracer_rejects_unsupported(self, cloud, structures):
+    def test_packet_tracer_rejects_unsupported(self, cloud):
+        """A structure the flattened layout cannot express is rejected
+        by both engines with the same TypeError."""
         config = TraceConfig(k=4, checkpointing=True)
-        assert fallback_reason(structures["tlas+sphere"], config)
-        with pytest.raises(ValueError, match="wavefront engine"):
-            WavefrontTracer(structures["tlas+sphere"], SceneShading(cloud),
-                            config)
+        for engine in (WavefrontTracer, Tracer):
+            with pytest.raises(TypeError, match="cannot flatten"):
+                engine(object(), SceneShading(cloud), config)
 
     def test_both_engines_keep_traces(self, cloud, structures):
         """Per-ray fetch traces come from either engine; the frontier
@@ -249,8 +245,8 @@ class TestEngineSelection:
 
 
 class TestAutoEngine:
-    """engine="auto": the batched (wavefront) engine whenever supported,
-    scalar otherwise — silently (no fallback counter, no warning)."""
+    """engine="auto": the batched (wavefront) engine for every
+    flattenable structure and config."""
 
     def test_auto_picks_packet_when_supported(self, cloud, structures):
         for proxy in ALL_PROXIES:
@@ -258,89 +254,49 @@ class TestAutoEngine:
                                          TraceConfig(k=4), engine="auto")
             assert renderer.engine_active == "wavefront", proxy
 
-    def test_auto_picks_scalar_for_checkpointing(self, cloud, structures):
+    def test_auto_picks_wavefront_for_checkpointing(self, cloud,
+                                                    structures):
         config = TraceConfig(k=4, checkpointing=True)
-        renderer = GaussianRayTracer(cloud, structures["tlas+sphere"],
-                                     config, engine="auto")
-        assert renderer.engine_active == "scalar"
-
-    def test_auto_never_counts_a_fallback(self, cloud, structures):
-        before = fallback_count()
-        config = TraceConfig(k=4, checkpointing=True)
-        GaussianRayTracer(cloud, structures["tlas+sphere"], config,
-                          engine="auto")
-        assert fallback_count() == before
+        for proxy in ALL_PROXIES:
+            renderer = GaussianRayTracer(cloud, structures[proxy],
+                                         config, engine="auto")
+            assert renderer.engine_active == "wavefront", proxy
 
     def test_resolve_engine_values(self, structures):
-        supported = TraceConfig(k=4)
-        unsupported = TraceConfig(k=4, checkpointing=True)
-        assert resolve_engine("scalar", structures["tlas+sphere"],
-                              supported) == "scalar"
-        assert resolve_engine("auto", structures["tlas+sphere"],
-                              supported) == "wavefront"
-        assert resolve_engine("wavefront", structures["tlas+sphere"],
-                              supported) == "wavefront"
-        assert resolve_engine("auto", structures["tlas+sphere"],
-                              unsupported) == "scalar"
+        for proxy in ALL_PROXIES:
+            for checkpointing in (False, True):
+                config = TraceConfig(k=4, checkpointing=checkpointing)
+                structure = structures[proxy]
+                assert resolve_engine("scalar", structure,
+                                      config) == "scalar"
+                assert resolve_engine("auto", structure,
+                                      config) == "wavefront"
+                assert resolve_engine("wavefront", structure,
+                                      config) == "wavefront"
         with pytest.raises(ValueError, match="engine"):
-            resolve_engine("warp", structures["tlas+sphere"], supported)
+            resolve_engine("warp", structures["tlas+sphere"], TraceConfig())
 
 
-class TestFallbackObservability:
-    """An explicit batched-engine degrade is counted (registry counter
-    ``rt.packet_fallbacks``) and warned about once per reason, naming
-    the engine that was asked for, instead of being invisible."""
+class TestCheckpointingRouting:
+    """GRTX-HW checkpointing traces on the batched engine through every
+    entry point: renderer, pooled tiles and the serving stack."""
 
-    def test_explicit_packet_degrade_counts_and_warns_once(
-            self, cloud, structures, rearm_fallback_warnings):
-        before = fallback_count()
-        config = TraceConfig(k=4, checkpointing=True)
-        with pytest.warns(RuntimeWarning,
-                          match="wavefront engine unavailable.*"
-                                "scalar-engine-only"):
-            GaussianRayTracer(cloud, structures["tlas+sphere"], config,
-                              engine="wavefront")
-        # Second degrade for the same reason: counted, but not re-warned.
-        with warnings_none():
-            GaussianRayTracer(cloud, structures["tlas+sphere"], config,
-                              engine="wavefront")
-        assert fallback_count() - before == 2
-
-    def test_server_exposes_fallback_gauge(self, tmp_path):
+    def test_server_grtx_request_renders_on_wavefront(self):
         from repro.serve import RenderRequest, RenderServer
 
+        request = RenderRequest(scene="train", scale=1 / 4000.0,
+                                width=6, height=6, proxy="tlas+sphere",
+                                mode="grtx", engine="wavefront")
+        assert request.engine_active == "wavefront"
         with RenderServer(workers=1) as server:
-            # mode="grtx" checkpoints, so an explicit wavefront request
-            # degrades; the gauge must reflect it.
-            request = RenderRequest(scene="train", scale=1 / 4000.0,
-                                    width=6, height=6, proxy="tlas+sphere",
-                                    mode="grtx", engine="wavefront")
-            assert request.engine_active == "scalar"
-            import warnings as _w
-
-            with _w.catch_warnings():
-                _w.simplefilter("ignore", RuntimeWarning)
-                server.render(request)
+            batched = server.render(request)
             snapshot = server.metrics.snapshot()
-            report = server.stats_report()
-        assert snapshot["gauge.packet_fallbacks"] >= 1
-        assert report["server"]["gauge.packet_fallbacks"] >= 1
-
-
-class warnings_none:
-    """Context manager asserting no warning is emitted inside it."""
-
-    def __enter__(self):
-        import warnings as _w
-
-        self._catcher = _w.catch_warnings(record=True)
-        self._records = self._catcher.__enter__()
-        _w.simplefilter("always")
-        return self._records
-
-    def __exit__(self, *exc):
-        self._catcher.__exit__(*exc)
-        assert self._records == [], [str(r.message) for r in self._records]
+        with RenderServer(workers=1) as server:
+            scalar = server.render(RenderRequest(
+                scene="train", scale=1 / 4000.0, width=6, height=6,
+                proxy="tlas+sphere", mode="grtx", engine="scalar"))
+        assert np.abs(batched.image - scalar.image).max() <= TOL
+        assert "gauge.packet_fallbacks" not in snapshot
 
 
 class TestFlattenRoundTrip:

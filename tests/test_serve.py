@@ -400,8 +400,9 @@ class TestTracerReuseCache:
 
     def test_auto_resolves_before_frame_keying(self):
         """The frame key carries the *effective* engine, so auto and an
-        equivalent explicit engine share one cache entry, and auto's
-        resolution follows the mode (checkpointing => scalar)."""
+        equivalent explicit engine share one cache entry, and auto
+        resolves to the wavefront engine in every mode (checkpointing
+        included)."""
         auto = _request(proxy="tlas+sphere", mode="baseline", engine="auto")
         explicit = _request(proxy="tlas+sphere", mode="baseline",
                             engine="wavefront")
@@ -409,7 +410,7 @@ class TestTracerReuseCache:
         assert auto.frame_key("h") == explicit.frame_key("h")
         checkpointed = _request(proxy="tlas+sphere", mode="grtx",
                                 engine="auto")
-        assert checkpointed.engine_active == "scalar"
+        assert checkpointed.engine_active == "wavefront"
         with RenderServer(workers=1) as server:
             first = server.render(auto)
             second = server.render(explicit)

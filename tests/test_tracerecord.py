@@ -1,13 +1,15 @@
 """Trace equivalence: the frontier recorder vs the scalar tracer.
 
 The contract under test is exact stream equality — for every supported
-(structure, mode) pair, the wavefront engine's recorded per-ray
-``RayTrace``s are event-for-event the scalar tracer's: same fetch
-records (addresses, sizes, kinds, test counts), same prefetch pair
-lists, same per-round counters, same round structure, same unique/total
-visit statistics — so a replayed :class:`TimingReport` is identical
-whichever engine produced the traces, and so are the fig14–17
-aggregates (node fetches, L1 hits, L2 accesses).
+(structure, mode) pair, with and without GRTX-HW checkpointing, the
+wavefront engine's recorded per-ray ``RayTrace``s are event-for-event
+the scalar tracer's: same fetch records (addresses, sizes, kinds, test
+counts), same prefetch pair lists, same per-round counters (checkpoint
+and eviction writes included), same round structure, same unique/total
+visit statistics and checkpoint/eviction high-water marks — so a
+replayed :class:`TimingReport` is identical whichever engine produced
+the traces, and so are the fig14–17 aggregates (node fetches, L1 hits,
+L2 accesses).
 
 Also covered here: the vectorized :func:`repro.hwsim.replay` against
 its golden reference loop (:func:`repro.hwsim.replay_reference`), on
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.bvh import build_monolithic, build_two_level
+from repro.gaussians import make_workload
 from repro.hwsim import GpuConfig, replay, replay_reference
 from repro.hwsim.treelet import build_treelet_map
 from repro.render import GaussianRayTracer, SceneObjects, default_camera_for
@@ -30,6 +33,10 @@ from repro.rt import TraceConfig
 from tests.conftest import tiny_cloud
 
 STRUCTURES = ("20-tri", "custom", "tlas+sphere", "tlas+20-tri")
+
+#: Multiround configs run with checkpointing off and on (singleround
+#: cannot checkpoint).
+CHECKPOINTING = (False, True)
 
 
 @pytest.fixture(scope="module")
@@ -93,45 +100,72 @@ class TestTraceEquivalence:
     @pytest.mark.parametrize("proxy", STRUCTURES)
     @pytest.mark.parametrize("mode", ["multiround", "singleround"])
     def test_streams_counters_and_replay(self, cloud, structures, proxy, mode):
-        config = TraceConfig(k=4, mode=mode)
         camera = default_camera_for(cloud, 8, 8)
-        scalar, packet = _render_pair(cloud, structures[proxy], config, camera)
-        _assert_traces_equal(scalar.traces, packet.traces)
-        assert scalar.stats == packet.stats
-        _assert_reports_equal(replay(scalar.traces, GpuConfig.rtx_like()),
-                              replay(packet.traces, GpuConfig.rtx_like()))
+        for checkpointing in CHECKPOINTING[:1 + (mode == "multiround")]:
+            config = TraceConfig(k=4, mode=mode, checkpointing=checkpointing)
+            scalar, packet = _render_pair(cloud, structures[proxy], config,
+                                          camera)
+            if checkpointing:
+                assert scalar.stats.checkpoints_written > 0
+            _assert_traces_equal(scalar.traces, packet.traces)
+            assert scalar.stats == packet.stats, checkpointing
+            _assert_reports_equal(
+                replay(scalar.traces, GpuConfig.rtx_like()),
+                replay(packet.traces, GpuConfig.rtx_like()))
 
     @pytest.mark.parametrize("proxy", ["20-tri", "tlas+sphere", "tlas+20-tri"])
     def test_secondary_rays_and_t_clip(self, cloud, structures, proxy):
         """Scene objects clip primaries and spawn secondary warps; both
         label streams must reconstruct identically."""
-        config = TraceConfig(k=4)
         camera = default_camera_for(cloud, 8, 8)
         objects = SceneObjects.default_for(cloud)
-        scalar, packet = _render_pair(cloud, structures[proxy], config,
-                                      camera, objects=objects)
-        assert any(t.label == "secondary" for t in scalar.traces)
-        _assert_traces_equal(scalar.traces, packet.traces)
-        assert scalar.stats == packet.stats
-        _assert_reports_equal(replay(scalar.traces, GpuConfig.rtx_like()),
-                              replay(packet.traces, GpuConfig.rtx_like()))
+        for checkpointing in CHECKPOINTING:
+            config = TraceConfig(k=4, checkpointing=checkpointing)
+            scalar, packet = _render_pair(cloud, structures[proxy], config,
+                                          camera, objects=objects)
+            assert any(t.label == "secondary" for t in scalar.traces)
+            _assert_traces_equal(scalar.traces, packet.traces)
+            assert scalar.stats == packet.stats, checkpointing
+            _assert_reports_equal(
+                replay(scalar.traces, GpuConfig.rtx_like()),
+                replay(packet.traces, GpuConfig.rtx_like()))
 
     def test_k1_max_rounds_cap(self, cloud, structures):
         """k=1 with a tight round cap exercises the frontier carry-over
         and the round-cap break in the reconstruction."""
-        config = TraceConfig(k=1, max_rounds=3)
         camera = default_camera_for(cloud, 8, 8)
-        scalar, packet = _render_pair(cloud, structures["tlas+20-tri"],
-                                      config, camera)
-        _assert_traces_equal(scalar.traces, packet.traces)
-        assert scalar.stats == packet.stats
+        for checkpointing in CHECKPOINTING:
+            config = TraceConfig(k=1, max_rounds=3,
+                                 checkpointing=checkpointing)
+            scalar, packet = _render_pair(cloud, structures["tlas+20-tri"],
+                                          config, camera)
+            if checkpointing:
+                assert scalar.stats.checkpoints_written > 0
+            _assert_traces_equal(scalar.traces, packet.traces)
+            assert scalar.stats == packet.stats, checkpointing
 
     def test_early_termination(self, cloud, structures):
-        config = TraceConfig(k=16, transmittance_min=0.97)
         camera = default_camera_for(cloud, 8, 8)
-        scalar, packet = _render_pair(cloud, structures["tlas+sphere"],
-                                      config, camera)
-        assert scalar.stats.rays_terminated_early > 0
+        for checkpointing in CHECKPOINTING:
+            config = TraceConfig(k=16, transmittance_min=0.97,
+                                 checkpointing=checkpointing)
+            scalar, packet = _render_pair(cloud, structures["tlas+sphere"],
+                                          config, camera)
+            assert scalar.stats.rays_terminated_early > 0
+            _assert_traces_equal(scalar.traces, packet.traces)
+            assert scalar.stats == packet.stats, checkpointing
+
+    @pytest.mark.parametrize("proxy", ["20-tri", "custom"])
+    def test_checkpoint_resume_on_workload_cloud(self, proxy):
+        """On a dense workload cloud, prefilled evictions and shrinking
+        ``t_max`` leave some resumed leaf checkpoints between their box
+        entry and their stored hit depth: the resume must test the
+        stored ``t`` (re-checkpointing the leaf), as the scalar does."""
+        cloud = make_workload("train", scale=1 / 4000)
+        config = TraceConfig(k=2, checkpointing=True)
+        camera = default_camera_for(cloud, 5, 5)
+        scalar, packet = _render_pair(
+            cloud, build_monolithic(cloud, proxy), config, camera)
         _assert_traces_equal(scalar.traces, packet.traces)
         assert scalar.stats == packet.stats
 
