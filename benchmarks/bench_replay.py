@@ -11,7 +11,7 @@ plain script::
 
     python benchmarks/bench_replay.py [--size 20] [--check]
 
-Three sections, written to ``benchmarks/results/BENCH_replay.json``:
+Four sections, written to ``benchmarks/results/BENCH_replay.json``:
 
 * **trace parity** — per-ray fetch multisets plus the replayed
   ``node_fetches`` / ``l1_hits`` / ``l2_accesses`` / ``cycles`` must be
@@ -29,7 +29,12 @@ Three sections, written to ``benchmarks/results/BENCH_replay.json``:
   two-level GRTX-SW config lands ~3-4x on the CI scene while the
   monolithic baseline hovers near parity, its traversal being exactly
   the dense-geometry case the scalar tracer's inline hot loops were
-  tuned for).
+  tuned for);
+* **replay memory** — per config, how far the batched replay lifts the
+  process's peak RSS above its RSS just before it (Linux: the peak,
+  ``VmHWM``, is reset through ``/proc/self/clear_refs``), gated by
+  ``--max-replay-mb`` when given. Replay streams whole (round, warp)
+  segments in fixed-size chunks, so this stays flat as frames grow.
 """
 
 from __future__ import annotations
@@ -73,6 +78,9 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
                         help="batched-vs-reference replay bar for --check")
     parser.add_argument("--min-e2e-speedup", type=float, default=1.3,
                         help="overall trace+replay bar for --check")
+    parser.add_argument("--max-replay-mb", type=float, default=None,
+                        help="per-config replay peak-RSS growth ceiling "
+                             "for --check (MB; default: not gated)")
     parser.add_argument("--check", action="store_true",
                         help="gate on the speed bars (trace/replay parity "
                              "failures exit non-zero regardless)")
@@ -81,6 +89,26 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
 
 def _trace_multisets(traces):
     return sorted(tuple(sorted(t.fetch_multiset().items())) for t in traces)
+
+
+def _status_mb(field: str) -> float:
+    """One ``kB`` field of ``/proc/self/status``, in MB."""
+    with open("/proc/self/status", encoding="ascii") as fh:
+        for line in fh:
+            if line.startswith(field + ":"):
+                return int(line.split()[1]) / 1024.0
+    raise OSError(f"no {field} in /proc/self/status")
+
+
+def _reset_peak_rss() -> float | None:
+    """Reset the peak RSS (``VmHWM``) to the current RSS and return the
+    latter in MB; ``None`` where the kernel offers no reset."""
+    try:
+        with open("/proc/self/clear_refs", "w", encoding="ascii") as fh:
+            fh.write("5")
+        return _status_mb("VmRSS")
+    except OSError:
+        return None
 
 
 def run_config(cloud, structure, camera, k: int, reps: int) -> dict:
@@ -114,14 +142,18 @@ def run_config(cloud, structure, camera, k: int, reps: int) -> dict:
     n_events = sum(r.n_fetches for t in scalar.traces for r in t.rounds)
 
     # Replay throughput: batched vs the golden reference loop.
-    ref_times, new_times = [], []
+    # Replay memory: peak RSS growth over the batched replay, worst rep.
+    ref_times, new_times, rss_growths = [], [], []
     for _ in range(max(reps, 1)):
         t0 = time.perf_counter()
         ref_report = replay_reference(scalar.traces, gpu)
         ref_times.append(time.perf_counter() - t0)
+        rss_before = _reset_peak_rss()
         t0 = time.perf_counter()
         new_report = replay(batched.traces, gpu)
         new_times.append(time.perf_counter() - t0)
+        if rss_before is not None:
+            rss_growths.append(_status_mb("VmHWM") - rss_before)
     t_ref_replay = min(ref_times)
     t_new_replay = min(new_times)
 
@@ -150,6 +182,7 @@ def run_config(cloud, structure, camera, k: int, reps: int) -> dict:
         "old_total_s": old_total,
         "new_total_s": new_total,
         "e2e_speedup": old_total / new_total,
+        "replay_rss_growth_mb": max(rss_growths, default=None),
         "parity": parity,
     }
 
@@ -178,6 +211,8 @@ def main(argv: list[str] | None = None) -> int:
             f"{m['replay_speedup']:.2f}x",
             f"{m['replay_events_per_s']:,.0f}",
             f"{m['e2e_speedup']:.2f}x",
+            ("n/a" if m["replay_rss_growth_mb"] is None
+             else f"{m['replay_rss_growth_mb']:.0f}"),
             "ok" if all(m["parity"].values()) else "MISMATCH",
         ])
 
@@ -190,13 +225,14 @@ def main(argv: list[str] | None = None) -> int:
     # fallback (a modest win); the fast first-occurrence path (the
     # two-level config here) is what the >=3x vectorization bar gates.
     replay_speedup = max(m["replay_speedup"] for m in measurements.values())
-    rows.append(["TOTAL", "", "", "", "", "", f"{total_e2e:.2f}x", ""])
+    rows.append(["TOTAL", "", "", "", "", "", f"{total_e2e:.2f}x", "", ""])
 
     report = format_table(
         f"trace+replay pipeline: {args.scene} {args.size}x{args.size} "
         f"k={args.k} ({len(cloud)} gaussians)",
         ["config", "events", "trace speedup", "record cost",
-         "replay speedup", "replay ev/s", "e2e speedup", "parity"],
+         "replay speedup", "replay ev/s", "e2e speedup", "replay MB",
+         "parity"],
         rows,
         notes="old = scalar trace + reference replay; "
               "new = wavefront recorder + batched replay",
@@ -209,6 +245,7 @@ def main(argv: list[str] | None = None) -> int:
         config={"scene": args.scene, "size": args.size,
                 "scale": args.scale, "k": args.k,
                 "replay_reps": args.replay_reps,
+                "max_replay_mb": args.max_replay_mb,
                 "n_gaussians": len(cloud)},
         sections={"configs": measurements,
                   "campaign": {"old_total_s": old_total,
@@ -229,6 +266,17 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(
                 f"end-to-end speedup {total_e2e:.2f}x below "
                 f"{args.min_e2e_speedup}x")
+        if args.max_replay_mb is not None:
+            for name, m in measurements.items():
+                growth = m["replay_rss_growth_mb"]
+                if growth is None:
+                    failures.append(
+                        f"{name}: replay peak RSS not measurable here "
+                        "(needs /proc/self/clear_refs)")
+                elif growth > args.max_replay_mb:
+                    failures.append(
+                        f"{name}: replay peak RSS growth {growth:.0f} MB "
+                        f"above {args.max_replay_mb:.0f} MB")
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)

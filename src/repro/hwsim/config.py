@@ -86,6 +86,10 @@ class GpuConfig:
     raster_sort_op_cycles: float = 0.6
     raster_parallelism: float = 128.0
 
+    def __post_init__(self) -> None:
+        if self.dram_model not in ("flat", "banked"):
+            raise ValueError(f"unknown dram model {self.dram_model!r}")
+
     def cycles_to_ms(self, cycles: float) -> float:
         """Convert model cycles to milliseconds at the configured clock."""
         return cycles / (self.clock_mhz * 1e3)

@@ -112,6 +112,11 @@ class TestBankedReplay:
         assert banked.l2_accesses == flat.l2_accesses
         assert banked.dram_accesses == flat.dram_accesses
 
+    def test_unknown_dram_model_rejected(self):
+        """A misspelt model must not silently run the flat model."""
+        with pytest.raises(ValueError, match="unknown dram model"):
+            replace(GpuConfig.rtx_like(), dram_model="Banked")
+
 
 class TestEnergyModel:
     def test_components_nonnegative(self, small_render):

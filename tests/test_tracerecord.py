@@ -13,12 +13,15 @@ L2 accesses).
 
 Also covered here: the vectorized :func:`repro.hwsim.replay` against
 its golden reference loop (:func:`repro.hwsim.replay_reference`), on
-both the eviction-free fast path and the sequential fallback.
+both the eviction-free fast path and the sequential fallback, at the
+shipped chunk budget and at one that cuts every frame into many chunks.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,8 +30,10 @@ from repro.bvh import build_monolithic, build_two_level
 from repro.gaussians import make_workload
 from repro.hwsim import GpuConfig, replay, replay_reference
 from repro.hwsim.treelet import build_treelet_map
+from repro.obs.tracing import BufferTraceSink, current_sink, install_sink
 from repro.render import GaussianRayTracer, SceneObjects, default_camera_for
 from repro.rt import TraceConfig
+from repro.rt.recorder import FETCH_INTERNAL, RayTrace
 
 from tests.conftest import tiny_cloud
 
@@ -37,6 +42,15 @@ STRUCTURES = ("20-tri", "custom", "tlas+sphere", "tlas+20-tri")
 #: Multiround configs run with checkpointing off and on (singleround
 #: cannot checkpoint).
 CHECKPOINTING = (False, True)
+
+# The package re-exports the ``replay`` function under the module's name;
+# the chunk budget lives on the module.
+_replay_module = importlib.import_module("repro.hwsim.replay")
+
+#: Chunk budgets every reference-parity check replays at: the shipped
+#: constant, and one below these frames' segment sizes, so each (round,
+#: warp) segment is a chunk of its own.
+CHUNK_BUDGETS = (_replay_module.CHUNK_EVENTS, 300)
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +96,35 @@ def _assert_traces_equal(scalar_traces, packet_traces):
 def _assert_reports_equal(a, b):
     for field in dataclasses.fields(a):
         assert getattr(a, field.name) == getattr(b, field.name), field.name
+
+
+def _replay_span(traces, config, **kwargs):
+    """``replay`` plus the arguments of the ``hwsim.replay`` span it emits."""
+    previous = current_sink()
+    sink = BufferTraceSink()
+    install_sink(sink)
+    try:
+        report = replay(traces, config, **kwargs)
+    finally:
+        install_sink(previous)
+    (span,) = [event["args"] for event in sink.drain()
+               if event["name"] == "hwsim.replay"]
+    return report, span
+
+
+def _assert_matches_reference(monkeypatch, traces, config, want=None,
+                              **kwargs):
+    """``replay`` equals ``want`` (by default ``replay_reference`` on the
+    same traces) at every chunk budget, and a budget below the frame's
+    event count really splits a multi-segment frame."""
+    if want is None:
+        want = replay_reference(traces, config, **kwargs)
+    for budget in CHUNK_BUDGETS:
+        monkeypatch.setattr(_replay_module, "CHUNK_EVENTS", budget)
+        got, span = _replay_span(traces, config, **kwargs)
+        _assert_reports_equal(got, want)
+        if span["events"] > budget and span["segments"] > 1:
+            assert span["chunks"] > 1
 
 
 def _render_pair(cloud, structure, config, camera, objects=None):
@@ -231,7 +274,8 @@ class TestReplayVectorization:
     """The batched replay against its golden per-event reference."""
 
     @pytest.mark.parametrize("proxy", ["20-tri", "tlas+sphere"])
-    def test_fast_path_matches_reference(self, cloud, structures, proxy):
+    def test_fast_path_matches_reference(self, cloud, structures, proxy,
+                                         monkeypatch):
         result = GaussianRayTracer(
             cloud, structures[proxy], TraceConfig(k=4)).render(
             default_camera_for(cloud, 8, 8))
@@ -240,10 +284,10 @@ class TestReplayVectorization:
                                            prefetch_enabled=False),
                        dataclasses.replace(GpuConfig.rtx_like(),
                                            dram_model="banked")):
-            _assert_reports_equal(replay(result.traces, config),
-                                  replay_reference(result.traces, config))
+            _assert_matches_reference(monkeypatch, result.traces, config)
 
-    def test_eviction_fallback_matches_reference(self, cloud, structures):
+    def test_eviction_fallback_matches_reference(self, cloud, structures,
+                                                 monkeypatch):
         """Tiny caches force LRU evictions, exercising the sequential
         tag walk instead of the first-occurrence fast path."""
         result = GaussianRayTracer(
@@ -252,21 +296,115 @@ class TestReplayVectorization:
         small = dataclasses.replace(
             GpuConfig.rtx_like(), l1_bytes=2 * 128 * 2, l1_ways=2,
             l2_bytes=128 * 16 * 4, l2_ways=4)
-        _assert_reports_equal(replay(result.traces, small),
-                              replay_reference(result.traces, small))
+        _assert_matches_reference(monkeypatch, result.traces, small)
 
-    def test_treelet_path_matches_reference(self, cloud, structures):
+    def test_chunk_handoff_matches_reference(self, cloud, structures,
+                                             monkeypatch):
+        """Early chunks proven eviction-free, a later one overflowing the
+        caches: the hand-off rebuilds the LRU tag dicts from the carried
+        recencies. A line's L1 recency is the later of its last demand
+        touch and its prefetch insert (a prefetch hit does not promote);
+        its L2 recency is its last L1 miss, from any SM.
+
+        Two hand-built cases pin those rules (one-ray warps, one set per
+        cache; ``[x pf y]`` is a demand fetch of line x carrying a
+        prefetch of line y). Any other recency rule evicts a different
+        line at the overflow and changes the counters.
+        """
+        a, b, c, d, e, f, g, h = (128 * line for line in range(8))
+
+        def fetch(addr, prefetch=None):
+            return addr, None if prefetch is None else [(prefetch, 64)]
+
+        def ray(*rounds):
+            trace = RayTrace()
+            for fetches in rounds:
+                rnd = trace.begin_round()
+                for addr, prefetch in fetches:
+                    rnd.fetch(addr, 64, FETCH_INTERNAL, box_tests=1,
+                              prefetch=prefetch)
+            return trace
+
+        def check(traces, config, budget, chunks, fast_chunks):
+            monkeypatch.setattr(_replay_module, "CHUNK_EVENTS", budget)
+            got, span = _replay_span(traces, config)
+            assert (span["chunks"], span["fast_chunks"]) == (
+                chunks, fast_chunks)
+            _assert_reports_equal(got, replay_reference(traces, config))
+
+        # L1: SM 0 runs [a pf b], then [a pf b] again — a is promoted, the
+        # prefetch hit leaves b the LRU line — then overflows its 2-way
+        # L1 with c (evicting b), so a hits. SM 1 only adds a second L1
+        # miss on a, which also makes a the L2's MRU line: d then evicts
+        # b from the 3-way L2, so b goes to DRAM.
+        check([ray([fetch(a, b)], [fetch(a, b)],
+                   [fetch(c), fetch(a), fetch(d), fetch(b)]),
+               ray([fetch(a)])],
+              dataclasses.replace(
+                  GpuConfig.rtx_like(), n_sms=2, warp_size=1,
+                  l1_bytes=128 * 2, l1_ways=2, l2_bytes=128 * 3, l2_ways=3),
+              budget=1, chunks=4, fast_chunks=3)
+        # L2 (4-way; 4-way L1s), two segments per chunk: SM 0 [a pf b] and
+        # SM 1 [a] in one chunk leave the L2 at b, a; SM 0 [e pf f] adds
+        # e, f; SM 1 missing e a chunk later leaves b, a, f, e. SM 0's
+        # g overflows both caches and evicts b from the L2; SM 2 then
+        # hits a, misses h (evicting f) and hits e.
+        check([ray([fetch(a, b)], [fetch(e, f)], [fetch(a)], [fetch(g)]),
+               ray([fetch(a)], [fetch(a)], [fetch(e)]),
+               ray([], [], [], [fetch(a), fetch(h), fetch(e)])],
+              dataclasses.replace(
+                  GpuConfig.rtx_like(), n_sms=3, warp_size=1,
+                  l1_bytes=128 * 4, l1_ways=4, l2_bytes=128 * 4, l2_ways=4),
+              budget=2, chunks=5, fast_chunks=3)
+
+        # The same hand-off on a rendered frame, after a dozen fast chunks.
+        result = GaussianRayTracer(
+            cloud, structures["tlas+20-tri"], TraceConfig(k=1)).render(
+            default_camera_for(cloud, 12, 12))
+        tiny_l1 = dataclasses.replace(GpuConfig.rtx_like(),
+                                      l1_bytes=128 * 64 * 2, l1_ways=64)
+        monkeypatch.setattr(_replay_module, "CHUNK_EVENTS", 300)
+        got, span = _replay_span(result.traces, tiny_l1)
+        assert 0 < span["fast_chunks"] < span["chunks"]
+        _assert_reports_equal(got, replay_reference(result.traces, tiny_l1))
+
+    def test_replay_memory_bounded_by_chunk(self, cloud, structures,
+                                            monkeypatch):
+        """Replay's transient memory follows the chunk, not the frame:
+        8x a frame's traces peak under 2x the traced allocation of 1x,
+        on both the fast path and the sequential walk."""
+        result = GaussianRayTracer(
+            cloud, structures["tlas+sphere"], TraceConfig(k=4)).render(
+            default_camera_for(cloud, 8, 8))
+        monkeypatch.setattr(_replay_module, "CHUNK_EVENTS", 300)
+        small = dataclasses.replace(GpuConfig.rtx_like(),
+                                    l1_bytes=2 * 128 * 2, l1_ways=2)
+
+        def peak(traces, config):
+            replay(traces, config)  # memoize the stream views first
+            tracemalloc.start()
+            try:
+                replay(traces, config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for config in (GpuConfig.rtx_like(), small):
+            assert peak(result.traces * 8, config) < 2 * peak(
+                result.traces, config)
+
+    def test_treelet_path_matches_reference(self, cloud, structures,
+                                            monkeypatch):
         structure = structures["20-tri"]
         result = GaussianRayTracer(
             cloud, structure, TraceConfig(k=4)).render(
             default_camera_for(cloud, 8, 8))
         tmap = build_treelet_map(structure, 1024)
-        _assert_reports_equal(
-            replay(result.traces, GpuConfig.rtx_like(), treelet_map=tmap),
-            replay_reference(result.traces, GpuConfig.rtx_like(),
-                             treelet_map=tmap))
+        _assert_matches_reference(monkeypatch, result.traces,
+                                  GpuConfig.rtx_like(), treelet_map=tmap)
 
-    def test_non_power_of_two_warp_buffer(self, cloud, structures):
+    def test_non_power_of_two_warp_buffer(self, cloud, structures,
+                                          monkeypatch):
         """The fast path's per-segment latency sums must divide by the
         warp-buffer depth per event (the reference's accumulation
         order), which only shows when overlap is not a power of two."""
@@ -276,11 +414,11 @@ class TestReplayVectorization:
         for wbs in (6, 7, 12):
             config = dataclasses.replace(GpuConfig.rtx_like(),
                                          warp_buffer_size=wbs)
-            _assert_reports_equal(replay(result.traces, config),
-                                  replay_reference(result.traces, config))
+            _assert_matches_reference(monkeypatch, result.traces, config)
 
     def test_degenerate_merge_window_matches_reference(self, cloud,
-                                                       structures):
+                                                       structures,
+                                                       monkeypatch):
         """A zero-capacity merge window never merges (every insert is
         evicted immediately); the duplicate-run shortcut must not claim
         otherwise. Capacity 1 exercises the shortcut's smallest case."""
@@ -290,8 +428,7 @@ class TestReplayVectorization:
         for cap in (0, 1):
             config = dataclasses.replace(GpuConfig.rtx_like(),
                                          merge_window_size=cap)
-            _assert_reports_equal(replay(result.traces, config),
-                                  replay_reference(result.traces, config))
+            _assert_matches_reference(monkeypatch, result.traces, config)
 
     def test_invalid_cache_geometry_raises(self, cloud, structures):
         """The fast path validates cache geometry like the reference's
@@ -305,28 +442,38 @@ class TestReplayVectorization:
         with pytest.raises(ValueError, match="multiple of line_bytes"):
             replay_reference(result.traces, bad)
 
-    def test_kbuffer_layouts_match(self, cloud, structures):
+    def test_kbuffer_layouts_match(self, cloud, structures, monkeypatch):
         result = GaussianRayTracer(
             cloud, structures["tlas+sphere"], TraceConfig(k=4)).render(
             default_camera_for(cloud, 6, 6))
         for layout in ("soa", "payload"):
-            _assert_reports_equal(
-                replay(result.traces, GpuConfig.rtx_like(),
-                       kbuffer_layout=layout),
-                replay_reference(result.traces, GpuConfig.rtx_like(),
-                                 kbuffer_layout=layout))
+            _assert_matches_reference(monkeypatch, result.traces,
+                                      GpuConfig.rtx_like(),
+                                      kbuffer_layout=layout)
+
+    def test_unknown_kbuffer_layout_raises(self, cloud, structures):
+        """Only the layouts TraceConfig accepts are costed; a misspelt one
+        must not silently run as ``payload``."""
+        result = GaussianRayTracer(
+            cloud, structures["tlas+sphere"], TraceConfig(k=4)).render(
+            default_camera_for(cloud, 6, 6))
+        for replay_fn in (replay, replay_reference):
+            with pytest.raises(ValueError, match="unknown kbuffer layout"):
+                replay_fn(result.traces, GpuConfig.rtx_like(),
+                          kbuffer_layout="SoA")
 
     def test_recorded_packet_traces_replay_identically(self, cloud,
-                                                       structures):
+                                                       structures,
+                                                       monkeypatch):
         """End to end: wavefront-recorded traces through the batched
         replay equal scalar traces through the reference replay."""
         config = TraceConfig(k=4)
         camera = default_camera_for(cloud, 8, 8)
         scalar, packet = _render_pair(cloud, structures["tlas+20-tri"],
                                       config, camera)
-        _assert_reports_equal(
-            replay_reference(scalar.traces, GpuConfig.rtx_like()),
-            replay(packet.traces, GpuConfig.rtx_like()))
+        _assert_matches_reference(
+            monkeypatch, packet.traces, GpuConfig.rtx_like(),
+            want=replay_reference(scalar.traces, GpuConfig.rtx_like()))
 
 
 class TestRecorderViews:
