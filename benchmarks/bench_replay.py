@@ -35,6 +35,11 @@ Four sections, written to ``benchmarks/results/BENCH_replay.json``:
   ``VmHWM``, is reset through ``/proc/self/clear_refs``), gated by
   ``--max-replay-mb`` when given. Replay streams whole (round, warp)
   segments in fixed-size chunks, so this stays flat as frames grow.
+* **recording memory** — per config, the same peak-RSS growth over the
+  wavefront engine's recorded render (``record_rss_growth_mb``), gated
+  by ``--max-record-mb`` when given. Recording builds templates and hit
+  tables for one 32-ray chunk at a time, so only the finished traces
+  grow with the frame.
 """
 
 from __future__ import annotations
@@ -81,6 +86,9 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument("--max-replay-mb", type=float, default=None,
                         help="per-config replay peak-RSS growth ceiling "
                              "for --check (MB; default: not gated)")
+    parser.add_argument("--max-record-mb", type=float, default=None,
+                        help="per-config recorded-render peak-RSS growth "
+                             "ceiling for --check (MB; default: not gated)")
     parser.add_argument("--check", action="store_true",
                         help="gate on the speed bars (trace/replay parity "
                              "failures exit non-zero regardless)")
@@ -111,6 +119,10 @@ def _reset_peak_rss() -> float | None:
         return None
 
 
+def _mb(value: float | None) -> str:
+    return "n/a" if value is None else f"{value:.0f}"
+
+
 def run_config(cloud, structure, camera, k: int, reps: int) -> dict:
     """Measure one configuration end to end on both pipelines."""
     from repro.hwsim import GpuConfig, replay, replay_reference
@@ -126,11 +138,14 @@ def run_config(cloud, structure, camera, k: int, reps: int) -> dict:
         camera, keep_traces=True)
     t_scalar_trace = time.perf_counter() - t0
 
+    rss_before = _reset_peak_rss()
     t0 = time.perf_counter()
     batched = GaussianRayTracer(cloud, structure, config,
                                 engine="wavefront").render(
         camera, keep_traces=True)
     t_batched_trace = time.perf_counter() - t0
+    record_rss_growth = (None if rss_before is None
+                         else _status_mb("VmHWM") - rss_before)
 
     t0 = time.perf_counter()
     plain = GaussianRayTracer(cloud, structure, config,
@@ -183,6 +198,7 @@ def run_config(cloud, structure, camera, k: int, reps: int) -> dict:
         "new_total_s": new_total,
         "e2e_speedup": old_total / new_total,
         "replay_rss_growth_mb": max(rss_growths, default=None),
+        "record_rss_growth_mb": record_rss_growth,
         "parity": parity,
     }
 
@@ -211,8 +227,8 @@ def main(argv: list[str] | None = None) -> int:
             f"{m['replay_speedup']:.2f}x",
             f"{m['replay_events_per_s']:,.0f}",
             f"{m['e2e_speedup']:.2f}x",
-            ("n/a" if m["replay_rss_growth_mb"] is None
-             else f"{m['replay_rss_growth_mb']:.0f}"),
+            _mb(m["record_rss_growth_mb"]),
+            _mb(m["replay_rss_growth_mb"]),
             "ok" if all(m["parity"].values()) else "MISMATCH",
         ])
 
@@ -225,14 +241,15 @@ def main(argv: list[str] | None = None) -> int:
     # fallback (a modest win); the fast first-occurrence path (the
     # two-level config here) is what the >=3x vectorization bar gates.
     replay_speedup = max(m["replay_speedup"] for m in measurements.values())
-    rows.append(["TOTAL", "", "", "", "", "", f"{total_e2e:.2f}x", "", ""])
+    rows.append(["TOTAL", "", "", "", "", "", f"{total_e2e:.2f}x", "", "",
+                 ""])
 
     report = format_table(
         f"trace+replay pipeline: {args.scene} {args.size}x{args.size} "
         f"k={args.k} ({len(cloud)} gaussians)",
         ["config", "events", "trace speedup", "record cost",
-         "replay speedup", "replay ev/s", "e2e speedup", "replay MB",
-         "parity"],
+         "replay speedup", "replay ev/s", "e2e speedup", "record MB",
+         "replay MB", "parity"],
         rows,
         notes="old = scalar trace + reference replay; "
               "new = wavefront recorder + batched replay",
@@ -246,6 +263,7 @@ def main(argv: list[str] | None = None) -> int:
                 "scale": args.scale, "k": args.k,
                 "replay_reps": args.replay_reps,
                 "max_replay_mb": args.max_replay_mb,
+                "max_record_mb": args.max_record_mb,
                 "n_gaussians": len(cloud)},
         sections={"configs": measurements,
                   "campaign": {"old_total_s": old_total,
@@ -266,17 +284,20 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(
                 f"end-to-end speedup {total_e2e:.2f}x below "
                 f"{args.min_e2e_speedup}x")
-        if args.max_replay_mb is not None:
+        for stage, ceiling in (("record", args.max_record_mb),
+                               ("replay", args.max_replay_mb)):
+            if ceiling is None:
+                continue
             for name, m in measurements.items():
-                growth = m["replay_rss_growth_mb"]
+                growth = m[f"{stage}_rss_growth_mb"]
                 if growth is None:
                     failures.append(
-                        f"{name}: replay peak RSS not measurable here "
+                        f"{name}: {stage} peak RSS not measurable here "
                         "(needs /proc/self/clear_refs)")
-                elif growth > args.max_replay_mb:
+                elif growth > ceiling:
                     failures.append(
-                        f"{name}: replay peak RSS growth {growth:.0f} MB "
-                        f"above {args.max_replay_mb:.0f} MB")
+                        f"{name}: {stage} peak RSS growth {growth:.0f} MB "
+                        f"above {ceiling:.0f} MB")
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)

@@ -92,8 +92,9 @@ class RenderStats:
         self.blended_total += blended
         self.total_internal_visits += trace.total_internal
         self.total_leaf_visits += trace.total_leaf
-        self.unique_internal_visits += len(trace.unique_internal)
-        self.unique_leaf_visits += len(trace.unique_leaf)
+        unique_internal, unique_leaf = trace.unique_counts()
+        self.unique_internal_visits += unique_internal
+        self.unique_leaf_visits += unique_leaf
         self.ckpt_high_water = max(self.ckpt_high_water, trace.ckpt_high_water)
         self.evict_high_water = max(self.evict_high_water, trace.evict_high_water)
         if terminated:

@@ -171,15 +171,14 @@ class RoundTrace:
 class RayTrace:
     """Whole-render trace for one ray.
 
-    Tracks per-ray unique node sets across rounds (Figure 7's unique vs
-    total redundancy measurement) plus checkpoint/eviction high-water
-    marks (Figure 20's buffer sizing).
+    Counts the ray's total node fetches across rounds (with
+    :meth:`unique_counts`, Figure 7's unique vs total redundancy
+    measurement) plus checkpoint/eviction high-water marks (Figure 20's
+    buffer sizing).
     """
 
     __slots__ = (
         "rounds",
-        "unique_internal",
-        "unique_leaf",
         "total_internal",
         "total_leaf",
         "ckpt_high_water",
@@ -189,8 +188,6 @@ class RayTrace:
 
     def __init__(self, label: str = "primary") -> None:
         self.rounds: list[RoundTrace] = []
-        self.unique_internal: set[int] = set()
-        self.unique_leaf: set[int] = set()
         self.total_internal = 0
         self.total_leaf = 0
         self.ckpt_high_water = 0
@@ -203,13 +200,23 @@ class RayTrace:
         return trace
 
     def note_fetch(self, addr: int, kind: int) -> None:
-        """Update the unique/total visit statistics for one fetch."""
+        """Count one fetch in the total visit statistics (the fetch
+        itself enters a round's stream, where :meth:`unique_counts`
+        finds its address)."""
         if kind == FETCH_INTERNAL:
             self.total_internal += 1
-            self.unique_internal.add(addr)
         else:
             self.total_leaf += 1
-            self.unique_leaf.add(addr)
+
+    def unique_counts(self) -> tuple[int, int]:
+        """``(internal, leaf)``: the distinct fetch addresses of each
+        kind over all rounds' event streams."""
+        if not self.rounds:
+            return 0, 0
+        events = np.concatenate([rnd.events_view() for rnd in self.rounds])
+        internal = events[:, 2] == FETCH_INTERNAL
+        return (np.unique(events[internal, 0]).size,
+                np.unique(events[~internal, 0]).size)
 
     @property
     def n_rounds(self) -> int:
@@ -221,7 +228,7 @@ class RayTrace:
 
     @property
     def unique_fetches(self) -> int:
-        return len(self.unique_internal) + len(self.unique_leaf)
+        return sum(self.unique_counts())
 
     def fetch_multiset(self) -> dict[tuple[int, int], int]:
         """Whole-ray ``(addr, kind) -> count`` fetch multiset (the

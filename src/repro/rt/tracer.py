@@ -181,22 +181,22 @@ class _RoundState:
 
 
 class FlatTables:
-    """Plain-list views of one flattened structure for per-ray loops.
+    """Plain-list views of one flattened structure for the scalar
+    tracer's per-ray loops.
 
     The scalar tracer's hot loops index Python lists (faster than numpy
-    scalars at this granularity), and the wavefront trace recorder's
-    control-flow reconstruction reads the *same* tables — one builder,
-    so the two consumers cannot disagree on addresses, child layouts or
-    leaf contents. Built once per :class:`~repro.bvh.flatten.FlatStructure`
-    (see :func:`flat_tables`); treat every attribute as immutable.
+    scalars at this granularity); it is the only reader. The wavefront
+    trace recorder reads the same :class:`~repro.bvh.flatten.FlatStructure`
+    arrays directly and never builds these tables. Built once per
+    flattened structure (see :func:`flat_tables`); treat every attribute
+    as immutable.
     """
 
     __slots__ = (
         "child_lo", "child_hi", "child_kind", "child_ref",
         "node_addr", "leaf_addr", "leaf_bytes", "leaf_start", "leaf_count",
-        "child_addr", "child_bytes", "child_is_leaf", "node_bytes",
-        "ordered_gids", "v0", "e1", "e2", "owner", "blas_tables",
-        "gid_blas",
+        "child_addr", "child_bytes", "child_is_leaf", "ordered_gids",
+        "v0", "e1", "e2", "owner", "blas_tables", "gid_blas",
     )
 
     def __init__(self, flat) -> None:
@@ -210,7 +210,7 @@ class FlatTables:
         self.leaf_bytes = bvh.leaf_bytes.tolist()
         self.leaf_start = bvh.leaf_start.tolist()
         self.leaf_count = bvh.leaf_count.tolist()
-        self.node_bytes = internal_node_bytes(bvh.width)
+        node_bytes = internal_node_bytes(bvh.width)
         # Child (address, size) for prefetch lists, any slot kind.
         addr, sizes, leaf_mask = [], [], []
         for n in range(bvh.n_nodes):
@@ -220,7 +220,7 @@ class FlatTables:
                 ref = self.child_ref[n][slot]
                 if kind == KIND_INTERNAL:
                     row_a.append(self.node_addr[ref])
-                    row_s.append(self.node_bytes)
+                    row_s.append(node_bytes)
                     row_l.append(False)
                 elif kind == KIND_LEAF:
                     row_a.append(self.leaf_addr[ref])

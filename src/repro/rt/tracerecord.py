@@ -3,11 +3,13 @@
 The scalar :class:`~repro.rt.tracer.Tracer` records per-ray fetch traces
 as a side effect of walking the BVH one ray at a time.  This module
 teaches the batched engine (:class:`~repro.rt.wavefront.WavefrontTracer`)
-to produce the *same* traces from its breadth-first traversal, in two
-phases:
+to produce the *same* traces from its breadth-first traversal.  A bundle
+records in chunks of :data:`_MAX_RECORD_PACKET` rays (the modelled warp
+size), each taken through two phases before the next starts, so only
+the finished traces outlive a chunk:
 
 **Phase A — batched geometry and round templates.**  One recording
-frontier traversal per bundle visits every ``(ray, node)`` pair
+frontier traversal per chunk visits every ``(ray, node)`` pair
 reachable with ``t_min = 0`` and no ``t_max`` — a superset of what any
 tracing round visits — and logs each level's ``(depth, rays, nodes, tn,
 tf, hit)`` rows: every visiting pair's child slab results and accept
@@ -19,7 +21,7 @@ over the logged levels, preorder positions top-down with siblings in
 pop order (ascending ``tn``, ties in reverse slot order), and ``skip``
 = position + subtree size.  Leaf pairs feed one masked Möller–Trumbore
 over all candidate pairs, batched instance transforms, one shared-BLAS
-frontier traversal per bundle (whose log yields per-instance BLAS
+frontier traversal per chunk (whose log yields per-instance BLAS
 templates the same way), and one vectorized canonical any-hit
 evaluation per candidate ``(ray, gaussian)`` pair.  The shade/blend
 stage then runs on exactly the candidate sets a plain ``trace_packet``
@@ -51,9 +53,10 @@ the round's visit order (pruning removes contiguous subtree blocks
 without reordering survivors, and ``t_max`` at an entry's walk position
 is exactly the scalar's value at that node's pop).  A resumed
 checkpoint's subtree is a contiguous template block in the same DFS
-order.  The static per-node tables come from the same
-:class:`~repro.rt.tracer.FlatTables` the scalar tracer binds, so the two
-recorders cannot drift on what a structure looks like.
+order.  The static fetch records and leaf slices are read straight from
+the :class:`~repro.bvh.flatten.FlatStructure` arrays the scalar tracer's
+tables are built from, so the two recorders cannot drift on what a
+structure looks like (the trace-equality suites hold them together).
 
 Recording covers every flattenable structure with at most one shared
 BLAS (:func:`recordable`); a heterogeneous multi-BLAS structure records
@@ -68,8 +71,14 @@ from operator import itemgetter
 import numpy as np
 
 from repro.bvh.flatten import BLAS_SPHERE, PRIMS_GAUSSIANS, PRIMS_TRIANGLES
-from repro.bvh.layout import INSTANCE_BYTES, LEAF_HEADER_BYTES, SPHERE_PRIM_BYTES
-from repro.bvh.node import KIND_INTERNAL, KIND_LEAF
+from repro.bvh.layout import (
+    INSTANCE_BYTES,
+    LEAF_HEADER_BYTES,
+    SPHERE_PRIM_BYTES,
+    internal_node_bytes,
+)
+from repro.bvh.node import KIND_EMPTY, KIND_INTERNAL, KIND_LEAF
+from repro.obs import span
 from repro.rt.kbuffer import EvictionBuffer, KBuffer, KBufferEntry
 from repro.rt.kernels import (
     PacketResult,
@@ -91,7 +100,6 @@ from repro.rt.recorder import (
     RayTrace,
 )
 from repro.rt.shading import ALPHA_MAX, ALPHA_MIN
-from repro.rt.tracer import flat_tables
 
 _INF = float("inf")
 
@@ -112,10 +120,14 @@ def _leaf_columns(level, l_rays, l_refs):
     return rp, pp, np.repeat(l_refs, level.leaf_count[l_refs])
 
 
-#: Rays per recording chunk.  Recording keeps the frontier log and the
-#: chunk's templates alive until its traces are built, so it chunks
-#: finer than the plain path to bound peak memory.
-_MAX_RECORD_PACKET = 1024
+#: Rays per recording chunk: the modelled warp size.  A chunk's frontier
+#: log, round templates, Möller–Trumbore temporaries and any-hit maps
+#: live until its traces are built, so the chunk, not the bundle, sets
+#: recording's transient memory.  On a 2-core host, recording a 576-ray
+#: frame (24x24, ``train`` at 1/400, ``20-tri``, k=8) peaked at
+#: 178/190/216/275/367/818 MB RSS with 8/16/32/64/128/1,024-ray chunks
+#: and took 5.1-5.9 s at every chunk up to 128 (6.8 s at 1,024).
+_MAX_RECORD_PACKET = 32
 
 # Template entry kinds.  ``tn``/``tf`` of an entry are the ray's slab
 # result at the entry's parent (the per-round residual tests), ``ref``
@@ -325,7 +337,6 @@ class PacketTraceRecorder:
         self.config = config
         self.flat = tracer.flat
         self.shading = tracer.shading
-        self.tables = flat_tables(tracer.flat)
         self.two_level = tracer.flat.two_level
         self.prims = tracer.flat.root_prims
         if self.two_level:
@@ -365,6 +376,9 @@ class PacketTraceRecorder:
         on the same candidate sets), with ``rounds`` replaced by the
         reconstruction's exact per-ray round counts.  ``traces`` is one
         :class:`~repro.rt.recorder.RayTrace` per ray, in ray order.
+        Records chunk by chunk and emits one ``rt.wavefront.record``
+        span with the bundle's ``rays``, ``chunks`` and fetch
+        ``events``.
         """
         o = np.ascontiguousarray(origins, dtype=np.float64)
         d = np.ascontiguousarray(directions, dtype=np.float64)
@@ -375,16 +389,19 @@ class PacketTraceRecorder:
             t_clip = np.asarray(t_clip, dtype=np.float64)
         if n == 0:
             return empty_result(0, self.config.record_blended), []
-        if n <= _MAX_RECORD_PACKET:
-            return self._record_chunk(o, d, t_clip, label)
+        chunk = _MAX_RECORD_PACKET
         parts = []
         traces: list[RayTrace] = []
-        for i in range(0, n, _MAX_RECORD_PACKET):
-            part, part_traces = self._record_chunk(
-                o[i:i + _MAX_RECORD_PACKET], d[i:i + _MAX_RECORD_PACKET],
-                t_clip[i:i + _MAX_RECORD_PACKET], label)
-            parts.append(part)
-            traces.extend(part_traces)
+        with span("rt.wavefront.record", rays=n) as record_span:
+            for i in range(0, n, chunk):
+                part, part_traces = self._record_chunk(
+                    o[i:i + chunk], d[i:i + chunk], t_clip[i:i + chunk],
+                    label)
+                parts.append(part)
+                traces.extend(part_traces)
+            record_span.args["chunks"] = len(parts)
+            record_span.args["events"] = sum(
+                rnd.n_fetches for trace in traces for rnd in trace.rounds)
         return (PacketResult.concatenate(parts, self.config.record_blended),
                 traces)
 
@@ -638,72 +655,58 @@ class PacketTraceRecorder:
 
 
 class _StaticRecs:
-    """Per-structure constants for template walks: pre-baked fixed-width
-    fetch records and leaf prefetch pairs, shared by every ray."""
+    """Per-structure constants for template walks, read from the
+    flattened arrays: pre-baked fixed-width fetch records, leaf prefetch
+    pairs and leaf primitive slices, shared by every ray."""
 
     __slots__ = (
-        "node_rec6", "node_rec7", "node_addr", "leaf_rec7", "leaf_pf",
-        "leaf_addr", "leaf_start", "leaf_count",
-        "bnode_rec7", "bnode_addr", "bleaf_rec7", "bleaf_addr",
+        "node_rec6", "node_rec7", "leaf_rec7", "leaf_pf", "leaf_addr",
+        "leaf_start", "leaf_count", "gids", "bnode_rec7", "bleaf_rec7",
     )
 
     def __init__(self, rec: PacketTraceRecorder) -> None:
-        tables = rec.tables
-        node_bytes = tables.node_bytes
-        self.node_addr = tables.node_addr
-        self.leaf_addr = tables.leaf_addr
-        self.leaf_start = tables.leaf_start
-        self.leaf_count = tables.leaf_count
-        rec6, rec7 = [], []
-        for n, kinds in enumerate(tables.child_kind):
-            head = (tables.node_addr[n], node_bytes, FETCH_INTERNAL,
-                    _occupied(kinds), 0, 0)
-            rec6.append(head)
-            rec7.append(head + (0,))
-        self.node_rec6 = rec6
-        self.node_rec7 = rec7
-
+        flat = rec.flat
+        bvh = flat.root
         if rec.two_level:
             prim_kind = PRIM_TRANSFORM
         elif rec.prims == PRIMS_TRIANGLES:
             prim_kind = PRIM_TRI
         else:
             prim_kind = PRIM_CUSTOM
-        self.leaf_rec7 = [
-            (tables.leaf_addr[i], tables.leaf_bytes[i], FETCH_LEAF, 0,
-             tables.leaf_count[i], prim_kind, 0)
-            for i in range(len(tables.leaf_addr))
-        ]
-        self.leaf_pf = list(zip(tables.leaf_addr, tables.leaf_bytes))
-
-        # Recording is limited to single-BLAS structures, so slot 0 is
-        # the only entry of the per-slot table tuple.
-        bt = tables.blas_tables[0] if tables.blas_tables else None
-        if rec.two_level and not rec._sphere_blas and bt is not None:
-            self.bnode_addr = bt.node_addr
-            self.bleaf_addr = bt.leaf_addr
-            self.bnode_rec7 = [
-                (bt.node_addr[i], bt.node_bytes, FETCH_INTERNAL,
-                 _occupied(bt.child_kind[i]), 0, 0, 0)
-                for i in range(len(bt.node_addr))
-            ]
-            self.bleaf_rec7 = [
-                (bt.leaf_addr[i], bt.leaf_bytes[i], FETCH_LEAF, 0,
-                 bt.leaf_count[i], PRIM_TRI, 0)
-                for i in range(len(bt.leaf_addr))
-            ]
+        self.node_rec7 = _node_recs(bvh)
+        self.node_rec6 = [r[:6] for r in self.node_rec7]
+        self.leaf_rec7 = _leaf_recs(bvh, prim_kind)
+        self.leaf_addr = bvh.leaf_addr.tolist()
+        self.leaf_pf = list(zip(self.leaf_addr, bvh.leaf_bytes.tolist()))
+        self.leaf_start = bvh.leaf_start.tolist()
+        self.leaf_count = bvh.leaf_count.tolist()
+        # Leaf-ordered Gaussian per custom primitive or instance.
+        self.gids = (None if flat.prim_gid is None
+                     else flat.prim_gid.tolist())
+        if rec.two_level and not rec._sphere_blas:
+            self.bnode_rec7 = _node_recs(rec._blas.bvh)
+            self.bleaf_rec7 = _leaf_recs(rec._blas.bvh, PRIM_TRI)
         else:
-            self.bnode_addr = self.bleaf_addr = None
             self.bnode_rec7 = self.bleaf_rec7 = None
 
 
-def _occupied(kinds) -> int:
-    occupied = 0
-    for ckind in kinds:
-        if ckind == 0:
-            break
-        occupied += 1
-    return occupied
+def _node_recs(bvh) -> list[tuple]:
+    """Each internal node's fetch record; its box-test count is the
+    number of occupied slots before the first empty one."""
+    empty = bvh.child_kind == KIND_EMPTY
+    occupied = np.where(empty.any(axis=1), empty.argmax(axis=1), bvh.width)
+    nbytes = internal_node_bytes(bvh.width)
+    return [(addr, nbytes, FETCH_INTERNAL, boxes, 0, 0, 0)
+            for addr, boxes in zip(bvh.node_addr.tolist(),
+                                   occupied.tolist())]
+
+
+def _leaf_recs(bvh, prim_kind: int) -> list[tuple]:
+    """Each leaf record's fetch record."""
+    return [(addr, nbytes, FETCH_LEAF, 0, count, prim_kind, 0)
+            for addr, nbytes, count in zip(bvh.leaf_addr.tolist(),
+                                           bvh.leaf_bytes.tolist(),
+                                           bvh.leaf_count.tolist())]
 
 
 class _RaySim:
@@ -880,7 +883,6 @@ class _RaySim:
             inst_addr = ck[3]
             # Re-fetch the instance record to recover the transform.
             self.round_trace.stream.extend((inst_addr,) + _INSTANCE_REC)
-            trace.unique_leaf.add(inst_addr)
             trace.total_leaf += 1
             if tag == _CK_INSTANCE:
                 n_int, n_leaf = self._instance(gid, inst_addr)
@@ -908,8 +910,6 @@ class _RaySim:
         emit = stream.extend
         pf_emit = rt.pf.extend
         s_append = stream.append
-        add_int = trace.unique_internal.add
-        add_leaf = trace.unique_leaf.add
         t_min = self.t_min
         hw = self.hw
         pre = self.pre
@@ -917,13 +917,12 @@ class _RaySim:
         em = self.eval_map
         node_rec7 = recs.node_rec7
         node_rec6 = recs.node_rec6
-        node_addr = recs.node_addr
         leaf_rec7 = recs.leaf_rec7
         leaf_pf = recs.leaf_pf
         leaf_addr = recs.leaf_addr
         leaf_start = recs.leaf_start
         leaf_count = recs.leaf_count
-        gids = self.rec.tables.ordered_gids
+        gids = recs.gids
         anyhit = self._anyhit
         instance = self._instance
         kinds, tns, tfs, refs, skips, kptr, kids, cmax = self.cols[:8]
@@ -955,11 +954,9 @@ class _RaySim:
                             npf += 1
                     emit(node_rec6[ref])
                     s_append(npf)
-                add_int(node_addr[ref])
                 n_int += 1
             else:
                 emit(leaf_rec7[ref])
-                add_leaf(leaf_addr[ref])
                 n_leaf += 1
                 beyond = _INF
                 if kind == _T_TRI_LEAF:
@@ -1011,7 +1008,6 @@ class _RaySim:
         if self.rec._sphere_blas:
             sphere_rec = self.rec._sphere_rec
             self.round_trace.stream.extend(sphere_rec)
-            self.trace.unique_leaf.add(sphere_rec[0])
             itn, itf = self.sph_box[gid]
             if itn > itf or itf < t_min or itf < 0.0 or itn > self.t_clip:
                 return 0, 1
@@ -1047,12 +1043,8 @@ class _RaySim:
         recs = self.recs
         rt = self.round_trace
         emit = rt.stream.extend
-        add_int = self.trace.unique_internal.add
-        add_leaf = self.trace.unique_leaf.add
         bnode_rec7 = recs.bnode_rec7
-        bnode_addr = recs.bnode_addr
         bleaf_rec7 = recs.bleaf_rec7
-        bleaf_addr = recs.bleaf_addr
         t_min = self.t_min
         t_max = self.t_max
         hw = self.hw
@@ -1069,11 +1061,9 @@ class _RaySim:
                             self._checkpoint((tns[c], _CK_BLAS, gid,
                                               inst_addr, c))
                 emit(bnode_rec7[ref])
-                add_int(bnode_addr[ref])
                 n_int += 1
             else:  # _T_BLAS_LEAF
                 emit(bleaf_rec7[ref])
-                add_leaf(bleaf_addr[ref])
                 n_leaf += 1
                 if bests[i] < best:
                     best = bests[i]

@@ -4,7 +4,9 @@ on generated inputs.
 Hypothesis draws tiny Gaussian clouds, tracing configurations (k,
 ``max_rounds``, ``transmittance_min``, trace mode, GRTX-HW
 checkpointing) and per-ray segment bounds (``t_clip``), and every
-flattenable structure family is built over each cloud.  On every input:
+flattenable structure family is built over each cloud.  Some rays are
+degenerate: a zeroed direction component, a ±1e-13 one (below the slab
+test's 1e-12 guard) or an exact axis direction.  On every input:
 
 * the batched images are within 1e-9 of the scalar tracer's, with
   exactly equal per-ray blend counts and termination flags; the plain
@@ -15,7 +17,7 @@ flattenable structure family is built over each cloud.  On every input:
 * the frontier-recorded fetch traces are event-equal to the scalar
   traces, checkpoint/eviction counts and high-water marks included
   (single-BLAS structures: a multi-BLAS recording runs on the scalar
-  tracer);
+  tracer), at the shipped recording chunk and at one of 3 rays;
 * :func:`repro.hwsim.replay` reports the same timing for both trace
   sets.
 
@@ -40,7 +42,10 @@ from repro.rt import RayTrace, SceneShading, TraceConfig, Tracer
 from repro.rt import WavefrontTracer
 
 from tests.conftest import tiny_cloud
-from tests.test_tracerecord import _assert_traces_equal
+from tests.test_tracerecord import (
+    _assert_traces_equal,
+    _record_at_each_chunk,
+)
 
 #: Every flattenable structure family; the value builds it over a cloud.
 FAMILIES = {
@@ -83,12 +88,29 @@ def inputs(draw):
 def _rays(cloud, n: int, seed: int):
     """``n`` rays from the default viewpoint aimed at random Gaussians
     (so most of them hit something), half of them cut by a ``t_clip``
-    somewhere across the cloud, half unbounded."""
+    somewhere across the cloud, half unbounded.
+
+    About one ray in eight each gets a zeroed direction component, a
+    ±1e-13 component, or the exact axis direction nearest its aim (the
+    zeroed or tiny component is never the dominant one)."""
     rng = np.random.default_rng(seed)
     eye = default_camera_for(cloud, 4, 4).position
     targets = cloud.means[rng.integers(0, len(cloud), n)]
     directions = targets - eye
+    family = rng.integers(0, 8, n)
+    dominant = np.abs(directions).argmax(axis=1)
+    minor = (dominant + rng.integers(1, 3, n)) % 3
+    rows = np.arange(n)
+    flat = family >= 5
+    directions[rows[flat], minor[flat]] = 0.0
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    tiny = family == 6
+    directions[rows[tiny], minor[tiny]] = rng.choice(
+        [-1e-13, 1e-13], int(tiny.sum()))
+    axis = family == 7
+    sign = np.sign(directions[rows[axis], dominant[axis]])
+    directions[axis] = 0.0
+    directions[rows[axis], dominant[axis]] = sign
     origins = np.repeat(eye[None, :], n, axis=0)
     reach = np.linalg.norm(targets - eye, axis=1)
     cut = rng.uniform(0.6, 1.4, n) * reach
@@ -128,17 +150,20 @@ def test_wavefront_matches_scalar(family, case):
 
     if family not in RECORDED:
         return
-    recorded, traces = wavefront.trace_packet_recorded(origins, directions,
-                                                       t_clip)
-    assert np.array_equal(recorded.colors, plain.colors)
-    assert [o.rounds for o in outcomes] == recorded.rounds.tolist()
-    _assert_traces_equal(scalar_traces, traces)
-    for s, p in zip(scalar_traces, traces):
-        assert _ckpt_counts(s) == _ckpt_counts(p)
     a = replay(scalar_traces, GpuConfig.rtx_like())
-    b = replay(traces, GpuConfig.rtx_like())
-    for field in dataclasses.fields(a):
-        assert getattr(a, field.name) == getattr(b, field.name), field.name
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for recorded, traces in _record_at_each_chunk(
+                monkeypatch, lambda: wavefront.trace_packet_recorded(
+                    origins, directions, t_clip)):
+            assert np.array_equal(recorded.colors, plain.colors)
+            assert [o.rounds for o in outcomes] == recorded.rounds.tolist()
+            _assert_traces_equal(scalar_traces, traces)
+            for s, p in zip(scalar_traces, traces):
+                assert _ckpt_counts(s) == _ckpt_counts(p)
+            b = replay(traces, GpuConfig.rtx_like())
+            for field in dataclasses.fields(a):
+                assert getattr(a, field.name) == getattr(b, field.name), (
+                    field.name)
 
 
 def _ckpt_counts(trace: RayTrace) -> tuple[int, int, int, int]:

@@ -39,18 +39,21 @@ class TestRoundTrace:
 
 class TestRayTrace:
     def test_unique_vs_total(self):
+        """Totals count every noted fetch; unique counts are the distinct
+        addresses per kind in the rounds' event streams, across rounds."""
         trace = RayTrace()
-        trace.begin_round()
-        for addr in (10, 20, 10):
-            trace.note_fetch(addr, FETCH_INTERNAL)
-        trace.note_fetch(30, FETCH_LEAF)
-        trace.note_fetch(30, FETCH_LEAF)
+        fetches = ((10, FETCH_INTERNAL), (20, FETCH_INTERNAL),
+                   (10, FETCH_INTERNAL), (30, FETCH_LEAF), (30, FETCH_LEAF))
+        for i, (addr, kind) in enumerate(fetches):
+            rnd = trace.begin_round() if i in (0, 2) else trace.rounds[-1]
+            rnd.fetch(addr, 64, kind)
+            trace.note_fetch(addr, kind)
         assert trace.total_internal == 3
-        assert len(trace.unique_internal) == 2
         assert trace.total_leaf == 2
-        assert len(trace.unique_leaf) == 1
+        assert trace.unique_counts() == (2, 1)
         assert trace.total_fetches == 5
         assert trace.unique_fetches == 3
+        assert RayTrace().unique_counts() == (0, 0)
 
     def test_rounds_accumulate(self):
         trace = RayTrace()

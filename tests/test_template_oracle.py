@@ -6,8 +6,9 @@ traversal's frontier log into every ray's round template with numpy.
 replaced verbatim; on generated clouds and rays, every ray's columns
 ``(kind, tn, tf, ref, skip)`` must equal the oracle's entries and skips,
 for the root level of every recorded family and for the shared mesh
-BLAS of each (ray, instance) pair.  A second test bounds recording's
-peak traced allocation per ray.
+BLAS of each (ray, instance) pair.  Two more tests bound recording's
+peak traced allocation per ray and hold its transient allocation to one
+chunk's, whatever the bundle size.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.render import default_camera_for
-from repro.rt import SceneShading, TraceConfig, WavefrontTracer
+from repro.rt import SceneShading, TraceConfig, WavefrontTracer, tracerecord
 from repro.rt.kernels import box_slab
 from repro.rt.tracer import flat_tables
 from repro.rt.tracerecord import (
@@ -123,3 +124,41 @@ def test_recording_peak_allocation_per_ray(family, checkpointing):
         tracemalloc.stop()
     assert len(traces) == len(bundle)
     assert peak / len(bundle) < PEAK_BYTES_PER_RAY
+
+
+class _NoFlatTables:
+    """Stands in for the scalar tracer's tables: building it fails."""
+
+    def __init__(self, flat) -> None:
+        raise AssertionError("recording built the scalar FlatTables")
+
+
+@pytest.mark.parametrize("family", ["20-tri", "tlas+ico"])
+def test_recording_transient_bounded_by_chunk(family, monkeypatch):
+    """Recording's transient memory follows the chunk, not the bundle:
+    the traced peak minus what the returned result and traces still
+    hold stays under 1.5x its two-chunk value when the bundle is 8x as
+    long.  Recording never builds the scalar tracer's tables."""
+    monkeypatch.setattr("repro.rt.tracer.FlatTables", _NoFlatTables)
+    cloud = tiny_cloud(n=400, seed=5)
+    tracer = WavefrontTracer(FAMILIES[family](cloud), SceneShading(cloud),
+                             TraceConfig(k=4))
+    bundle = default_camera_for(cloud, 16, 16).generate_rays()
+    n = 64
+    assert n >= 2 * tracerecord._MAX_RECORD_PACKET
+    o, d = bundle.origins[:n], bundle.directions[:n]
+    # Warm the per-structure tables outside the measurement.
+    tracer.trace_packet_recorded(o[:2], d[:2])
+
+    def transient(reps):
+        origins, directions = np.tile(o, (reps, 1)), np.tile(d, (reps, 1))
+        tracemalloc.start()
+        try:
+            _, traces = tracer.trace_packet_recorded(origins, directions)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traces) == reps * n
+        return peak - held
+
+    assert transient(8) < 1.5 * transient(1)

@@ -9,7 +9,8 @@ and eviction writes included), same round structure, same unique/total
 visit statistics and checkpoint/eviction high-water marks — so a
 replayed :class:`TimingReport` is identical whichever engine produced
 the traces, and so are the fig14–17 aggregates (node fetches, L1 hits,
-L2 accesses).
+L2 accesses).  Every recorded-trace check runs at the shipped recording
+chunk and at one of 3 rays, which splits every bundle.
 
 Also covered here: the vectorized :func:`repro.hwsim.replay` against
 its golden reference loop (:func:`repro.hwsim.replay_reference`), on
@@ -32,7 +33,7 @@ from repro.hwsim import GpuConfig, replay, replay_reference
 from repro.hwsim.treelet import build_treelet_map
 from repro.obs.tracing import BufferTraceSink, current_sink, install_sink
 from repro.render import GaussianRayTracer, SceneObjects, default_camera_for
-from repro.rt import TraceConfig
+from repro.rt import TraceConfig, tracerecord
 from repro.rt.recorder import FETCH_INTERNAL, RayTrace
 
 from tests.conftest import tiny_cloud
@@ -51,6 +52,10 @@ _replay_module = importlib.import_module("repro.hwsim.replay")
 #: constant, and one below these frames' segment sizes, so each (round,
 #: warp) segment is a chunk of its own.
 CHUNK_BUDGETS = (_replay_module.CHUNK_EVENTS, 300)
+
+#: Recording chunks every recorded-trace check runs at: the shipped
+#: constant, and 3 rays, so every bundle here records in several chunks.
+RECORD_CHUNKS = (tracerecord._MAX_RECORD_PACKET, 3)
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +79,17 @@ def _round_key(rnd):
             rnd.checkpoints_written, rnd.evictions_written)
 
 
+def _unique_addrs(trace):
+    """The ray's distinct ``(internal, leaf)`` fetch addresses, as sets
+    read from its rounds' event arrays."""
+    internal, leaf = set(), set()
+    for rnd in trace.rounds:
+        events = rnd.events_view()
+        for addr, kind in zip(events[:, 0].tolist(), events[:, 2].tolist()):
+            (internal if kind == FETCH_INTERNAL else leaf).add(addr)
+    return internal, leaf
+
+
 def _assert_traces_equal(scalar_traces, packet_traces):
     assert len(scalar_traces) == len(packet_traces)
     for label in ("primary", "secondary"):
@@ -85,8 +101,10 @@ def _assert_traces_equal(scalar_traces, packet_traces):
             for sr, pr in zip(s.rounds, p.rounds):
                 assert _round_key(sr) == _round_key(pr)
             assert s.fetch_multiset() == p.fetch_multiset()
-            assert s.unique_internal == p.unique_internal
-            assert s.unique_leaf == p.unique_leaf
+            s_unique = _unique_addrs(s)
+            assert s_unique == _unique_addrs(p)
+            assert s.unique_counts() == p.unique_counts() == tuple(
+                len(addrs) for addrs in s_unique)
             assert (s.total_internal, s.total_leaf) == (
                 p.total_internal, p.total_leaf)
             assert (s.ckpt_high_water, s.evict_high_water) == (
@@ -98,18 +116,37 @@ def _assert_reports_equal(a, b):
         assert getattr(a, field.name) == getattr(b, field.name), field.name
 
 
-def _replay_span(traces, config, **kwargs):
-    """``replay`` plus the arguments of the ``hwsim.replay`` span it emits."""
+def _with_spans(name, run):
+    """``run()`` plus the arguments of every ``name`` span it emits."""
     previous = current_sink()
     sink = BufferTraceSink()
     install_sink(sink)
     try:
-        report = replay(traces, config, **kwargs)
+        out = run()
     finally:
         install_sink(previous)
-    (span,) = [event["args"] for event in sink.drain()
-               if event["name"] == "hwsim.replay"]
+    return out, [event["args"] for event in sink.drain()
+                 if event["name"] == name]
+
+
+def _replay_span(traces, config, **kwargs):
+    """``replay`` plus the arguments of the ``hwsim.replay`` span it emits."""
+    report, (span,) = _with_spans(
+        "hwsim.replay", lambda: replay(traces, config, **kwargs))
     return report, span
+
+
+def _record_at_each_chunk(monkeypatch, record):
+    """Yield ``record()``'s result at every recording chunk of
+    :data:`RECORD_CHUNKS`, checking that each recorded bundle really
+    split into ``ceil(rays / chunk)`` chunks."""
+    for chunk in RECORD_CHUNKS:
+        monkeypatch.setattr(tracerecord, "_MAX_RECORD_PACKET", chunk)
+        out, spans = _with_spans("rt.wavefront.record", record)
+        assert spans
+        for args in spans:
+            assert args["chunks"] == -(-args["rays"] // chunk)
+        yield out
 
 
 def _assert_matches_reference(monkeypatch, traces, config, want=None,
@@ -127,14 +164,19 @@ def _assert_matches_reference(monkeypatch, traces, config, want=None,
             assert span["chunks"] > 1
 
 
-def _render_pair(cloud, structure, config, camera, objects=None):
+def _render_pairs(monkeypatch, cloud, structure, config, camera,
+                  objects=None):
+    """Yield the scalar engine's recorded render paired with the
+    wavefront engine's at each recording chunk."""
     scalar = GaussianRayTracer(cloud, structure, config,
                                engine="scalar").render(
         camera, objects=objects, keep_traces=True)
-    packet = GaussianRayTracer(cloud, structure, config,
-                               engine="wavefront").render(
-        camera, objects=objects, keep_traces=True)
-    return scalar, packet
+    wavefront = GaussianRayTracer(cloud, structure, config,
+                                  engine="wavefront")
+    for packet in _record_at_each_chunk(
+            monkeypatch, lambda: wavefront.render(camera, objects=objects,
+                                                  keep_traces=True)):
+        yield scalar, packet
 
 
 class TestTraceEquivalence:
@@ -142,64 +184,69 @@ class TestTraceEquivalence:
 
     @pytest.mark.parametrize("proxy", STRUCTURES)
     @pytest.mark.parametrize("mode", ["multiround", "singleround"])
-    def test_streams_counters_and_replay(self, cloud, structures, proxy, mode):
+    def test_streams_counters_and_replay(self, cloud, structures, proxy, mode,
+                                         monkeypatch):
         camera = default_camera_for(cloud, 8, 8)
         for checkpointing in CHECKPOINTING[:1 + (mode == "multiround")]:
             config = TraceConfig(k=4, mode=mode, checkpointing=checkpointing)
-            scalar, packet = _render_pair(cloud, structures[proxy], config,
-                                          camera)
-            if checkpointing:
-                assert scalar.stats.checkpoints_written > 0
-            _assert_traces_equal(scalar.traces, packet.traces)
-            assert scalar.stats == packet.stats, checkpointing
-            _assert_reports_equal(
-                replay(scalar.traces, GpuConfig.rtx_like()),
-                replay(packet.traces, GpuConfig.rtx_like()))
+            for scalar, packet in _render_pairs(
+                    monkeypatch, cloud, structures[proxy], config, camera):
+                if checkpointing:
+                    assert scalar.stats.checkpoints_written > 0
+                _assert_traces_equal(scalar.traces, packet.traces)
+                assert scalar.stats == packet.stats, checkpointing
+                _assert_reports_equal(
+                    replay(scalar.traces, GpuConfig.rtx_like()),
+                    replay(packet.traces, GpuConfig.rtx_like()))
 
     @pytest.mark.parametrize("proxy", ["20-tri", "tlas+sphere", "tlas+20-tri"])
-    def test_secondary_rays_and_t_clip(self, cloud, structures, proxy):
+    def test_secondary_rays_and_t_clip(self, cloud, structures, proxy,
+                                       monkeypatch):
         """Scene objects clip primaries and spawn secondary warps; both
         label streams must reconstruct identically."""
         camera = default_camera_for(cloud, 8, 8)
         objects = SceneObjects.default_for(cloud)
         for checkpointing in CHECKPOINTING:
             config = TraceConfig(k=4, checkpointing=checkpointing)
-            scalar, packet = _render_pair(cloud, structures[proxy], config,
-                                          camera, objects=objects)
-            assert any(t.label == "secondary" for t in scalar.traces)
-            _assert_traces_equal(scalar.traces, packet.traces)
-            assert scalar.stats == packet.stats, checkpointing
-            _assert_reports_equal(
-                replay(scalar.traces, GpuConfig.rtx_like()),
-                replay(packet.traces, GpuConfig.rtx_like()))
+            for scalar, packet in _render_pairs(
+                    monkeypatch, cloud, structures[proxy], config, camera,
+                    objects=objects):
+                assert any(t.label == "secondary" for t in scalar.traces)
+                _assert_traces_equal(scalar.traces, packet.traces)
+                assert scalar.stats == packet.stats, checkpointing
+                _assert_reports_equal(
+                    replay(scalar.traces, GpuConfig.rtx_like()),
+                    replay(packet.traces, GpuConfig.rtx_like()))
 
-    def test_k1_max_rounds_cap(self, cloud, structures):
+    def test_k1_max_rounds_cap(self, cloud, structures, monkeypatch):
         """k=1 with a tight round cap exercises the frontier carry-over
         and the round-cap break in the reconstruction."""
         camera = default_camera_for(cloud, 8, 8)
         for checkpointing in CHECKPOINTING:
             config = TraceConfig(k=1, max_rounds=3,
                                  checkpointing=checkpointing)
-            scalar, packet = _render_pair(cloud, structures["tlas+20-tri"],
-                                          config, camera)
-            if checkpointing:
-                assert scalar.stats.checkpoints_written > 0
-            _assert_traces_equal(scalar.traces, packet.traces)
-            assert scalar.stats == packet.stats, checkpointing
+            for scalar, packet in _render_pairs(
+                    monkeypatch, cloud, structures["tlas+20-tri"], config,
+                    camera):
+                if checkpointing:
+                    assert scalar.stats.checkpoints_written > 0
+                _assert_traces_equal(scalar.traces, packet.traces)
+                assert scalar.stats == packet.stats, checkpointing
 
-    def test_early_termination(self, cloud, structures):
+    def test_early_termination(self, cloud, structures, monkeypatch):
         camera = default_camera_for(cloud, 8, 8)
         for checkpointing in CHECKPOINTING:
             config = TraceConfig(k=16, transmittance_min=0.97,
                                  checkpointing=checkpointing)
-            scalar, packet = _render_pair(cloud, structures["tlas+sphere"],
-                                          config, camera)
-            assert scalar.stats.rays_terminated_early > 0
-            _assert_traces_equal(scalar.traces, packet.traces)
-            assert scalar.stats == packet.stats, checkpointing
+            for scalar, packet in _render_pairs(
+                    monkeypatch, cloud, structures["tlas+sphere"], config,
+                    camera):
+                assert scalar.stats.rays_terminated_early > 0
+                _assert_traces_equal(scalar.traces, packet.traces)
+                assert scalar.stats == packet.stats, checkpointing
 
     @pytest.mark.parametrize("proxy", ["20-tri", "custom"])
-    def test_checkpoint_resume_on_workload_cloud(self, proxy):
+    def test_checkpoint_resume_on_workload_cloud(self, proxy, monkeypatch):
         """On a dense workload cloud, prefilled evictions and shrinking
         ``t_max`` leave some resumed leaf checkpoints between their box
         entry and their stored hit depth: the resume must test the
@@ -207,26 +254,29 @@ class TestTraceEquivalence:
         cloud = make_workload("train", scale=1 / 4000)
         config = TraceConfig(k=2, checkpointing=True)
         camera = default_camera_for(cloud, 5, 5)
-        scalar, packet = _render_pair(
-            cloud, build_monolithic(cloud, proxy), config, camera)
-        _assert_traces_equal(scalar.traces, packet.traces)
-        assert scalar.stats == packet.stats
+        for scalar, packet in _render_pairs(
+                monkeypatch, cloud, build_monolithic(cloud, proxy), config,
+                camera):
+            _assert_traces_equal(scalar.traces, packet.traces)
+            assert scalar.stats == packet.stats
 
-    def test_fig_aggregates_match(self, cloud, structures):
+    def test_fig_aggregates_match(self, cloud, structures, monkeypatch):
         """The fig14/16/17 quantities — node fetches, L1 hits, L2
         accesses — are identical from either engine's traces."""
         camera = default_camera_for(cloud, 8, 8)
         for proxy in ("20-tri", "tlas+20-tri"):
-            scalar, packet = _render_pair(
-                cloud, structures[proxy], TraceConfig(k=8), camera)
-            a = replay(scalar.traces, GpuConfig.rtx_like())
-            b = replay(packet.traces, GpuConfig.rtx_like())
-            assert a.node_fetches == b.node_fetches
-            assert a.l1_hits == b.l1_hits
-            assert a.l2_accesses == b.l2_accesses
-            assert a.cycles == b.cycles
+            for scalar, packet in _render_pairs(
+                    monkeypatch, cloud, structures[proxy], TraceConfig(k=8),
+                    camera):
+                a = replay(scalar.traces, GpuConfig.rtx_like())
+                b = replay(packet.traces, GpuConfig.rtx_like())
+                assert a.node_fetches == b.node_fetches
+                assert a.l1_hits == b.l1_hits
+                assert a.l2_accesses == b.l2_accesses
+                assert a.cycles == b.cycles
 
-    def test_recorded_result_matches_plain_packet(self, cloud, structures):
+    def test_recorded_result_matches_plain_packet(self, cloud, structures,
+                                                  monkeypatch):
         """Recording must not perturb the render: colors and parity
         counters equal the plain path bit for bit."""
         from repro.rt import SceneShading, WavefrontTracer
@@ -238,14 +288,31 @@ class TestTraceEquivalence:
         for proxy in STRUCTURES:
             tracer = WavefrontTracer(structures[proxy], shading, config)
             plain = tracer.trace_packet(bundle.origins, bundle.directions)
-            recorded, traces = tracer.trace_packet_recorded(
-                bundle.origins, bundle.directions)
-            assert np.array_equal(plain.colors, recorded.colors), proxy
-            assert np.array_equal(plain.blended, recorded.blended), proxy
-            assert np.array_equal(plain.terminated, recorded.terminated)
-            assert plain.anyhit_calls == recorded.anyhit_calls
-            assert plain.false_positives == recorded.false_positives
-            assert len(traces) == len(bundle)
+            for recorded, traces in _record_at_each_chunk(
+                    monkeypatch, lambda: tracer.trace_packet_recorded(
+                        bundle.origins, bundle.directions)):
+                assert np.array_equal(plain.colors, recorded.colors), proxy
+                assert np.array_equal(plain.blended, recorded.blended), proxy
+                assert np.array_equal(plain.terminated, recorded.terminated)
+                assert plain.anyhit_calls == recorded.anyhit_calls
+                assert plain.false_positives == recorded.false_positives
+                assert len(traces) == len(bundle)
+
+    def test_record_span_counts_chunks(self, cloud, structures):
+        """A recorded render emits one ``rt.wavefront.record`` span per
+        bundle: its rays, its ``ceil(rays / 32)`` chunks and its fetch
+        events."""
+        camera = default_camera_for(cloud, 12, 12)
+        result, spans = _with_spans(
+            "rt.wavefront.record",
+            lambda: GaussianRayTracer(
+                cloud, structures["20-tri"], TraceConfig(k=4),
+                engine="wavefront").render(camera, keep_traces=True))
+        assert tracerecord._MAX_RECORD_PACKET == 32
+        assert spans == [{
+            "rays": 144, "chunks": 5,
+            "events": sum(rnd.n_fetches for trace in result.traces
+                          for rnd in trace.rounds)}]
 
     def test_tiled_pooled_recording_ships_traces(self, cloud, structures):
         """Recording composes with pooled tiles: the reassembled frame
@@ -469,11 +536,12 @@ class TestReplayVectorization:
         replay equal scalar traces through the reference replay."""
         config = TraceConfig(k=4)
         camera = default_camera_for(cloud, 8, 8)
-        scalar, packet = _render_pair(cloud, structures["tlas+20-tri"],
-                                      config, camera)
-        _assert_matches_reference(
-            monkeypatch, packet.traces, GpuConfig.rtx_like(),
-            want=replay_reference(scalar.traces, GpuConfig.rtx_like()))
+        for scalar, packet in _render_pairs(
+                monkeypatch, cloud, structures["tlas+20-tri"], config,
+                camera):
+            _assert_matches_reference(
+                monkeypatch, packet.traces, GpuConfig.rtx_like(),
+                want=replay_reference(scalar.traces, GpuConfig.rtx_like()))
 
 
 class TestRecorderViews:
