@@ -69,18 +69,6 @@ class SetAssociativeCache:
         """Presence check without touching LRU state or counters."""
         return line in self._sets[line % self.n_sets]
 
-    def tag_state(self) -> tuple[list[dict[int, None]], int, int]:
-        """Raw tag arrays for batched lookups: ``(sets, n_sets, ways)``.
-
-        The vectorized replay binds these once per (warp, round) and
-        performs the LRU update inline — hit iff ``line in
-        sets[line % n_sets]``, touch by delete + re-insert, fill by
-        insert + pop-front when over ``ways`` — exactly the rule
-        :meth:`access`/:meth:`fill` implement. Mutating through this view
-        bypasses :attr:`stats`; callers own their own counters.
-        """
-        return self._sets, self.n_sets, self.ways
-
     def fill(self, line: int) -> None:
         """Prefetch fill: install a line without a demand access."""
         cache_set = self._sets[line % self.n_sets]

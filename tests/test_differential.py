@@ -21,6 +21,12 @@ test's 1e-12 guard) or an exact axis direction.  On every input:
 * :func:`repro.hwsim.replay` reports the same timing for both trace
   sets.
 
+A second slice generates ``RayTrace``s directly, with tiny cache
+geometries, merge windows, prefetch lists, both DRAM models and treelet
+maps, and holds :func:`repro.hwsim.replay` (its compiled cache walk)
+equal to :func:`repro.hwsim.replay_reference` field for field at the
+shipped chunk budget and at 3 events.
+
 The tier-1 profile is derandomized (the same examples on every run) and
 small, so it adds a few seconds to the suite.
 """
@@ -36,15 +42,18 @@ from hypothesis import strategies as st
 
 from repro.bvh import build_monolithic, build_two_level
 from repro.bvh.two_level import build_two_level_hetero
-from repro.hwsim import GpuConfig, replay
+from repro.hwsim import DramTimings, GpuConfig, replay, replay_reference
 from repro.render import GaussianRayTracer, default_camera_for
 from repro.rt import RayTrace, SceneShading, TraceConfig, Tracer
 from repro.rt import WavefrontTracer
+from repro.rt.recorder import FETCH_INTERNAL, FETCH_LEAF
 
 from tests.conftest import tiny_cloud
 from tests.test_tracerecord import (
+    _assert_reports_equal,
     _assert_traces_equal,
     _record_at_each_chunk,
+    _replay_module,
 )
 
 #: Every flattenable structure family; the value builds it over a cloud.
@@ -191,3 +200,84 @@ def test_auto_records_every_family(family, checkpointing):
                                                        keep_traces=True)
     _assert_traces_equal(scalar.traces, auto.traces)
     assert auto.stats == scalar.stats
+
+
+#: Bytes between two rows of one banked-DRAM bank.
+_BANK_STRIDE = DramTimings().row_bytes * (DramTimings().n_channels
+                                          * DramTimings().banks_per_channel)
+
+#: Replay chunk budgets of the generated-trace slice: the shipped one and
+#: 3 events, which cuts nearly every segment into a chunk of its own.
+REPLAY_BUDGETS = (_replay_module.CHUNK_EVENTS, 3)
+
+
+@st.composite
+def replay_cases(draw):
+    """Generated traces, a tiny GPU config and maybe a treelet map.
+
+    Addresses come from a small pool, so fetches, prefetch pairs and
+    treelet roots repeat and the 1-4 set, 1-4 way caches evict. Treelet
+    members also reach lines no fetch touches, so a root can hit the L1
+    while its treelet is gone. Sizes include 0 bytes and fetches
+    spanning two or three 128-byte lines. Addresses lie in three regions
+    one banked-DRAM bank stride apart, so DRAM rows conflict.
+    """
+    def address(lines):
+        return st.builds(lambda x, row: 32 * x + row * _BANK_STRIDE,
+                         st.integers(0, lines), st.integers(0, 2))
+
+    pool = draw(st.lists(address(40), min_size=1, max_size=12))
+    addr = st.sampled_from(pool)
+    nbytes = st.sampled_from([0, 1, 64, 128, 200, 300])
+    pair = st.tuples(addr, nbytes)
+
+    traces = []
+    for _ in range(draw(st.integers(1, 9))):
+        trace = RayTrace(label=draw(st.sampled_from(["primary",
+                                                     "secondary"])))
+        for _ in range(draw(st.integers(0, 4))):
+            rnd = trace.begin_round()
+            rnd.anyhit_calls = draw(st.integers(0, 3))
+            rnd.kbuffer_ops = draw(st.integers(0, 3))
+            rnd.blended = draw(st.integers(0, 3))
+            for _ in range(draw(st.integers(0, 6))):
+                rnd.fetch(draw(addr), draw(nbytes),
+                          draw(st.sampled_from([FETCH_INTERNAL,
+                                                FETCH_LEAF])),
+                          box_tests=draw(st.integers(0, 1)),
+                          prim_tests=draw(st.integers(0, 3)),
+                          prim_kind=draw(st.integers(0, 4)),
+                          prefetch=draw(st.lists(pair, max_size=3)))
+        traces.append(trace)
+
+    line = 128
+    l1_sets, l1_ways, l2_sets, l2_ways = (draw(st.integers(1, 4))
+                                          for _ in range(4))
+    config = dataclasses.replace(
+        GpuConfig.rtx_like(),
+        n_sms=draw(st.integers(1, 3)),
+        warp_size=draw(st.integers(1, 4)),
+        l1_bytes=l1_sets * l1_ways * line, l1_ways=l1_ways,
+        l2_bytes=l2_sets * l2_ways * line, l2_ways=l2_ways,
+        merge_window_size=draw(st.sampled_from([0, 1, 8, 100])),
+        prefetch_enabled=draw(st.booleans()),
+        dram_model=draw(st.sampled_from(["flat", "banked"])),
+        warp_buffer_size=draw(st.sampled_from([1, 7, 8])),
+    )
+    member = st.tuples(address(80), nbytes)
+    treelet_map = draw(st.none() | st.dictionaries(
+        addr, st.lists(member, max_size=3), max_size=6))
+    return traces, config, treelet_map
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(replay_cases())
+def test_replay_matches_reference_on_generated_traces(case):
+    traces, config, treelet_map = case
+    want = replay_reference(traces, config, treelet_map=treelet_map)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for budget in REPLAY_BUDGETS:
+            monkeypatch.setattr(_replay_module, "CHUNK_EVENTS", budget)
+            _assert_reports_equal(
+                replay(traces, config, treelet_map=treelet_map), want)

@@ -12,10 +12,11 @@ the traces, and so are the fig14–17 aggregates (node fetches, L1 hits,
 L2 accesses).  Every recorded-trace check runs at the shipped recording
 chunk and at one of 3 rays, which splits every bundle.
 
-Also covered here: the vectorized :func:`repro.hwsim.replay` against
-its golden reference loop (:func:`repro.hwsim.replay_reference`), on
-both the eviction-free fast path and the sequential fallback, at the
-shipped chunk budget and at one that cuts every frame into many chunks.
+Also covered here: the batched :func:`repro.hwsim.replay` (its compiled
+cache walk) against its golden reference loop
+(:func:`repro.hwsim.replay_reference`), on eviction-free and
+eviction-prone cache geometries, at the shipped chunk budget and at one
+that cuts every frame into many chunks.
 """
 
 from __future__ import annotations
@@ -355,8 +356,7 @@ class TestReplayVectorization:
 
     def test_eviction_fallback_matches_reference(self, cloud, structures,
                                                  monkeypatch):
-        """Tiny caches force LRU evictions, exercising the sequential
-        tag walk instead of the first-occurrence fast path."""
+        """Tiny caches force LRU evictions in the tag walk."""
         result = GaussianRayTracer(
             cloud, structures["20-tri"], TraceConfig(k=4)).render(
             default_camera_for(cloud, 8, 8))
@@ -367,11 +367,11 @@ class TestReplayVectorization:
 
     def test_chunk_handoff_matches_reference(self, cloud, structures,
                                              monkeypatch):
-        """Early chunks proven eviction-free, a later one overflowing the
-        caches: the hand-off rebuilds the LRU tag dicts from the carried
-        recencies. A line's L1 recency is the later of its last demand
-        touch and its prefetch insert (a prefetch hit does not promote);
-        its L2 recency is its last L1 miss, from any SM.
+        """Early chunks fill the caches, a later one overflows them: the
+        LRU order carried across chunk edges decides the victims. A
+        line's L1 recency is the later of its last demand touch and its
+        prefetch insert (a prefetch hit does not promote); its L2 recency
+        is its last L1 miss, from any SM.
 
         Two hand-built cases pin those rules (one-ray warps, one set per
         cache; ``[x pf y]`` is a demand fetch of line x carrying a
@@ -392,11 +392,10 @@ class TestReplayVectorization:
                               prefetch=prefetch)
             return trace
 
-        def check(traces, config, budget, chunks, fast_chunks):
+        def check(traces, config, budget, chunks):
             monkeypatch.setattr(_replay_module, "CHUNK_EVENTS", budget)
             got, span = _replay_span(traces, config)
-            assert (span["chunks"], span["fast_chunks"]) == (
-                chunks, fast_chunks)
+            assert span["chunks"] == chunks
             _assert_reports_equal(got, replay_reference(traces, config))
 
         # L1: SM 0 runs [a pf b], then [a pf b] again — a is promoted, the
@@ -410,7 +409,7 @@ class TestReplayVectorization:
               dataclasses.replace(
                   GpuConfig.rtx_like(), n_sms=2, warp_size=1,
                   l1_bytes=128 * 2, l1_ways=2, l2_bytes=128 * 3, l2_ways=3),
-              budget=1, chunks=4, fast_chunks=3)
+              budget=1, chunks=4)
         # L2 (4-way; 4-way L1s), two segments per chunk: SM 0 [a pf b] and
         # SM 1 [a] in one chunk leave the L2 at b, a; SM 0 [e pf f] adds
         # e, f; SM 1 missing e a chunk later leaves b, a, f, e. SM 0's
@@ -422,9 +421,9 @@ class TestReplayVectorization:
               dataclasses.replace(
                   GpuConfig.rtx_like(), n_sms=3, warp_size=1,
                   l1_bytes=128 * 4, l1_ways=4, l2_bytes=128 * 4, l2_ways=4),
-              budget=2, chunks=5, fast_chunks=3)
+              budget=2, chunks=5)
 
-        # The same hand-off on a rendered frame, after a dozen fast chunks.
+        # The same carried state on a rendered frame, over many chunks.
         result = GaussianRayTracer(
             cloud, structures["tlas+20-tri"], TraceConfig(k=1)).render(
             default_camera_for(cloud, 12, 12))
@@ -432,14 +431,14 @@ class TestReplayVectorization:
                                       l1_bytes=128 * 64 * 2, l1_ways=64)
         monkeypatch.setattr(_replay_module, "CHUNK_EVENTS", 300)
         got, span = _replay_span(result.traces, tiny_l1)
-        assert 0 < span["fast_chunks"] < span["chunks"]
+        assert span["chunks"] > 1
         _assert_reports_equal(got, replay_reference(result.traces, tiny_l1))
 
     def test_replay_memory_bounded_by_chunk(self, cloud, structures,
                                             monkeypatch):
         """Replay's transient memory follows the chunk, not the frame:
         8x a frame's traces peak under 2x the traced allocation of 1x,
-        on both the fast path and the sequential walk."""
+        with and without LRU evictions."""
         result = GaussianRayTracer(
             cloud, structures["tlas+sphere"], TraceConfig(k=4)).render(
             default_camera_for(cloud, 8, 8))
@@ -472,9 +471,9 @@ class TestReplayVectorization:
 
     def test_non_power_of_two_warp_buffer(self, cloud, structures,
                                           monkeypatch):
-        """The fast path's per-segment latency sums must divide by the
-        warp-buffer depth per event (the reference's accumulation
-        order), which only shows when overlap is not a power of two."""
+        """The per-segment latency sums must divide by the warp-buffer
+        depth per event (the reference's accumulation order), which only
+        shows when overlap is not a power of two."""
         result = GaussianRayTracer(
             cloud, structures["tlas+sphere"], TraceConfig(k=4)).render(
             default_camera_for(cloud, 8, 8))
@@ -487,8 +486,8 @@ class TestReplayVectorization:
                                                        structures,
                                                        monkeypatch):
         """A zero-capacity merge window never merges (every insert is
-        evicted immediately); the duplicate-run shortcut must not claim
-        otherwise. Capacity 1 exercises the shortcut's smallest case."""
+        evicted immediately); capacity 1 merges only back-to-back
+        duplicates."""
         result = GaussianRayTracer(
             cloud, structures["tlas+sphere"], TraceConfig(k=4)).render(
             default_camera_for(cloud, 8, 8))
@@ -498,7 +497,7 @@ class TestReplayVectorization:
             _assert_matches_reference(monkeypatch, result.traces, config)
 
     def test_invalid_cache_geometry_raises(self, cloud, structures):
-        """The fast path validates cache geometry like the reference's
+        """``replay`` validates cache geometry like the reference's
         SetAssociativeCache construction does."""
         result = GaussianRayTracer(
             cloud, structures["tlas+sphere"], TraceConfig(k=4)).render(
