@@ -1,10 +1,9 @@
 """One JSON shape for every ``BENCH_*.json`` results document.
 
 The standalone bench scripts (``bench_obs``, ``bench_pool``,
-``bench_packet_vs_scalar``, ``bench_replay``,
-``bench_serve_throughput``) each used to invent their own top-level
-layout, which made the committed results impossible to diff across PRs
-or tabulate together. They now all write::
+``bench_packet_vs_scalar``, ``bench_replay``, ``bench_chaos``) each used
+to invent their own top-level layout, which made the committed results
+impossible to diff across PRs or tabulate together. They now all write::
 
     {
       "schema": "repro.bench/v1",
@@ -49,8 +48,6 @@ HEADLINES: dict[str, tuple[str, str, str]] = {
                        "summary.multiround.speedup", "{:.2f}x"),
     "replay": ("campaign e2e speedup",
                "campaign.e2e_speedup", "{:.2f}x"),
-    "serve_throughput": ("serve throughput",
-                         "metrics.traffic.throughput_rps", "{:.2f} req/s"),
 }
 
 

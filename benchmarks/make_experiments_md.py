@@ -245,8 +245,7 @@ ORDER = [
 
 #: Committed BENCH_*.json documents (repro.bench/v1), in render order.
 BENCH_DOCS = ("BENCH_wavefront_mono", "BENCH_wavefront_tlas",
-              "BENCH_pool", "BENCH_replay", "BENCH_serve", "BENCH_obs",
-              "BENCH_chaos")
+              "BENCH_pool", "BENCH_replay", "BENCH_obs", "BENCH_chaos")
 
 
 def bench_trajectory_table() -> str:

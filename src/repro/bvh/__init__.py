@@ -29,17 +29,11 @@ from repro.bvh.flatten import (
     flattenable,
 )
 from repro.bvh.quality import TreeQuality, sah_cost, tree_quality
-from repro.bvh.refit import RefitDrift, measure_drift, refit_bvh
 from repro.bvh.serialize import (
     FORMAT_VERSION,
     StructureFormatError,
     load_structure,
     save_structure,
-)
-from repro.bvh.multi_object import (
-    GaussianObject,
-    MultiObjectScene,
-    ObjectPose,
 )
 from repro.bvh.two_level import (
     HeteroTwoLevelBVH,
@@ -59,7 +53,6 @@ __all__ = [
     "FlatBlas",
     "FlatMesh",
     "FlatStructure",
-    "GaussianObject",
     "HeteroTwoLevelBVH",
     "INSTANCE_BYTES",
     "KIND_EMPTY",
@@ -67,9 +60,6 @@ __all__ = [
     "KIND_LEAF",
     "LEAF_HEADER_BYTES",
     "MonolithicBVH",
-    "MultiObjectScene",
-    "ObjectPose",
-    "RefitDrift",
     "SPHERE_PRIM_BYTES",
     "SharedBlas",
     "StructureFormatError",
@@ -84,10 +74,8 @@ __all__ = [
     "flattenable",
     "internal_node_bytes",
     "load_structure",
-    "measure_drift",
     "morton_codes",
     "radix_split",
-    "refit_bvh",
     "sah_cost",
     "save_structure",
     "structure_stats",

@@ -30,8 +30,7 @@ registry, so recycled ids can never serve a stale layout), making the
 per-frame flatten in the serving path a dictionary hit.  Like
 ``stable_fingerprint`` in the pool layer, it treats structures as
 immutable once flattened: the layout shares the source's node tables
-(in-place box refits flow through) but snapshots leaf-ordered copies of
-the primitive soup.
+but snapshots leaf-ordered copies of the primitive soup.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Five commands cover the workflows a user reaches for first:
+The commands:
 
 * ``workloads`` — list the six paper workloads with their generated
   statistics (the Table II inventory at the current scale).
@@ -13,9 +13,6 @@ Five commands cover the workflows a user reaches for first:
   persistent worker pool so the campaign uses every core.
 * ``structures`` — build every acceleration-structure variant for a
   scene and compare sizes (the Figure 5b / Table II comparison).
-* ``serve-bench`` — load-test the render service: tile-parallel speedup,
-  cached throughput with p50/p95/p99 latency, and cache/build dedup
-  rates.
 * ``stats`` — pretty-print (or re-emit as JSON) an observability
   snapshot written by ``--stats-out``.
 * ``doctor`` — triage an incident bundle dumped by the always-on
@@ -26,12 +23,15 @@ Five commands cover the workflows a user reaches for first:
   (:mod:`repro.chaosdrill`): kill, hang, and poison workers, corrupt
   the structure disk cache, then verify every hardening path engaged
   and every frame stayed bit-identical.
+* ``lint`` — statically check the project invariants (parity contract,
+  cache keys, lock discipline, process boundaries); CI runs
+  ``--strict``.
 
-``render`` and ``serve-bench`` accept ``--trace-out FILE`` (stream
-Chrome ``about:tracing``-compatible span events as JSON lines; open the
-file via ``chrome://tracing`` or Perfetto) and ``--stats-out FILE``
-(write the merged metrics-registry snapshot, including worker-side
-counters that rode back with task results).
+``render`` accepts ``--trace-out FILE`` (stream Chrome
+``about:tracing``-compatible span events as JSON lines; open the file
+via ``chrome://tracing`` or Perfetto) and ``--stats-out FILE`` (write
+the merged metrics-registry snapshot, including worker-side counters
+that rode back with task results).
 """
 
 from __future__ import annotations
@@ -88,7 +88,12 @@ def _build_parser() -> argparse.ArgumentParser:
     render.add_argument("--workers", type=int, default=1,
                         help="worker processes for tiled rendering "
                              "(implies --tiles 16 when unset; 0 = one per core)")
-    _add_obs_flags(render)
+    render.add_argument("--trace-out", default=None, metavar="FILE",
+                        help="stream span events (Chrome about:tracing JSON "
+                             "lines) to FILE while the command runs")
+    render.add_argument("--stats-out", default=None, metavar="FILE",
+                        help="write the merged metrics snapshot (parent + "
+                             "worker counters/histograms) to FILE on exit")
 
     experiment = sub.add_parser("experiment", help="regenerate paper tables/figures")
     experiment.add_argument("exp_id", help="experiment id, e.g. fig13, table2; "
@@ -107,30 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     structures = sub.add_parser("structures", help="compare structure sizes for a scene")
     structures.add_argument("scene")
     structures.add_argument("--scale", type=float, default=1 / 400.0)
-
-    serve_bench = sub.add_parser(
-        "serve-bench",
-        help="benchmark the render service (throughput, latency, caches)")
-    serve_bench.add_argument("--scene", default="train")
-    serve_bench.add_argument("--size", type=int, default=64,
-                             help="frame size for the tile-speedup measurement")
-    serve_bench.add_argument("--request-size", type=int, default=24,
-                             help="frame size for the throughput workload")
-    serve_bench.add_argument("--scale", type=float, default=1 / 2000.0)
-    serve_bench.add_argument("--tile", type=int, default=16, help="tile edge")
-    serve_bench.add_argument("--workers", type=int, default=4,
-                             help="parallel worker count to compare against 1")
-    serve_bench.add_argument("--requests", type=int, default=60,
-                             help="total requests in the throughput workload")
-    serve_bench.add_argument("--unique", type=int, default=5,
-                             help="distinct request configs in the workload")
-    serve_bench.add_argument("--engine", default="auto",
-                             choices=["scalar", "wavefront", "auto"],
-                             help="tracing engine to benchmark, on the "
-                                  "paper's tlas+sphere structure with the "
-                                  "service's GRTX defaults (checkpointing "
-                                  "on)")
-    _add_obs_flags(serve_bench)
 
     chaos_drill = sub.add_parser(
         "chaos-drill",
@@ -208,15 +189,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--verbose", action="store_true",
                       help="always show the suppressed-findings section")
     return parser
-
-
-def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--trace-out", default=None, metavar="FILE",
-                        help="stream span events (Chrome about:tracing JSON "
-                             "lines) to FILE while the command runs")
-    parser.add_argument("--stats-out", default=None, metavar="FILE",
-                        help="write the merged metrics snapshot (parent + "
-                             "worker counters/histograms) to FILE on exit")
 
 
 @contextlib.contextmanager
@@ -413,24 +385,6 @@ def _cmd_structures(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.serve.bench import run_benchmark
-
-    report = run_benchmark(
-        scene=args.scene,
-        size=args.size,
-        request_size=args.request_size,
-        scale=args.scale,
-        tile=args.tile,
-        workers=args.workers,
-        requests=args.requests,
-        unique=args.unique,
-        engine=args.engine,
-    )
-    print(report)
-    return 0
-
-
 def _cmd_chaos_drill(args: argparse.Namespace) -> int:
     import json
 
@@ -569,7 +523,6 @@ _COMMANDS = {
     "render": _cmd_render,
     "experiment": _cmd_experiment,
     "structures": _cmd_structures,
-    "serve-bench": _cmd_serve_bench,
     "chaos-drill": _cmd_chaos_drill,
     "doctor": _cmd_doctor,
     "stats": _cmd_stats,

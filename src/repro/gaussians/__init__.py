@@ -26,11 +26,6 @@ from repro.gaussians.synthetic import (
     make_workload,
 )
 
-# NOTE: repro.gaussians.training and repro.gaussians.densify are
-# intentionally not re-exported here: they sit above the render layer
-# (they drive the ray tracer for their forward passes), so import them
-# directly as `repro.gaussians.training` / `repro.gaussians.densify`.
-
 __all__ = [
     "GaussianCloud",
     "SceneSpec",

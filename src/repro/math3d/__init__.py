@@ -7,7 +7,6 @@ either a single item (shape ``(3,)``, ``(4,)``, ...) or a batch (shape
 
 from repro.math3d.quaternion import (
     quat_identity,
-    quat_multiply,
     quat_normalize,
     quat_random,
     quat_to_rotation_matrix,
@@ -37,7 +36,6 @@ __all__ = [
     "normalize",
     "orthonormal_basis",
     "quat_identity",
-    "quat_multiply",
     "quat_normalize",
     "quat_random",
     "quat_to_rotation_matrix",

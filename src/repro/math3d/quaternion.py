@@ -35,23 +35,6 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product ``a * b`` (both ``(..., 4)`` in ``wxyz`` order)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
-
-
 def quat_to_rotation_matrix(q: np.ndarray) -> np.ndarray:
     """Convert unit quaternions ``(n, 4)`` to rotation matrices ``(n, 3, 3)``.
 

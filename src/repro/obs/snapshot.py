@@ -2,7 +2,7 @@
 
 A snapshot file is one JSON document: ``{"schema": "repro.obs/v1",
 "created_unix": ..., "snapshot": <MetricsRegistry.snapshot()>}``. The
-render/serve-bench CLIs write one with ``--stats-out``; ``repro stats``
+``render`` CLI writes one with ``--stats-out``; ``repro stats``
 loads and pretty-prints it (or dumps the raw JSON back with
 ``--json``).
 """

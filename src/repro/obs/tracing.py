@@ -4,8 +4,8 @@ A *span* is one named, timed region (``with span("serve.render",
 scene=h):``). When tracing is active, finished spans are emitted as
 JSON-lines complete events (``ph: "X"`` with ``ts``/``dur`` in
 microseconds, ``pid``/``tid``) — the format ``chrome://tracing`` /
-Perfetto load directly, so a whole serve-bench run opens as a flame
-graph with server, scheduler, worker, and engine rows.
+Perfetto load directly, so a whole served or tiled run opens as a
+flame graph with server, scheduler, worker, and engine rows.
 
 The tracer is a process-global sink to keep the off path free: when no
 sink is installed, ``span.__enter__`` is a couple of attribute loads and

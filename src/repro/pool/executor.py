@@ -822,9 +822,9 @@ class WorkerPool:
         """
         self._crashes += 1
         # Mirrored into the obs registry so `repro stats` snapshots and
-        # serve-bench reports see crash/requeue counts, not only callers
-        # holding a pool reference (they used to live in executor-local
-        # fields alone).
+        # the doctor see crash/requeue counts, not only callers holding
+        # a pool reference (they used to live in executor-local fields
+        # alone).
         get_registry().add("pool.crashes")
         proc = self._procs[wid]
         exitcode = proc.exitcode if proc is not None else None
@@ -915,7 +915,8 @@ class WorkerPool:
             return busy / self.n_workers
 
     def stats(self) -> dict:
-        """One dict with every pool counter (serve-bench reports this)."""
+        """One dict with every pool counter (the chaos drill and
+        ``bench_pool.py`` report this)."""
         with self._lock:
             busy = sum(1 for t in self._inflight if t is not None)
             return {

@@ -53,7 +53,7 @@ class PacketResult:
     #: Per-ray ``(gaussian_id, alpha, t)`` blend lists in blend order,
     #: populated when ``TraceConfig.record_blended`` is set — the same
     #: lists the scalar tracer's ``RayOutcome.blend_records`` carries
-    #: (the training substrate's backward pass consumes them).
+    #: (the popping and predictor ablations consume them).
     blend_records: list[list[tuple[int, float, float]]] | None = None
 
     @property

@@ -122,8 +122,8 @@ class RayOutcome:
     blended: int
     terminated_early: bool
     #: (gaussian_id, alpha, t) triples in blend order, populated when
-    #: TraceConfig.record_blended is set (the training substrate needs
-    #: the exact blend lists for its backward pass).
+    #: TraceConfig.record_blended is set (the popping ablation and the
+    #: predictor ablation read the exact blend lists).
     blend_records: list[tuple[int, float, float]] | None = None
 
 

@@ -12,9 +12,7 @@ service:
   out over a process pool and reassembles a bit-identical image;
 * :mod:`repro.serve.server` — :class:`RenderServer`, the front end with
   a frame cache, in-flight request coalescing, and sync/async/batch
-  APIs;
-* :mod:`repro.serve.bench` — the load generator behind
-  ``python -m repro serve-bench``.
+  APIs.
 
 Quickstart::
 

@@ -138,9 +138,9 @@ class SceneRegistry:
     def _count(self, name: str) -> None:
         with self._lock:
             setattr(self, name, getattr(self, name) + 1)
-        # Mirrored into the obs registry so stats snapshots, serve-bench
-        # reports, and the doctor's anomaly scan see registry health
-        # without holding a SceneRegistry reference.
+        # Mirrored into the obs registry so stats snapshots, perfbench,
+        # and the doctor's anomaly scan see registry health without
+        # holding a SceneRegistry reference.
         get_registry().add(f"registry.{name}")
 
     def _claim_build(self, key: tuple) -> None:

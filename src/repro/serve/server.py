@@ -49,13 +49,12 @@ class ServerSaturated(RuntimeError):
 class ServerMetrics:
     """Request counters and latency histograms for one server.
 
-    A thin facade over a **private** :class:`~repro.obs.MetricsRegistry`
-    (each server owns its own, so sequential servers in one process
-    report exact per-server counts; the server merges it into the
-    process-global registry on close). Counter fields of the old
-    dataclass (``requests``, ``rendered``, ...) remain readable as
-    attributes and in :meth:`snapshot` under their unprefixed names;
-    inside the registry they live as ``serve.<name>``.
+    Backed by a **private** :class:`~repro.obs.MetricsRegistry` (each
+    server owns its own, so sequential servers in one process report
+    exact per-server counts; the server merges it into the
+    process-global registry on close). Counters live in the registry as
+    ``serve.<name>`` and appear in :meth:`snapshot` under their
+    unprefixed names (``requests``, ``rendered``, ...).
 
     ``gauges`` is an optional provider of instantaneous values (queue
     depth, worker utilization). In :meth:`snapshot` the provider's keys
@@ -81,28 +80,23 @@ class ServerMetrics:
         """Record one sample into the ``serve.<name>`` histogram."""
         self.registry.observe(f"serve.{name}", value)
 
-    def __getattr__(self, name: str):
-        if name in ServerMetrics._COUNTER_FIELDS:
-            return int(self.registry.counter_value(f"serve.{name}"))
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}")
+    def _counter(self, name: str) -> int:
+        return int(self.registry.counter_value(f"serve.{name}"))
 
     @property
     def render_seconds(self) -> float:
-        """Total seconds spent actually rendering (histogram sum, plus
-        anything legacy callers added through ``count``)."""
+        """Total seconds spent actually rendering (histogram sum)."""
         hist = self.registry.histogram("serve.render_seconds")
-        total = hist.sum if hist is not None else 0.0
-        return total + self.registry.counter_value("serve.render_seconds")
+        return hist.sum if hist is not None else 0.0
 
     @property
     def frame_hit_rate(self) -> float:
-        requests = self.requests
-        return self.frame_hits / requests if requests else 0.0
+        requests = self._counter("requests")
+        return self._counter("frame_hits") / requests if requests else 0.0
 
     def snapshot(self) -> dict[str, float]:
         data: dict[str, float] = {
-            name: getattr(self, name) for name in self._COUNTER_FIELDS
+            name: self._counter(name) for name in self._COUNTER_FIELDS
         }
         data["render_seconds"] = round(self.render_seconds, 6)
         data["frame_hit_rate"] = round(self.frame_hit_rate, 4)

@@ -1,5 +1,5 @@
-"""Tests for Morton codes, the LBVH strategy, refit, quality metrics, and
-the level-synchronous builder against its node-at-a-time oracle."""
+"""Tests for Morton codes, the LBVH strategy, quality metrics, and the
+level-synchronous builder against its node-at-a-time oracle."""
 
 import dataclasses
 import re
@@ -14,10 +14,8 @@ from repro.bvh import (
     BuildParams,
     build_bvh,
     build_two_level,
-    measure_drift,
     morton_codes,
     radix_split,
-    refit_bvh,
     sah_cost,
     tree_quality,
 )
@@ -150,67 +148,6 @@ class TestLbvhStrategy:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             BuildParams(strategy="hlbvh")
-
-
-class TestRefit:
-    def test_refit_preserves_validity(self):
-        lo, hi = _random_boxes(1000, seed=4)
-        bvh = build_bvh(lo, hi, 48, BuildParams())
-        rng = np.random.default_rng(5)
-        shift = rng.normal(0, 0.3, lo.shape)
-        refit_bvh(bvh, lo + shift, hi + shift)
-        bvh.validate()
-
-    def test_refit_boxes_contain_primitives(self):
-        lo, hi = _random_boxes(500, seed=6)
-        bvh = build_bvh(lo, hi, 48, BuildParams())
-        lo2, hi2 = _random_boxes(500, seed=7, extent=12.0)
-        refit_bvh(bvh, lo2, hi2)
-        root_lo, root_hi = bvh.root_box()
-        assert np.all(root_lo <= lo2.min(axis=0) + 1e-9)
-        assert np.all(root_hi >= hi2.max(axis=0) - 1e-9)
-
-    def test_refit_identity_is_noop(self):
-        lo, hi = _random_boxes(300, seed=8)
-        bvh = build_bvh(lo, hi, 48, BuildParams())
-        before_lo = bvh.child_lo.copy()
-        refit_bvh(bvh, lo, hi)
-        assert np.allclose(bvh.child_lo, before_lo)
-
-    def test_refit_rejects_wrong_count(self):
-        lo, hi = _random_boxes(100)
-        bvh = build_bvh(lo, hi, 48, BuildParams())
-        with pytest.raises(ValueError):
-            refit_bvh(bvh, lo[:50], hi[:50])
-
-    def test_drift_grows_with_motion(self):
-        lo, hi = _random_boxes(800, seed=9)
-        bvh_small = build_bvh(lo, hi, 48, BuildParams())
-        bvh_large = build_bvh(lo, hi, 48, BuildParams())
-        rng = np.random.default_rng(10)
-        small = rng.normal(0, 0.05, lo.shape)
-        large = rng.normal(0, 2.0, lo.shape)
-        refit_bvh(bvh_small, lo + small, hi + small)
-        refit_bvh(bvh_large, lo + large, hi + large)
-        rebuild_small = build_bvh(lo + small, hi + small, 48, BuildParams())
-        rebuild_large = build_bvh(lo + large, hi + large, 48, BuildParams())
-        drift_small = measure_drift(bvh_small, rebuild_small)
-        drift_large = measure_drift(bvh_large, rebuild_large)
-        assert drift_small.sah_ratio < drift_large.sah_ratio
-        assert not drift_small.should_rebuild
-        assert drift_large.should_rebuild
-
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=10, deadline=None)
-    def test_refit_containment_property(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(5, 60))
-        centers = rng.uniform(-3, 3, (n, 3))
-        half = rng.uniform(0.01, 0.5, (n, 1))
-        bvh = build_bvh(centers - half, centers + half, 48, BuildParams(width=4))
-        moved = centers + rng.normal(0, 1.0, centers.shape)
-        refit_bvh(bvh, moved - half, moved + half)
-        bvh.validate()  # parent-contains-child is part of validate()
 
 
 class TestQualityMetrics:

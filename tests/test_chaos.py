@@ -276,8 +276,8 @@ class TestServeChaos:
             assert not second.cancel() or second.future.cancelled()
             first.result(timeout=120)
             server.close()
-        assert server.metrics.timed_out == 1
-        assert server.metrics.rendered == 1
+        assert server.metrics.snapshot()["timed_out"] == 1
+        assert server.metrics.snapshot()["rendered"] == 1
 
     def test_circuit_breaker_unit_semantics(self):
         from repro.serve.server import _CircuitBreaker
@@ -324,7 +324,7 @@ class TestServeChaos:
         assert np.array_equal(degraded, expected)
         assert again.image.shape == (12, 16, 3)
         assert pooled_calls["n"] == 1
-        assert metrics.pool_fallbacks == 1
+        assert metrics.snapshot()["pool_fallbacks"] == 1
         assert gauges["gauge.circuit_open"] == 1
         reasons = {doctor.load_bundle(b)["reason"]
                    for b in flight_tmp.glob("incident-*.json")}

@@ -27,6 +27,11 @@ maps, and holds :func:`repro.hwsim.replay` (its compiled cache walk)
 equal to :func:`repro.hwsim.replay_reference` field for field at the
 shipped chunk budget and at 3 events.
 
+A third slice round-trips each single-BLAS structure through
+:func:`repro.bvh.save_structure`/:func:`repro.bvh.load_structure`: the
+loaded structure flattens to the same arrays, dtypes included, and both
+engines render it bit-identically to the original.
+
 The tier-1 profile is derandomized (the same examples on every run) and
 small, so it adds a few seconds to the suite.
 """
@@ -34,13 +39,21 @@ small, so it adds a few seconds to the suite.
 from __future__ import annotations
 
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bvh import build_monolithic, build_two_level
+from repro.bvh import (
+    build_monolithic,
+    build_two_level,
+    flatten,
+    load_structure,
+    save_structure,
+)
 from repro.bvh.two_level import build_two_level_hetero
 from repro.hwsim import DramTimings, GpuConfig, replay, replay_reference
 from repro.render import GaussianRayTracer, default_camera_for
@@ -200,6 +213,58 @@ def test_auto_records_every_family(family, checkpointing):
                                                        keep_traces=True)
     _assert_traces_equal(scalar.traces, auto.traces)
     assert auto.stats == scalar.stats
+
+
+def _assert_flat_equal(a, b, path="flat"):
+    """Two flattened layouts agree field for field: arrays by dtype and
+    value, nested dataclasses and tuples recursively."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b), path
+        for field in dataclasses.fields(a):
+            _assert_flat_equal(getattr(a, field.name),
+                               getattr(b, field.name),
+                               f"{path}.{field.name}")
+    elif isinstance(a, np.ndarray):
+        assert isinstance(b, np.ndarray) and a.dtype == b.dtype, path
+        assert np.array_equal(a, b), path
+    elif isinstance(a, tuple):
+        assert isinstance(b, tuple) and len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_flat_equal(x, y, f"{path}[{i}]")
+    else:
+        assert a == b, path
+
+
+@pytest.mark.parametrize("family", RECORDED)
+@TIER1
+@given(inputs())
+def test_serialize_round_trip_flattens_and_renders_identically(family, case):
+    cloud, config, seed = case
+    structure = FAMILIES[family](cloud)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "structure.npz"
+        save_structure(structure, path)
+        loaded = load_structure(path)
+        with pytest.raises(TypeError):
+            save_structure(FAMILIES["hetero"](cloud), Path(tmp) / "h.npz")
+    _assert_flat_equal(flatten(structure), flatten(loaded))
+
+    origins, directions, t_clip = _rays(cloud, 12, seed)
+    shading = SceneShading(cloud)
+
+    def scalar_image(s):
+        tracer = Tracer(s, shading, config)
+        return np.stack([
+            tracer.trace_ray(origins[i], directions[i],
+                             t_clip=float(t_clip[i])).color
+            for i in range(len(origins))])
+
+    def wavefront_image(s):
+        return WavefrontTracer(s, shading, config).trace_packet(
+            origins, directions, t_clip).colors
+
+    for image in (scalar_image, wavefront_image):
+        assert np.array_equal(image(structure), image(loaded))
 
 
 #: Bytes between two rows of one banked-DRAM bank.

@@ -18,7 +18,6 @@ from repro.math3d import (
     normalize,
     orthonormal_basis,
     quat_identity,
-    quat_multiply,
     quat_normalize,
     quat_random,
     quat_to_rotation_matrix,
@@ -118,15 +117,6 @@ class TestQuaternion:
         rng = np.random.default_rng(2)
         rots = quat_to_rotation_matrix(quat_random(32, rng))
         np.testing.assert_allclose(np.linalg.det(rots), 1.0, atol=1e-12)
-
-    def test_multiply_matches_matrix_product(self):
-        rng = np.random.default_rng(3)
-        qa, qb = quat_random(8, rng), quat_random(8, rng)
-        qc = quat_multiply(qa, qb)
-        ra = quat_to_rotation_matrix(qa)
-        rb = quat_to_rotation_matrix(qb)
-        rc = quat_to_rotation_matrix(qc)
-        np.testing.assert_allclose(rc, ra @ rb, atol=1e-10)
 
     def test_random_unit_norm(self):
         rng = np.random.default_rng(4)

@@ -1,21 +1,11 @@
-"""Tests for image metrics, PLY serialization, and density control."""
+"""Tests for image metrics and PLY serialization."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gaussians import GaussianCloud, load_ply, make_workload, save_ply
-from repro.gaussians.densify import (
-    ContributionStats,
-    DensifyParams,
-    clone,
-    collect_stats,
-    densify_round,
-    prune,
-    split,
-)
-from repro.render import default_camera_for
+from repro.gaussians import GaussianCloud, load_ply, save_ply
 from repro.render.metrics import frame_deltas, popping_score, ssim
 
 
@@ -149,84 +139,3 @@ class TestPly:
         save_ply(cloud, path)
         assert load_ply(path).name == "myscene"
 
-
-class TestDensityControl:
-    def test_prune_keeps_selected(self):
-        cloud = _tiny_cloud(n=20)
-        keep = np.zeros(20, dtype=bool)
-        keep[:5] = True
-        out = prune(cloud, keep)
-        assert len(out) == 5
-        assert np.allclose(out.means, cloud.means[:5])
-
-    def test_prune_refuses_to_empty_scene(self):
-        cloud = _tiny_cloud(n=4)
-        with pytest.raises(ValueError):
-            prune(cloud, np.zeros(4, dtype=bool))
-
-    def test_split_doubles_selected(self):
-        cloud = _tiny_cloud(n=10)
-        out = split(cloud, np.array([0, 1]))
-        assert len(out) == 12  # 8 kept + 2*2 halves
-
-    def test_split_halves_flank_original(self):
-        cloud = _tiny_cloud(n=3)
-        original_mean = cloud.means[1].copy()
-        out = split(cloud, np.array([1]))
-        halves = out.means[-2:]
-        midpoint = halves.mean(axis=0)
-        assert np.allclose(midpoint, original_mean, atol=1e-9)
-
-    def test_split_shrinks_scales(self):
-        cloud = _tiny_cloud(n=3)
-        out = split(cloud, np.array([0]), shrink=2.0)
-        assert np.allclose(out.scales[-1], cloud.scales[0] / 2.0)
-
-    def test_split_empty_selection_is_noop(self):
-        cloud = _tiny_cloud(n=5)
-        out = split(cloud, np.array([], dtype=np.int64))
-        assert out is cloud
-
-    def test_clone_duplicates(self):
-        cloud = _tiny_cloud(n=6)
-        out = clone(cloud, np.array([2]))
-        assert len(out) == 7
-        assert np.allclose(out.means[-1], cloud.means[2])
-
-    def test_contribution_stats_absorb(self):
-        stats = ContributionStats.empty(5)
-        stats.absorb([(0, 0.5, 1.0), (3, 0.2, 2.0), (0, 0.1, 3.0)])
-        stats.absorb(None)
-        assert stats.blend_count[0] == 2
-        assert stats.blend_count[3] == 1
-        assert stats.weight_sum[0] == pytest.approx(0.6)
-        assert stats.mean_weight[1] == 0.0
-
-    def test_densify_round_on_real_scene(self):
-        cloud = make_workload("room", scale=1 / 1500)
-        camera = default_camera_for(cloud, 8, 8)
-        stats = collect_stats(cloud, [camera])
-        outcome = densify_round(cloud, stats)
-        assert len(outcome.cloud) == len(cloud) + outcome.delta
-        assert outcome.pruned >= 0
-        # The result is a valid cloud: constructor invariants all hold.
-        assert outcome.cloud.scales.min() > 0.0
-
-    def test_densify_without_pruning_unseen(self):
-        cloud = _tiny_cloud(n=30, seed=5)
-        stats = ContributionStats.empty(30)
-        stats.blend_count[:10] = 5
-        stats.weight_sum[:10] = 2.0
-        outcome = densify_round(cloud, stats, DensifyParams(prune_unseen=False))
-        assert outcome.pruned == 0
-
-    def test_densify_rejects_mismatched_stats(self):
-        cloud = _tiny_cloud(n=10)
-        with pytest.raises(ValueError):
-            densify_round(cloud, ContributionStats.empty(5))
-
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            DensifyParams(opacity_floor=1.5)
-        with pytest.raises(ValueError):
-            DensifyParams(split_shrink=0.5)

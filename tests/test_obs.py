@@ -149,7 +149,7 @@ class TestRegistryConcurrency:
         assert registry.counter_value("x") == 1
 
 
-# -- ServerMetrics facade (ported + the shadowing regression) ------------
+# -- ServerMetrics (ported + the shadowing regression) -------------------
 
 class TestServerMetrics:
     def _metrics(self):
@@ -162,11 +162,10 @@ class TestServerMetrics:
         metrics.count("requests")
         metrics.count("requests")
         metrics.count("rendered")
-        assert metrics.requests == 2
-        assert metrics.rendered == 1
-        assert metrics.rejected == 0
         snapshot = metrics.snapshot()
         assert snapshot["requests"] == 2
+        assert snapshot["rendered"] == 1
+        assert snapshot["rejected"] == 0
         assert snapshot["frame_hit_rate"] == 0.0
 
     def test_unknown_attribute_raises(self):

@@ -185,17 +185,6 @@ class TestSceneRegistry:
             ref, "tlas+sphere").total_bytes == built.total_bytes
 
 
-class TestBenchWorkload:
-    def test_unique_configs_are_actually_unique(self):
-        from repro.serve.bench import _workload_requests
-
-        requests = _workload_requests("train", 8, SCALE,
-                                      ("tlas+sphere", "20-tri"),
-                                      unique=12, total=20)
-        keys = {req.frame_key("h") for req in requests}
-        assert len(keys) == 12
-
-
 class TestRenderServer:
     def test_repeat_request_hits_frame_cache(self):
         with RenderServer(workers=1) as server:
@@ -205,7 +194,7 @@ class TestRenderServer:
         assert not miss.frame_cache_hit and hit.frame_cache_hit
         assert np.array_equal(miss.image, hit.image)
         assert miss.scene_hash == hit.scene_hash
-        assert server.metrics.rendered == 1
+        assert server.metrics.snapshot()["rendered"] == 1
 
     def test_cached_image_is_isolated_from_callers(self):
         with RenderServer(workers=1) as server:
@@ -225,13 +214,13 @@ class TestRenderServer:
         assert not reseeded.frame_cache_hit
         assert not other_k.frame_cache_hit
         assert base.scene_hash != reseeded.scene_hash
-        assert server.metrics.rendered == 3
+        assert server.metrics.snapshot()["rendered"] == 3
 
     def test_batch_dedupes_duplicates(self):
         with RenderServer(workers=1) as server:
             a, b = _request(), _request(k=4)
             responses = server.render_batch([a, a, b, a, b])
-        assert server.metrics.rendered == 2
+        assert server.metrics.snapshot()["rendered"] == 2
         assert sum(r.frame_cache_hit for r in responses) == 3
         assert np.array_equal(responses[0].image, responses[1].image)
 
@@ -240,7 +229,7 @@ class TestRenderServer:
         with RenderServer(workers=1, frame_cache_size=1) as server:
             a, b = _request(), _request(k=4)
             responses = server.render_batch([a, b, a])
-        assert server.metrics.rendered == 2
+        assert server.metrics.snapshot()["rendered"] == 2
         assert responses[2].frame_cache_hit
         assert np.array_equal(responses[0].image, responses[2].image)
 
@@ -260,7 +249,7 @@ class TestRenderServer:
             for t in threads:
                 t.join()
 
-        assert server.metrics.rendered == 1
+        assert server.metrics.snapshot()["rendered"] == 1
         assert all(r is not None for r in responses)
         served_from_cache = sum(r.frame_cache_hit or r.coalesced for r in responses)
         assert served_from_cache == 3
@@ -368,7 +357,7 @@ class TestTracerReuseCache:
             server.render(_request(proxy="20-tri", width=8, height=8))
             server.render(_request(proxy="20-tri", width=6, height=6))
             assert len(server._tracers) == 1
-        assert server.metrics.rendered == 2
+        assert server.metrics.snapshot()["rendered"] == 2
 
     def test_distinct_scene_content_never_shares_a_tracer(self):
         """Different seeds generate different geometry; both images must
@@ -391,7 +380,7 @@ class TestTracerReuseCache:
             batched = server.render(_request(proxy="20-tri", mode="baseline",
                                              engine="wavefront"))
         assert not batched.frame_cache_hit
-        assert server.metrics.rendered == 2
+        assert server.metrics.snapshot()["rendered"] == 2
         assert np.abs(scalar.image - batched.image).max() <= 1e-9
 
     def test_rejects_unknown_engine(self):
