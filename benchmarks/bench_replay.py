@@ -4,8 +4,8 @@ Measures the paper campaign's measurement pipeline — fetch-trace
 production plus :func:`repro.hwsim.replay` — on the fig13/14 trace
 configurations (Baseline = monolithic 20-tri, GRTX-SW = tlas+20-tri),
 comparing the pre-refactor path (scalar tracer + the per-event
-:func:`repro.hwsim.replay_reference` loop) with the new one (the
-wavefront engine's trace recorder + batched replay).  Unlike the figure benchmarks in this
+``replay_reference`` loop of ``tests/replay_oracle.py``) with the new
+one (the wavefront engine's trace recorder + batched replay).  Unlike the figure benchmarks in this
 directory (which run under ``pytest --benchmark-only``), this is a
 plain script::
 
@@ -13,6 +13,12 @@ plain script::
 
 Four sections, written to ``benchmarks/results/BENCH_replay.json``:
 
+* **recording** — the wavefront recorded render's time next to the
+  scalar tracer's, and which round-walk ``kernel`` its
+  ``rt.wavefront.record`` span reports (the worst config's
+  scalar-vs-wavefront ratio is gated by ``--min-record-speedup``, and
+  ``--check`` fails unless every config recorded with the compiled
+  ``"c"`` walk);
 * **trace parity** — per-ray fetch multisets plus the replayed
   ``node_fetches`` / ``l1_hits`` / ``l2_accesses`` / ``cycles`` must be
   identical between engines (always fatal on mismatch, ``--check`` or
@@ -21,8 +27,8 @@ Four sections, written to ``benchmarks/results/BENCH_replay.json``:
   reference loop on the same traces, and which cache-walk ``kernel``
   the replay's ``hwsim.replay`` span reports (the worst config's
   speedup is gated by ``--min-replay-speedup``, default 3x, and
-  ``--check`` fails unless every config ran the compiled ``"c"`` walk
-  rather than the ``"reference"`` fallback);
+  ``--check`` fails unless every config ran the compiled ``"c"``
+  walk);
 * **end-to-end** — trace+replay wall-clock, old path vs new path, per
   config and total (gated by ``--min-e2e-speedup``, default 1.3x
   overall; the recorded ratios are the honest measurement — the
@@ -55,6 +61,9 @@ if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 if str(Path(__file__).resolve().parent) not in sys.path:
     sys.path.insert(0, str(Path(__file__).resolve().parent))
+# The per-event replay oracle lives with the tests.
+if str(_SRC.parent) not in sys.path:
+    sys.path.append(str(_SRC.parent))
 
 from bench_schema import write_bench_json
 
@@ -81,6 +90,9 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
                         help="replay timing repetitions (min is reported)")
     parser.add_argument("--min-replay-speedup", type=float, default=3.0,
                         help="batched-vs-reference replay bar for --check")
+    parser.add_argument("--min-record-speedup", type=float, default=None,
+                        help="worst-config scalar-vs-wavefront recording "
+                             "bar for --check (default: not gated)")
     parser.add_argument("--min-e2e-speedup", type=float, default=1.3,
                         help="overall trace+replay bar for --check")
     parser.add_argument("--max-replay-mb", type=float, default=None,
@@ -123,27 +135,27 @@ def _mb(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.0f}"
 
 
-def _replay_kernel(traces, gpu) -> str | None:
-    """The ``kernel`` the ``hwsim.replay`` span of one replay reports."""
-    from repro.hwsim import replay
+def _span_kernel(name: str, fn):
+    """``fn()`` plus the ``kernel`` its first ``name`` span reports."""
     from repro.obs.tracing import BufferTraceSink, current_sink, install_sink
 
     previous = current_sink()
     sink = BufferTraceSink()
     install_sink(sink)
     try:
-        replay(traces, gpu)
+        out = fn()
     finally:
         install_sink(previous)
-    return next((event["args"].get("kernel") for event in sink.drain()
-                 if event["name"] == "hwsim.replay"), None)
+    return out, next((event["args"].get("kernel") for event in sink.drain()
+                      if event["name"] == name), None)
 
 
 def run_config(cloud, structure, camera, k: int, reps: int) -> dict:
     """Measure one configuration end to end on both pipelines."""
-    from repro.hwsim import GpuConfig, replay, replay_reference
+    from repro.hwsim import GpuConfig, replay
     from repro.render import GaussianRayTracer
     from repro.rt import TraceConfig
+    from tests.replay_oracle import replay_reference
 
     config = TraceConfig(k=k)
     gpu = GpuConfig.rtx_like()
@@ -156,9 +168,11 @@ def run_config(cloud, structure, camera, k: int, reps: int) -> dict:
 
     rss_before = _reset_peak_rss()
     t0 = time.perf_counter()
-    batched = GaussianRayTracer(cloud, structure, config,
-                                engine="wavefront").render(
-        camera, keep_traces=True)
+    batched, record_kernel = _span_kernel(
+        "rt.wavefront.record",
+        lambda: GaussianRayTracer(cloud, structure, config,
+                                  engine="wavefront").render(
+            camera, keep_traces=True))
     t_batched_trace = time.perf_counter() - t0
     record_rss_growth = (None if rss_before is None
                          else _status_mb("VmHWM") - rss_before)
@@ -187,7 +201,8 @@ def run_config(cloud, structure, camera, k: int, reps: int) -> dict:
             rss_growths.append(_status_mb("VmHWM") - rss_before)
     t_ref_replay = min(ref_times)
     t_new_replay = min(new_times)
-    kernel = _replay_kernel(batched.traces, gpu)
+    _, kernel = _span_kernel("hwsim.replay",
+                             lambda: replay(batched.traces, gpu))
 
     parity = {
         "multisets": _trace_multisets(scalar.traces)
@@ -212,6 +227,7 @@ def run_config(cloud, structure, camera, k: int, reps: int) -> dict:
         "replay_speedup": t_ref_replay / t_new_replay,
         "replay_events_per_s": n_events / t_new_replay,
         "kernel": kernel,
+        "record_kernel": record_kernel,
         "old_total_s": old_total,
         "new_total_s": new_total,
         "e2e_speedup": old_total / new_total,
@@ -241,6 +257,7 @@ def main(argv: list[str] | None = None) -> int:
             name,
             f"{m['n_events']}",
             f"{m['trace_speedup']:.2f}x",
+            str(m["record_kernel"]),
             f"{m['record_overhead']:.1f}x",
             f"{m['replay_speedup']:.2f}x",
             f"{m['replay_events_per_s']:,.0f}",
@@ -257,14 +274,16 @@ def main(argv: list[str] | None = None) -> int:
     # Every config replays through the same compiled walk, so the
     # replay bar applies to the worst one.
     replay_speedup = min(m["replay_speedup"] for m in measurements.values())
-    rows.append(["TOTAL", "", "", "", "", "", "", f"{total_e2e:.2f}x", "",
-                 "", ""])
+    record_speedup = min(m["trace_speedup"] for m in measurements.values())
+    rows.append(["TOTAL", "", "", "", "", "", "", "", f"{total_e2e:.2f}x",
+                 "", "", ""])
 
     report = format_table(
         f"trace+replay pipeline: {args.scene} {args.size}x{args.size} "
         f"k={args.k} ({len(cloud)} gaussians)",
-        ["config", "events", "trace speedup", "record cost",
-         "replay speedup", "replay ev/s", "kernel", "e2e speedup",
+        ["config", "events", "trace speedup", "record kernel",
+         "record cost",
+         "replay speedup", "replay ev/s", "replay kernel", "e2e speedup",
          "record MB",
          "replay MB", "parity"],
         rows,
@@ -279,6 +298,7 @@ def main(argv: list[str] | None = None) -> int:
         config={"scene": args.scene, "size": args.size,
                 "scale": args.scale, "k": args.k,
                 "replay_reps": args.replay_reps,
+                "min_record_speedup": args.min_record_speedup,
                 "max_replay_mb": args.max_replay_mb,
                 "max_record_mb": args.max_record_mb,
                 "n_gaussians": len(cloud)},
@@ -297,11 +317,18 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(
                 f"worst-config replay speedup {replay_speedup:.2f}x below "
                 f"{args.min_replay_speedup}x")
+        if (args.min_record_speedup is not None
+                and record_speedup < args.min_record_speedup):
+            failures.append(
+                f"worst-config record speedup {record_speedup:.2f}x below "
+                f"{args.min_record_speedup}x")
         for name, m in measurements.items():
-            if m["kernel"] != "c":
-                failures.append(
-                    f"{name}: replay ran the {m['kernel']!r} kernel, not "
-                    "the compiled 'c' walk")
+            for stage, key in (("replay", "kernel"),
+                               ("recording", "record_kernel")):
+                if m[key] != "c":
+                    failures.append(
+                        f"{name}: {stage} ran the {m[key]!r} kernel, not "
+                        "the compiled 'c' walk")
         if total_e2e < args.min_e2e_speedup:
             failures.append(
                 f"end-to-end speedup {total_e2e:.2f}x below "

@@ -8,16 +8,14 @@ the exact quantities the paper's evaluation plots.
 """
 
 from repro.hwsim.config import GpuConfig
-from repro.hwsim.cache import CacheStats, SetAssociativeCache
 from repro.hwsim.dram import DramModel, DramStats, DramTimings
 from repro.hwsim.energy import EnergyParams, EnergyReport, estimate_energy
-from repro.hwsim.replay import TimingReport, raster_cycles, replay, replay_reference
+from repro.hwsim.replay import TimingReport, raster_cycles, replay
 from repro.hwsim.rtunit import CheckpointHardware, checkpoint_hardware_cost
 from repro.hwsim.treelet import build_treelet_map
 from repro.hwsim.warp import WarpDivergenceReport, analyze_divergence
 
 __all__ = [
-    "CacheStats",
     "CheckpointHardware",
     "DramModel",
     "DramStats",
@@ -25,7 +23,6 @@ __all__ = [
     "EnergyParams",
     "EnergyReport",
     "GpuConfig",
-    "SetAssociativeCache",
     "TimingReport",
     "WarpDivergenceReport",
     "analyze_divergence",
@@ -34,5 +31,4 @@ __all__ = [
     "estimate_energy",
     "raster_cycles",
     "replay",
-    "replay_reference",
 ]

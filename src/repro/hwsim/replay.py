@@ -32,17 +32,15 @@ follows the chunk, not the frame. The round-robin interleave order,
 per-event line spans and RT-unit compute costs are derived with numpy.
 The inherently sequential part, the MSHR-like merge window and the LRU
 tag walk (whose state feeds back into what the next event sees), is one
-exact C kernel (``lru_walk.c``, built and loaded by
-:mod:`repro.hwsim.lru_kernel`). It returns each event's merged flag and
-integer latency plus the DRAM accesses in processing order; Python runs
-the banked DRAM model over those and sums the per-segment stalls. Merge
-windows and per-segment sums reset at segment boundaries; only the
-caches, the DRAM model and the demand footprint cross a chunk edge. The
-original one-event-at-a-time implementation is kept verbatim as
-:func:`replay_reference`: it is the semantic golden model the test suite
-holds :func:`replay` bit-compatible with, the fallback when no C
-compiler is available, and the baseline ``benchmarks/bench_replay.py``
-measures the speedup against.
+exact C kernel (``lru_walk.c``, built and loaded by :mod:`repro.native`;
+without a C compiler replay raises
+:class:`~repro.native.NativeUnavailable`). It returns each event's
+merged flag and integer latency plus the DRAM accesses in processing
+order; Python runs the banked DRAM model over those and sums the
+per-segment stalls. Merge windows and per-segment sums reset at segment
+boundaries; only the caches, the DRAM model and the demand footprint
+cross a chunk edge. The original one-event-at-a-time implementation is
+the test suite's oracle (``tests/replay_oracle.py``).
 """
 
 from __future__ import annotations
@@ -54,11 +52,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.hwsim import lru_kernel
-from repro.hwsim.cache import SetAssociativeCache
 from repro.hwsim.config import GpuConfig
 from repro.hwsim.dram import DramModel
-from repro.hwsim.lru_kernel import ptr as _ptr
+from repro.native import kernel, ptr as _ptr
 from repro.obs import PhaseAccumulator, emit_span
 from repro.render.raster import RasterResult
 from repro.rt.recorder import (
@@ -110,18 +106,6 @@ class TimingReport:
         return self.l1_hits / self.l1_accesses if self.l1_accesses else 0.0
 
 
-class _WarpRoundCost:
-    """Accumulates the cost of one (warp, round)."""
-
-    __slots__ = ("mem", "issue", "ray_compute", "shader")
-
-    def __init__(self, n_rays: int) -> None:
-        self.mem = 0.0
-        self.issue = 0.0
-        self.ray_compute = [0.0] * n_rays
-        self.shader = 0.0
-
-
 def _group_warps(traces: list[RayTrace], warp_size: int) -> list[list[RayTrace]]:
     """Chunk rays into warps, keeping primary and secondary rays apart
     (secondary rays are spawned as separate warps, and Figure 23 needs
@@ -132,19 +116,6 @@ def _group_warps(traces: list[RayTrace], warp_size: int) -> list[list[RayTrace]]
         for i in range(0, len(rays), warp_size):
             warps.append(rays[i : i + warp_size])
     return warps
-
-
-def _replay_setup(traces, config):
-    """The reference's warps, caches, DRAM model and SM assignment."""
-    warps = _group_warps(traces, config.warp_size)
-    l1s = [
-        SetAssociativeCache(config.l1_bytes, config.l1_line_bytes, config.l1_ways, f"l1-{i}")
-        for i in range(config.n_sms)
-    ]
-    l2 = SetAssociativeCache(config.l2_bytes, config.l2_line_bytes, config.l2_ways, "l2")
-    dram = DramModel() if config.dram_model == "banked" else None
-    sm_of_warp = [w % config.n_sms for w in range(len(warps))]
-    return warps, l1s, l2, dram, sm_of_warp
 
 
 def _expand_spans(first: np.ndarray, spans: np.ndarray) -> np.ndarray:
@@ -181,6 +152,37 @@ def _chunk_bounds(seg_events: list[int]) -> list[tuple[int, int]]:
     return bounds
 
 
+_I64P = ctypes.POINTER(ctypes.c_int64)
+
+
+class Lru(ctypes.Structure):
+    """``lru_t``: one cache level's LRU sets, each in recency order."""
+
+    _fields_ = [("tag", _I64P), ("fill", _I64P),
+                ("sets", ctypes.c_int64), ("ways", ctypes.c_int64)]
+
+
+class Walk(ctypes.Structure):
+    """``walk_t``: carried cache state, counters and one chunk's arrays."""
+
+    _fields_ = (
+        [("l1", Lru), ("l2", Lru)]
+        + [(name, ctypes.c_int64) for name in (
+            "l1_accesses", "l1_hits", "l2_accesses",
+            "dram_accesses", "prefetches", "line_bytes", "l1_lat", "l2_lat",
+            "dram_lat", "merge_cap", "prefetch", "n_roots")]
+        + [(name, _I64P) for name in (
+            "root", "root_off", "tl_first", "tl_last")]
+        + [("n_events", ctypes.c_int64)]
+        + [(name, _I64P) for name in (
+            "seg", "seg_sm", "addr", "first", "last", "npf", "pf_start",
+            "pf_addr", "pf_nbytes", "window")]
+        + [("merged", ctypes.POINTER(ctypes.c_uint8))]
+        + [(name, _I64P) for name in ("lat", "dram_line", "dram_ev")]
+        + [("n_dram", ctypes.c_int64)]
+    )
+
+
 def _lap(profile: PhaseAccumulator, phase: str, mark: float) -> float:
     """Charge the time since ``mark`` to ``phase``; returns the new mark."""
     now = time.perf_counter()
@@ -191,7 +193,7 @@ def _lap(profile: PhaseAccumulator, phase: str, mark: float) -> float:
 class _CacheState:
     """Cache, DRAM and footprint state carried from one chunk to the next.
 
-    The compiled walk's record (:class:`lru_kernel.Walk`) points into the
+    The compiled walk's record (:class:`Walk`) points into the
     cache tag arrays held here and keeps the cache counters; the banked
     :class:`DramModel` and the sorted demand footprint stay in Python.
     """
@@ -203,7 +205,7 @@ class _CacheState:
         self.footprint = np.empty(0, dtype=np.int64)
         self.l2_line_bytes = config.l2_line_bytes
         self.l2_latency = config.l2_latency
-        walk = self.walk = lru_kernel.Walk()
+        walk = self.walk = Walk()
         self._arrays = []
         # One set array per SM for the L1s, one for the shared L2.
         for lru, copies, size, line, ways in (
@@ -302,12 +304,13 @@ def replay(
 ) -> TimingReport:
     """Replay recorded traces through the timing model (batched).
 
-    Semantically identical to :func:`replay_reference` — the test suite
-    pins the two together on real renders and generated traces — but the
-    (round, warp) segments are streamed in chunks of whole segments, each
-    decoded, interleaved and costed as numpy batches, with the merge
-    window and cache tag walk in the compiled kernel. Without a C
-    compiler this returns :func:`replay_reference`'s report.
+    Semantically identical to the per-event oracle
+    (``tests/replay_oracle.py``) — the test suite pins the two together
+    on real renders and generated traces — but the (round, warp)
+    segments are streamed in chunks of whole segments, each decoded,
+    interleaved and costed as numpy batches, with the merge window and
+    cache tag walk in the compiled kernel. Raises
+    :class:`~repro.native.NativeUnavailable` without a C compiler.
 
     ``treelet_map`` (from :func:`repro.hwsim.treelet.build_treelet_map`)
     enables treelet prefetching: on a demand miss whose address roots a
@@ -317,8 +320,7 @@ def replay(
     config = config or GpuConfig()
     kbuf_cycles = _kbuffer_cycles(config, kbuffer_layout)
     report = TimingReport()
-    # Same geometry validation the reference performs by constructing
-    # its caches.
+    # Each cache level must split into whole sets.
     for size, line, ways in ((config.l1_bytes, config.l1_line_bytes,
                               config.l1_ways),
                              (config.l2_bytes, config.l2_line_bytes,
@@ -329,12 +331,7 @@ def replay(
         return report
 
     started_ns = time.time_ns()
-    walk_fn = lru_kernel.load()
-    if walk_fn is None:
-        report = replay_reference(traces, config, kbuffer_layout, treelet_map)
-        emit_span("hwsim.replay", started_ns, time.time_ns(),
-                  traces=len(traces), kernel="reference")
-        return report
+    walk_fn = kernel("repro.hwsim", "lru_walk.c", Walk)
 
     # Per-phase wall time, accumulated over the chunks and flushed into
     # the replay.phase.* histograms once: decode (trace decode + global
@@ -565,176 +562,6 @@ def _replay_chunk(state: _CacheState, report: TimingReport,
                           minlength=n_seg).tolist()
     _lap(profile, "tagwalk", mark)
     return seg_mem, seg_fetch, seg_merged, seg_compute, seg_shader
-
-
-def replay_reference(
-    traces: list[RayTrace],
-    config: GpuConfig | None = None,
-    kbuffer_layout: str = "soa",
-    treelet_map: dict[int, list[tuple[int, int]]] | None = None,
-) -> TimingReport:
-    """The original per-event replay loop, kept as the golden model.
-
-    :func:`replay` must produce the same :class:`TimingReport` (the test
-    suite compares them field by field on real renders); this version is
-    the readable specification and the baseline the replay benchmark
-    measures the batched implementation against.
-    """
-    config = config or GpuConfig()
-    kbuf_cycles = _kbuffer_cycles(config, kbuffer_layout)
-    report = TimingReport()
-    if not traces:
-        return report
-
-    warps, l1s, l2, dram, sm_of_warp = _replay_setup(traces, config)
-    n_sms = config.n_sms
-    sm_cycles = [0.0] * n_sms
-    label_cycles: dict[str, float] = {"primary": 0.0, "secondary": 0.0}
-    overlap = float(config.warp_buffer_size)
-
-    max_rounds = max((t.n_rounds for t in traces), default=0)
-    report.rounds_total = sum(t.n_rounds for t in traces)
-    touched_lines: set[int] = set()
-
-    for round_index in range(max_rounds):
-        for warp_index, warp in enumerate(warps):
-            sm = sm_of_warp[warp_index]
-            l1 = l1s[sm]
-            rays = [t for t in warp if round_index < t.n_rounds]
-            if not rays:
-                continue
-            cost = _WarpRoundCost(len(rays))
-            # Bounded LRU merge window (MSHR-like request coalescing).
-            merge_window: dict[int, None] = {}
-            merge_cap = config.merge_window_size
-
-            iters = [ray.rounds[round_index].iter_events() for ray in rays]
-            active = list(range(len(rays)))
-            while active:
-                still_active = []
-                for ray_slot in active:
-                    event = next(iters[ray_slot], None)
-                    if event is None:
-                        continue
-                    still_active.append(ray_slot)
-                    addr, nbytes, _kind, box, prim, prim_kind, prefetch = event
-
-                    # -- memory ------------------------------------------
-                    if addr in merge_window:
-                        # Refresh recency: repeated hot nodes (shared BLAS)
-                        # keep merging for as long as they stay in flight.
-                        del merge_window[addr]
-                        merge_window[addr] = None
-                        report.merged_requests += 1
-                        cost.issue += config.merged_issue_cycles
-                    else:
-                        merge_window[addr] = None
-                        if len(merge_window) > merge_cap:
-                            del merge_window[next(iter(merge_window))]
-                        report.node_fetches += 1
-                        cost.issue += config.issue_cycles + config.shader_issued_fetch_cycles
-                        latency = 0
-                        for line in l1.lines_of(addr, nbytes):
-                            touched_lines.add(line)
-                            report.l1_accesses += 1
-                            if l1.access(line):
-                                report.l1_hits += 1
-                                latency = max(latency, config.l1_latency)
-                            else:
-                                report.l2_accesses += 1
-                                if l2.access(line):
-                                    latency = max(latency, config.l2_latency)
-                                else:
-                                    report.dram_accesses += 1
-                                    if dram is not None:
-                                        dram_lat = dram.access(line * config.l2_line_bytes)
-                                        latency = max(latency, config.l2_latency + dram_lat)
-                                    else:
-                                        latency = max(latency, config.dram_latency)
-                        report.fetch_latency_sum += latency
-                        cost.mem += latency / overlap
-
-                        if treelet_map is not None and latency > config.l1_latency:
-                            # Treelet prefetch triggers on demand misses of
-                            # treelet roots; lines fill the L1 off the
-                            # critical path.
-                            for pf_addr, pf_bytes in treelet_map.get(addr, ()):
-                                for line in l1.lines_of(pf_addr, pf_bytes):
-                                    if l1.contains(line):
-                                        continue
-                                    report.prefetches += 1
-                                    report.l2_accesses += 1
-                                    if not l2.access(line):
-                                        report.dram_accesses += 1
-                                        if dram is not None:
-                                            dram.access(line * config.l2_line_bytes)
-                                    l1.fill(line)
-
-                    if config.prefetch_enabled and prefetch:
-                        for pf_addr, pf_bytes in prefetch:
-                            if pf_addr in merge_window:
-                                continue
-                            for line in l1.lines_of(pf_addr, pf_bytes):
-                                if l1.contains(line):
-                                    continue
-                                report.prefetches += 1
-                                report.l2_accesses += 1
-                                if not l2.access(line):
-                                    report.dram_accesses += 1
-                                l1.fill(line)
-
-                    # -- compute -----------------------------------------
-                    rt_compute = 0.0
-                    if box:
-                        rt_compute += config.box_test_cycles
-                    if prim:
-                        if prim_kind == PRIM_TRI:
-                            rt_compute += prim / config.tri_tests_per_cycle
-                        elif prim_kind == PRIM_SPHERE:
-                            rt_compute += prim * config.sphere_test_cycles
-                        elif prim_kind == PRIM_TRANSFORM:
-                            rt_compute += prim * config.transform_cycles
-                        elif prim_kind == PRIM_CUSTOM:
-                            cost.shader += prim * config.custom_test_cycles
-                    cost.ray_compute[ray_slot] += rt_compute
-                active = still_active
-
-            # Shader work recorded per round (any-hit sorting + blending).
-            sorting = 0.0
-            blending = 0.0
-            for ray in rays:
-                rt_round = ray.rounds[round_index]
-                sorting += (
-                    rt_round.anyhit_calls * config.anyhit_base_cycles
-                    + rt_round.kbuffer_ops * kbuf_cycles
-                )
-                blending += rt_round.blended * config.blend_cycles
-
-            traversal = (
-                cost.mem
-                + cost.issue
-                + max(cost.ray_compute)
-                + cost.shader / config.shader_parallelism
-                + config.round_overhead_cycles / overlap
-            )
-            sorting /= config.shader_parallelism
-            blending /= config.shader_parallelism
-            warp_cycles = traversal + sorting + blending
-
-            sm_cycles[sm] += warp_cycles
-            label_cycles[warp[0].label] += warp_cycles
-            report.traversal_cycles += traversal
-            report.sorting_cycles += sorting
-            report.blending_cycles += blending
-
-    report.footprint_bytes = len(touched_lines) * config.l1_line_bytes
-    if dram is not None:
-        report.dram_row_hit_rate = dram.stats.row_hit_rate
-    report.sm_cycles = sm_cycles
-    report.cycles = max(sm_cycles)
-    report.time_ms = config.cycles_to_ms(report.cycles)
-    report.label_cycles = label_cycles
-    return report
 
 
 def raster_cycles(result: RasterResult, config: GpuConfig | None = None) -> float:

@@ -28,22 +28,27 @@ stage then runs on exactly the candidate sets a plain ``trace_packet``
 would build, so the recorded render's
 :class:`~repro.rt.kernels.PacketResult` matches the plain path.
 
-**Phase B — per-ray control-flow replay.**  Each tracing round is a
-linear walk of the ray's template — two comparisons per entry
-(``tf < t_min`` / ``tn > t_max``) with subtree skipping — that replays
-the scalar tracer's exact algorithm: interval bounds, k-buffer
-semantics, shrinking ``t_max``, frontier carry-over and blend
-termination.  With GRTX-HW checkpointing a checkpoint is a template
-index plus its stored ``t`` (an instance checkpoint carries the
-Gaussian and its TLAS leaf address instead); checkpoints are written in
-the scalar's order, and the next round resumes them nearest first over
-their subtree ``[i, skip[i])``, prefilled from the scalar's
-:class:`~repro.rt.kbuffer.EvictionBuffer`.  The emitted
-:class:`~repro.rt.recorder.RayTrace` streams are event-for-event what
-the scalar recorder produces — same addresses, sizes, kinds, test
-counts, prefetch lists, per-round counters, checkpoint/eviction counts
-and high-water marks, and round structure — so :func:`repro.hwsim.replay`
-accepts either engine's traces interchangeably.
+**Phase B — the compiled round walk.**  Each tracing round is a linear
+walk of the ray's template — two comparisons per entry (``tf < t_min``
+/ ``tn > t_max``) with subtree skipping — that replays the scalar
+tracer's exact algorithm: interval bounds, k-buffer semantics,
+shrinking ``t_max``, frontier carry-over and blend termination.  One C
+kernel (``round_walk.c``, loaded by :mod:`repro.native`) walks a
+chunk's rays over the template CSR columns, reading the per-structure
+fetch records and the ``(ray, gid)``-sorted any-hit and instance
+tables, and writes each round's fixed-width records, prefetch pairs and
+counters to int64 arrays that Python slices into
+:class:`~repro.rt.recorder.RayTrace` objects.  With GRTX-HW
+checkpointing a checkpoint is a template index plus its stored ``t``
+(an instance checkpoint carries the Gaussian and its TLAS leaf address
+instead); checkpoints are written in the scalar's order, and the next
+round resumes them nearest first over their subtree ``[i, skip[i])``,
+prefilled by the scalar's :class:`~repro.rt.kbuffer.EvictionBuffer`
+rules.  The emitted streams are event-for-event what the scalar
+recorder produces — same addresses, sizes, kinds, test counts, prefetch
+lists, per-round counters, checkpoint/eviction counts and high-water
+marks, and round structure — so :func:`repro.hwsim.replay` accepts
+either engine's traces interchangeably.
 
 Equivalence argument: a round's DFS visits a node iff every ancestor
 accepted it under the round's ``(t_min, t_max, t_clip)`` interval, and
@@ -65,8 +70,9 @@ on the scalar tracer.
 
 from __future__ import annotations
 
+import ctypes
 import weakref
-from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,8 +84,8 @@ from repro.bvh.layout import (
     internal_node_bytes,
 )
 from repro.bvh.node import KIND_EMPTY, KIND_INTERNAL, KIND_LEAF
+from repro.native import kernel
 from repro.obs import span
-from repro.rt.kbuffer import EvictionBuffer, KBuffer, KBufferEntry
 from repro.rt.kernels import (
     PacketResult,
     box_slab,
@@ -102,8 +108,6 @@ from repro.rt.recorder import (
 from repro.rt.shading import ALPHA_MAX, ALPHA_MIN
 
 _INF = float("inf")
-
-_get0 = itemgetter(0)
 
 
 def recordable(flat) -> bool:
@@ -129,10 +133,15 @@ def _leaf_columns(level, l_rays, l_refs):
 #: and took 5.1-5.9 s at every chunk up to 128 (6.8 s at 1,024).
 _MAX_RECORD_PACKET = 32
 
-# Template entry kinds.  ``tn``/``tf`` of an entry are the ray's slab
-# result at the entry's parent (the per-round residual tests), ``ref``
-# indexes the structure's static tables (pre-baked fetch records, leaf
-# slots, primitive slices).
+#: Starting event and prefetch capacities of a recording's walk arrays,
+#: in int64 words; a chunk that outgrows them is walked again at its
+#: exact size, and later chunks start there.
+_WALK_WORDS = (1 << 16, 1 << 14)
+
+# Template entry kinds (``round_walk.c`` has the same codes).  ``tn``/``tf``
+# of an entry are the ray's slab result at the entry's parent (the
+# per-round residual tests), ``ref`` indexes the structure's static
+# tables (pre-baked fetch records, leaf slots, primitive slices).
 _T_NODE = 0         # internal node without leaf children
 _T_NODE_PF = 1      # internal node with (prefetchable) leaf children
 _T_TRI_LEAF = 2     # monolithic triangle-proxy leaf
@@ -140,18 +149,72 @@ _T_CUSTOM_LEAF = 3  # monolithic custom-primitive leaf
 _T_TLAS_LEAF = 4    # TLAS instance leaf
 _T_BLAS_LEAF = 5    # shared mesh-BLAS leaf
 
-# Checkpoint tags: ``(t, _CK_TEMPLATE, index)`` resumes a root-level
-# template subtree; ``(t, _CK_INSTANCE, gid, inst_addr)`` re-fetches an
-# instance and re-runs it; ``(t, _CK_BLAS, gid, inst_addr, index)``
-# re-fetches an instance and resumes inside its BLAS template.
-_CK_TEMPLATE = 0
-_CK_INSTANCE = 1
-_CK_BLAS = 2
-
-_INSTANCE_REC = (INSTANCE_BYTES, FETCH_LEAF, 0, 1, PRIM_TRANSFORM, 0)
+_F64P = ctypes.POINTER(ctypes.c_double)
+_I64P = ctypes.POINTER(ctypes.c_int64)
+_I8P = ctypes.POINTER(ctypes.c_int8)
+_DTYPES = {_F64P: np.float64, _I64P: np.int64, _I8P: np.int8}
 
 
-class Templates:
+class _Walk(ctypes.Structure):
+    """``walk_t`` of ``round_walk.c``: one chunk's tables and outputs."""
+
+    _fields_ = (
+        [(name, ctypes.c_int64) for name in (
+            "k", "max_rounds", "hw", "single", "sphere", "leaf_header",
+            "inst_bytes", "n_rays", "ev_cap", "pf_cap", "n_ev", "n_pf",
+            "n_rounds")]
+        + [("transmittance_min", ctypes.c_double)]
+        + [(name, _I64P) for name in (
+            "node_rec", "leaf_rec", "bnode_rec", "bleaf_rec", "sphere_rec",
+            "inst_rec", "leaf_addr", "leaf_bytes", "leaf_start",
+            "leaf_count", "gids", "ptr", "ref", "skip", "kptr", "kids",
+            "hptr", "hit_g")]
+        + [(name, _F64P) for name in ("tn", "tf", "cmax", "hit_t", "t_clip")]
+        + [("kind", _I8P)]
+        + [(name, _I64P) for name in ("bref", "bskip", "bkptr", "bkids")]
+        + [(name, _F64P) for name in ("btn", "btf", "bcmax", "bbest")]
+        + [("bkind", _I8P)]
+        + [(name, _I64P) for name in (
+            "eptr", "egid", "iptr", "igid", "iroot")]
+        + [(name, _F64P) for name in ("et", "ealpha", "itn", "itf")]
+        + [("evalid", _I8P)]
+        + [(name, _I64P) for name in (
+            "events", "pf", "rounds", "rays", "pre")]
+        + [("seen", _I8P)]
+    )
+
+
+_FIELD_TYPES = dict(_Walk._fields_)
+
+
+def _bind(walk: _Walk, arrays: dict, keep: list) -> None:
+    """Point ``walk``'s array fields at ``arrays`` (converted to the
+    field's dtype, C-contiguous); ``keep`` holds them for the call."""
+    for name, arr in arrays.items():
+        ctype = _FIELD_TYPES[name]
+        arr = np.ascontiguousarray(arr, dtype=_DTYPES[ctype])
+        keep.append(arr)
+        setattr(walk, name, arr.ctypes.data_as(ctype))
+
+
+def _ray_table(n: int, rays, gids, prefix: str, **cols) -> dict:
+    """Columns keyed by ``(ray, gid)`` as the walk's sorted table:
+    ``<prefix>ptr`` bounds each ray's rows, ``<prefix>gid`` ascends
+    within them, and each column ``c`` is ``<prefix>c``."""
+    order = np.lexsort((gids, rays))
+    out = {prefix + "ptr": np.searchsorted(rays[order], np.arange(n + 1)),
+           prefix + "gid": gids[order]}
+    out.update((prefix + name, col[order]) for name, col in cols.items())
+    return out
+
+
+def _template_arrays(tpl: "Templates", prefix: str = "") -> dict:
+    """A template set's per-entry columns, names prefixed as in
+    ``walk_t``."""
+    return {prefix + name: getattr(tpl, name) for name in tpl._fields[1:]}
+
+
+class Templates(NamedTuple):
     """Round templates of a bundle of traversal roots, as CSR columns.
 
     Root ``r``'s template is ``[ptr[r], ptr[r + 1])`` of the entry
@@ -161,32 +224,15 @@ class Templates:
     the parent follow slot order); ``cmax`` is the largest child ``tn``.
     """
 
-    __slots__ = ("ptr", "kind", "tn", "tf", "ref", "skip", "kptr", "kids",
-                 "cmax")
-
-    def __init__(self, ptr, kind, tn, tf, ref, skip, kptr, kids, cmax):
-        self.ptr = ptr
-        self.kind = kind
-        self.tn = tn
-        self.tf = tf
-        self.ref = ref
-        self.skip = skip
-        self.kptr = kptr
-        self.kids = kids
-        self.cmax = cmax
-
-    def lists(self, a: int, b: int, *extra) -> tuple:
-        """Entries ``[a, b)`` (whole templates) as plain lists indexed
-        from 0: ``(kind, tn, tf, ref, skip, kptr, kids, cmax)``, then
-        the same slice of each per-entry column in ``extra``."""
-        k0, k1 = int(self.kptr[a]), int(self.kptr[b])
-        return (self.kind[a:b].tolist(), self.tn[a:b].tolist(),
-                self.tf[a:b].tolist(), self.ref[a:b].tolist(),
-                (self.skip[a:b] - a).tolist(),
-                (self.kptr[a:b + 1] - k0).tolist(),
-                (self.kids[k0:k1] - a).tolist(),
-                self.cmax[a:b].tolist(),
-                *(col[a:b].tolist() for col in extra))
+    ptr: np.ndarray
+    kind: np.ndarray
+    tn: np.ndarray
+    tf: np.ndarray
+    ref: np.ndarray
+    skip: np.ndarray
+    kptr: np.ndarray
+    kids: np.ndarray
+    cmax: np.ndarray
 
 
 def build_templates(level, root_tn, log, node_code, leaf_code) -> Templates:
@@ -342,10 +388,6 @@ class PacketTraceRecorder:
         if self.two_level:
             self._blas = tracer.flat.blas[0]
             self._sphere_blas = self._blas.kind == BLAS_SPHERE
-            if self._sphere_blas:
-                sphere_bytes = LEAF_HEADER_BYTES + 24 + SPHERE_PRIM_BYTES
-                self._sphere_rec = (self._blas.root_address, sphere_bytes,
-                                    FETCH_LEAF, 1, 1, PRIM_SPHERE, 0)
             self._leaf_code = _T_TLAS_LEAF
         else:
             self._blas = None
@@ -358,10 +400,36 @@ class PacketTraceRecorder:
             _T_NODE_PF, _T_NODE).astype(np.int8)
         self._static = None
 
-    def static_recs(self) -> "_StaticRecs":
-        """The (lazily built) per-structure walk constants."""
+    def static_recs(self) -> dict:
+        """The (lazily built) per-structure walk constants, read from the
+        flattened arrays: fixed-width fetch records, leaf prefetch pairs
+        and leaf primitive slices, shared by every ray."""
         if self._static is None:
-            self._static = _StaticRecs(self)
+            flat = self.flat
+            bvh = flat.root
+            prim_kind = (PRIM_TRANSFORM if self.two_level else PRIM_TRI
+                         if self.prims == PRIMS_TRIANGLES else PRIM_CUSTOM)
+            recs = {
+                "node_rec": _node_recs(bvh),
+                "leaf_rec": _leaf_recs(bvh, prim_kind),
+                "inst_rec": _recs(0, INSTANCE_BYTES, FETCH_LEAF, 0, 1,
+                                  PRIM_TRANSFORM, 0),
+                "leaf_addr": bvh.leaf_addr, "leaf_bytes": bvh.leaf_bytes,
+                "leaf_start": bvh.leaf_start, "leaf_count": bvh.leaf_count,
+            }
+            if flat.prim_gid is not None:
+                # Leaf-ordered Gaussian per custom primitive or instance.
+                recs["gids"] = flat.prim_gid
+            if self._sphere_blas:
+                recs["sphere_rec"] = _recs(
+                    self._blas.root_address,
+                    LEAF_HEADER_BYTES + 24 + SPHERE_PRIM_BYTES, FETCH_LEAF,
+                    1, 1, PRIM_SPHERE, 0)
+            elif self.two_level:
+                recs["bnode_rec"] = _node_recs(self._blas.bvh)
+                recs["bleaf_rec"] = _leaf_recs(self._blas.bvh, PRIM_TRI)
+            self._static = {name: np.ascontiguousarray(arr, dtype=np.int64)
+                            for name, arr in recs.items()}
         return self._static
 
     # ------------------------------------------------------------------
@@ -377,8 +445,9 @@ class PacketTraceRecorder:
         reconstruction's exact per-ray round counts.  ``traces`` is one
         :class:`~repro.rt.recorder.RayTrace` per ray, in ray order.
         Records chunk by chunk and emits one ``rt.wavefront.record``
-        span with the bundle's ``rays``, ``chunks`` and fetch
-        ``events``.
+        span with the bundle's ``rays``, ``chunks``, fetch ``events``
+        and ``kernel="c"``.  Raises
+        :class:`~repro.native.NativeUnavailable` without a C compiler.
         """
         o = np.ascontiguousarray(origins, dtype=np.float64)
         d = np.ascontiguousarray(directions, dtype=np.float64)
@@ -389,14 +458,16 @@ class PacketTraceRecorder:
             t_clip = np.asarray(t_clip, dtype=np.float64)
         if n == 0:
             return empty_result(0, self.config.record_blended), []
+        walk_fn = kernel("repro.rt", "round_walk.c", _Walk)
         chunk = _MAX_RECORD_PACKET
         parts = []
         traces: list[RayTrace] = []
-        with span("rt.wavefront.record", rays=n) as record_span:
+        caps = list(_WALK_WORDS)
+        with span("rt.wavefront.record", rays=n, kernel="c") as record_span:
             for i in range(0, n, chunk):
                 part, part_traces = self._record_chunk(
                     o[i:i + chunk], d[i:i + chunk], t_clip[i:i + chunk],
-                    label)
+                    label, walk_fn, caps)
                 parts.append(part)
                 traces.extend(part_traces)
             record_span.args["chunks"] = len(parts)
@@ -409,7 +480,7 @@ class PacketTraceRecorder:
     # Phase A — batched geometry and round templates
     # ------------------------------------------------------------------
 
-    def _record_chunk(self, o, d, t_clip, label):
+    def _record_chunk(self, o, d, t_clip, label, walk_fn, caps):
         tracer = self.tracer
         n = o.shape[0]
         safe = np.where(np.abs(d) < 1e-12, 1e-12, d)
@@ -422,57 +493,89 @@ class PacketTraceRecorder:
                               self._node_code, self._leaf_code)
         del log
 
-        sph_box = mesh_root = blas = hits = None
-        o2c = d2c = None
+        tables = {"ptr": tpl.ptr, "t_clip": t_clip,
+                  **_template_arrays(tpl)}
+        o2c = d2c = t_proxy = None
         if self.prims == PRIMS_TRIANGLES:
             hits, ray_c, gid_c, t_proxy = self._tri_leaf_hits(
                 tpl, o, d, leaf_rays, leaf_refs)
+            tables.update(zip(("hptr", "hit_t", "hit_g"), hits))
         elif self.prims == PRIMS_GAUSSIANS:
             ray_c, gid_c = tracer._wave_customs(leaf_rays, leaf_refs)
-            t_proxy = None
         elif self._sphere_blas:
-            sph_box, ray_c, gid_c, o2c, d2c = self._sphere_box_tables(
+            inst, ray_c, gid_c, o2c, d2c = self._sphere_box_tables(
                 n, o, d, t_clip, leaf_rays, leaf_refs)
-            t_proxy = None
+            tables.update(inst)
         else:
-            (mesh_root, blas, best, pair_ptr,
-             ray_c, gid_c, t_proxy, o2c, d2c) = self._mesh_tables(
+            inst, ray_c, gid_c, t_proxy, o2c, d2c = self._mesh_tables(
                 n, o, d, t_clip, leaf_rays, leaf_refs)
+            tables.update(inst)
 
         result = shade_and_blend(self.shading, self.config, o, d, t_clip,
                                  ray_c, gid_c, t_proxy, o2=o2c, d2=d2c)
-
-        eval_map = self._eval_tables(n, o, d, ray_c, gid_c, o2c, d2c)
-
-        # Phase B — round walks per ray over its template slice.
-        traces: list[RayTrace] = []
-        rounds_out = np.empty(n, dtype=np.int64)
-        t_clip_l = t_clip.tolist()
-        ptr = tpl.ptr.tolist()
-        for r in range(n):
-            trace = RayTrace(label=label)
-            a, b = ptr[r], ptr[r + 1]
-            cols = tpl.lists(a, b)
-            if hits is not None:
-                hptr, hit_t, hit_g = hits
-                h0, h1 = int(hptr[a]), int(hptr[b])
-                cols += ((hptr[a:b + 1] - h0).tolist(),
-                         hit_t[h0:h1].tolist(), hit_g[h0:h1].tolist())
-            blas_cols = None
-            if blas is not None:
-                blas_cols = blas.lists(int(blas.ptr[pair_ptr[r]]),
-                                       int(blas.ptr[pair_ptr[r + 1]]), best)
-            sim = _RaySim(
-                self, trace, t_clip_l[r], cols,
-                eval_map[r],
-                sph_box[r] if sph_box is not None else None,
-                mesh_root[r] if mesh_root is not None else None,
-                blas_cols,
-            )
-            rounds_out[r] = sim.run()
-            traces.append(trace)
-        result.rounds = rounds_out
+        tables.update(self._eval_tables(n, o, d, ray_c, gid_c, o2c, d2c))
+        traces, result.rounds = self._walk_rounds(n, tables, label, walk_fn,
+                                                  caps)
         return result, traces
+
+    # ------------------------------------------------------------------
+    # Phase B — the compiled round walk
+    # ------------------------------------------------------------------
+
+    def _walk_rounds(self, n, tables, label, walk_fn, caps):
+        """Every ray's rounds over its template in ``round_walk.c``;
+        returns one :class:`~repro.rt.recorder.RayTrace` per ray and the
+        per-ray round counts.  ``caps`` holds the event and prefetch
+        capacities (see :data:`_WALK_WORDS`) and keeps the larger."""
+        config = self.config
+        single = config.mode == "singleround"
+        walk = _Walk(
+            k=config.k, max_rounds=config.max_rounds,
+            hw=config.checkpointing, single=single, sphere=self._sphere_blas,
+            leaf_header=LEAF_HEADER_BYTES, inst_bytes=INSTANCE_BYTES,
+            n_rays=n, transmittance_min=config.transmittance_min)
+        rounds = np.empty((n * (1 if single else config.max_rounds), 8),
+                          dtype=np.int64)
+        rays = np.empty((n, 5), dtype=np.int64)
+        keep: list = []
+        _bind(walk, {**self.static_recs(), **tables, "rounds": rounds,
+                     "rays": rays}, keep)
+        while True:
+            events = np.empty(caps[0], dtype=np.int64)
+            pf = np.empty(caps[1], dtype=np.int64)
+            # Scratch: per-entry checkpoint stamps, per-candidate flags.
+            _bind(walk, {"events": events, "pf": pf,
+                         "pre": np.zeros(tables["kind"].size, np.int64),
+                         "seen": np.zeros(tables["egid"].size, np.int8)},
+                  keep)
+            walk.ev_cap, walk.pf_cap = caps
+            err = walk_fn(ctypes.byref(walk))
+            if err:
+                raise RuntimeError(f"round_walk failed with code {err}")
+            if walk.n_ev <= caps[0] and walk.n_pf <= caps[1]:
+                break
+            caps[:] = max(caps[0], walk.n_ev), max(caps[1], walk.n_pf)
+
+        ev = memoryview(events).cast("B")
+        pfb = memoryview(pf).cast("B")
+        counts = rounds[:walk.n_rounds].tolist()
+        traces: list[RayTrace] = []
+        e0 = p0 = j = 0
+        for n_rounds, *totals in rays.tolist():
+            trace = RayTrace(label=label)
+            (trace.total_internal, trace.total_leaf, trace.ckpt_high_water,
+             trace.evict_high_water) = totals
+            for e1, p1, *row in counts[j:j + n_rounds]:
+                rnd = trace.begin_round()
+                rnd.stream.frombytes(ev[8 * e0:8 * e1])
+                rnd.pf.frombytes(pfb[8 * p0:8 * p1])
+                (rnd.anyhit_calls, rnd.kbuffer_ops, rnd.false_positives,
+                 rnd.blended, rnd.checkpoints_written,
+                 rnd.evictions_written) = row
+                e0, p0 = e1, p1
+            j += n_rounds
+            traces.append(trace)
+        return traces, rays[:, 0].copy()
 
     def _tri_leaf_hits(self, tpl, o, d, leaf_rays, leaf_refs):
         """Each triangle-leaf template entry's entering proxy hits as
@@ -532,47 +635,41 @@ class PacketTraceRecorder:
 
     def _sphere_box_tables(self, n, o, d, t_clip, leaf_rays, leaf_refs):
         """Per (ray, instance): the sphere-BLAS unit-box slab result the
-        scalar instance path computes (same exact-zero guard), plus the
-        surviving candidate pairs (the plain path's keep mask)."""
+        scalar instance path computes (same exact-zero guard), as the
+        walk's ``i*`` table, plus the surviving candidate pairs (the
+        plain path's keep mask)."""
         rp, pp, gid, o2, d2 = self._instance_pairs(o, d, leaf_rays,
                                                    leaf_refs)
-        out: list[dict] = [dict() for _ in range(n)]
-        empty = np.empty(0, dtype=np.int64)
         if rp.size == 0:
-            return out, empty, empty, None, None
+            none = np.empty(0)
+            return (_ray_table(n, rp, rp, "i", tn=none, tf=none), rp, rp,
+                    None, None)
         tn, tf = unit_box_slab(o2, d2)
-        for r, g, a, b in zip(rp.tolist(), gid.tolist(), tn.tolist(),
-                              tf.tolist()):
-            out[r][g] = (a, b)
         keep = (tn <= tf) & (tf >= 0.0) & (tn <= t_clip[rp])
-        return out, rp[keep], gid[keep], o2[keep], d2[keep]
+        return (_ray_table(n, rp, gid, "i", tn=tn, tf=tf), rp[keep],
+                gid[keep], o2[keep], d2[keep])
 
     def _mesh_tables(self, n, o, d, t_clip, leaf_rays, leaf_refs):
-        """Per (ray, instance): root-box slab result and the index of the
-        pair's BLAS template; the BLAS templates of every live pair,
-        ordered by ray (``pair_ptr`` bounds each ray's pairs), and per
-        template entry the nearest entering template-triangle depth of a
-        leaf (``inf`` for none); plus the surviving candidate pairs with
-        their proxy depths (the plain path's
+        """Per (ray, instance), as the walk's ``i*`` table: root-box slab
+        result and the global index of the pair's BLAS template (-1 for
+        a pair that misses the root box); the BLAS templates of every
+        live pair as the ``b*`` columns, with per template entry the
+        nearest entering template-triangle depth of a leaf (``bbest``,
+        ``inf`` for none); plus the surviving candidate pairs with their
+        proxy depths (the plain path's
         nearest-entering-template-triangle reduction)."""
         tracer = self.tracer
         rp, pp, gid, o2, d2 = self._instance_pairs(o, d, leaf_rays,
                                                    leaf_refs)
-        mesh_root: list[dict] = [dict() for _ in range(n)]
-        empty = np.empty(0, dtype=np.int64)
-        pair_ptr = [0] * (n + 1)
-        none = (mesh_root, None, None, pair_ptr, empty, empty, np.empty(0),
-                None, None)
         if rp.size == 0:
-            return none
+            none = np.empty(0)
+            return (_ray_table(n, rp, rp, "i", tn=none, tf=none, root=rp),
+                    rp, rp, none, None, None)
         rtn, rtf, inv_d2 = box_slab(*tracer._blas_roots[0], o2, d2)
         clip = t_clip[rp]
         live = np.nonzero((rtn <= rtf) & (rtf >= 0.0) & (rtn <= clip))[0]
-        # Live pairs by ray, so each ray's BLAS templates are one block.
-        live = live[np.argsort(rp[live], kind="stable")]
-        root_of = np.full(rp.size, -1, dtype=np.int64)
-        pair_ptr = np.searchsorted(rp[live], np.arange(n + 1)).tolist()
-        tpl = None
+        root = np.full(rp.size, -1, dtype=np.int64)
+        tables = {}
         if live.size:
             level = tracer._blas_levels[0]
             o_l, d_l = o2[live], d2[live]
@@ -583,25 +680,23 @@ class PacketTraceRecorder:
                                   np.zeros(level.child_kind.shape[0],
                                            dtype=np.int8), _T_BLAS_LEAF)
             del blog
-            # Template index local to the pair's ray block.
-            ray_base = tpl.ptr[np.asarray(pair_ptr)[rp[live]]]
-            root_of[live] = tpl.ptr[:-1] - ray_base
-        for r, g, a, b, root in zip(rp.tolist(), gid.tolist(), rtn.tolist(),
-                                    rtf.tolist(), root_of.tolist()):
-            mesh_root[r][g] = (a, b, root)
-        if tpl is None:
+            root[live] = tpl.ptr[:-1]
+            best = np.full(tpl.kind.size, _INF)
+            tables = {"bbest": best, **_template_arrays(tpl, "b")}
+        tables.update(_ray_table(n, rp, gid, "i", tn=rtn, tf=rtf, root=root))
+        none = (tables, rp[:0], rp[:0], np.empty(0), None, None)
+        if not live.size:
             return none
 
         # Per (pair, BLAS leaf): nearest entering template triangle, at
         # the leaf's template entry.
         blas = self._blas
-        best = np.full(tpl.kind.size, _INF)
         pr, tp, lf = _leaf_columns(level, bleaf_rays, bleaf_refs)
         if pr.size:
             sel, t = entering_hits(o_l[pr], d_l[pr], tp, blas.mesh.v0,
                                    blas.mesh.e1, blas.mesh.e2)
         if pr.size == 0 or sel.size == 0:
-            return (mesh_root, tpl, best, pair_ptr) + none[4:]
+            return none
         pr, lf = pr[sel], lf[sel]
         order = np.lexsort((t, lf, pr))
         pr, lf, t = pr[order], lf[order], t[order]
@@ -617,18 +712,19 @@ class PacketTraceRecorder:
         first = np.ones(pr2.size, dtype=bool)
         first[1:] = pr2[1:] != pr2[:-1]
         sub = live[pr2[first]]
-        return (mesh_root, tpl, best, pair_ptr,
-                rp[sub], gid[sub], t2[first], o2[sub], d2[sub])
+        return tables, rp[sub], gid[sub], t2[first], o2[sub], d2[sub]
 
     def _eval_tables(self, n, o, d, ray_c, gid_c, o2, d2):
         """Per (ray, gaussian) canonical any-hit results for every
-        candidate pair: ``(t_entry, alpha)`` or ``False`` (rejected) —
-        the vectorized mirror of ``SceneShading.evaluate_hit``, sharing
-        the shade stage's expressions."""
+        candidate pair as the walk's ``e*`` table: ``valid``, ``t``
+        (entry depth) and ``alpha`` — the vectorized mirror of
+        ``SceneShading.evaluate_hit``, sharing the shade stage's
+        expressions."""
         shading = self.shading
-        out: list[dict] = [dict() for _ in range(n)]
         if ray_c.size == 0:
-            return out
+            none = np.empty(0)
+            return _ray_table(n, ray_c, gid_c, "e", valid=none, t=none,
+                              alpha=none)
         if o2 is None:
             o2, d2 = to_object_space(
                 shading.w2o_linear[gid_c], shading.w2o_offset[gid_c],
@@ -647,470 +743,28 @@ class PacketTraceRecorder:
             (-0.5 * shading.kappa_sq) * min_sq)
         valid &= alpha >= ALPHA_MIN
         alpha = np.minimum(alpha, ALPHA_MAX)
-        for r, g, ok, t, a in zip(ray_c.tolist(), gid_c.tolist(),
-                                  valid.tolist(), t_entry.tolist(),
-                                  alpha.tolist()):
-            out[r][g] = (t, a) if ok else False
-        return out
+        return _ray_table(n, ray_c, gid_c, "e", valid=valid, t=t_entry,
+                          alpha=alpha)
 
 
-class _StaticRecs:
-    """Per-structure constants for template walks, read from the
-    flattened arrays: pre-baked fixed-width fetch records, leaf prefetch
-    pairs and leaf primitive slices, shared by every ray."""
-
-    __slots__ = (
-        "node_rec6", "node_rec7", "leaf_rec7", "leaf_pf", "leaf_addr",
-        "leaf_start", "leaf_count", "gids", "bnode_rec7", "bleaf_rec7",
-    )
-
-    def __init__(self, rec: PacketTraceRecorder) -> None:
-        flat = rec.flat
-        bvh = flat.root
-        if rec.two_level:
-            prim_kind = PRIM_TRANSFORM
-        elif rec.prims == PRIMS_TRIANGLES:
-            prim_kind = PRIM_TRI
-        else:
-            prim_kind = PRIM_CUSTOM
-        self.node_rec7 = _node_recs(bvh)
-        self.node_rec6 = [r[:6] for r in self.node_rec7]
-        self.leaf_rec7 = _leaf_recs(bvh, prim_kind)
-        self.leaf_addr = bvh.leaf_addr.tolist()
-        self.leaf_pf = list(zip(self.leaf_addr, bvh.leaf_bytes.tolist()))
-        self.leaf_start = bvh.leaf_start.tolist()
-        self.leaf_count = bvh.leaf_count.tolist()
-        # Leaf-ordered Gaussian per custom primitive or instance.
-        self.gids = (None if flat.prim_gid is None
-                     else flat.prim_gid.tolist())
-        if rec.two_level and not rec._sphere_blas:
-            self.bnode_rec7 = _node_recs(rec._blas.bvh)
-            self.bleaf_rec7 = _leaf_recs(rec._blas.bvh, PRIM_TRI)
-        else:
-            self.bnode_rec7 = self.bleaf_rec7 = None
+def _recs(*cols) -> np.ndarray:
+    """Fixed-width fetch records, one row per element of the array
+    columns (scalars repeat)."""
+    return np.stack(np.broadcast_arrays(*cols), axis=-1).astype(np.int64)
 
 
-def _node_recs(bvh) -> list[tuple]:
+def _node_recs(bvh) -> np.ndarray:
     """Each internal node's fetch record; its box-test count is the
     number of occupied slots before the first empty one."""
     empty = bvh.child_kind == KIND_EMPTY
     occupied = np.where(empty.any(axis=1), empty.argmax(axis=1), bvh.width)
-    nbytes = internal_node_bytes(bvh.width)
-    return [(addr, nbytes, FETCH_INTERNAL, boxes, 0, 0, 0)
-            for addr, boxes in zip(bvh.node_addr.tolist(),
-                                   occupied.tolist())]
+    return _recs(bvh.node_addr, internal_node_bytes(bvh.width),
+                 FETCH_INTERNAL, occupied, 0, 0, 0)
 
 
-def _leaf_recs(bvh, prim_kind: int) -> list[tuple]:
+def _leaf_recs(bvh, prim_kind: int) -> np.ndarray:
     """Each leaf record's fetch record."""
-    return [(addr, nbytes, FETCH_LEAF, 0, count, prim_kind, 0)
-            for addr, nbytes, count in zip(bvh.leaf_addr.tolist(),
-                                           bvh.leaf_bytes.tolist(),
-                                           bvh.leaf_count.tolist())]
+    return _recs(bvh.leaf_addr, bvh.leaf_bytes, FETCH_LEAF, 0,
+                 bvh.leaf_count, prim_kind, 0)
 
 
-class _RaySim:
-    """Replays the scalar tracer's control flow for one ray over its
-    round template, emitting the ray's fetch trace.
-
-    The template bakes everything round-invariant — the DFS visit order
-    (child ordering depends only on per-ray entry distances), the static
-    accept tests (``tn <= tf``, ``tf >= 0``, ``tn <= t_clip``) and
-    subtree-skip jumps; a round walk applies only the interval residuals
-    (``tf >= t_min``, ``tn <= t_max``), mirroring
-    :class:`repro.rt.tracer.Tracer` decision for decision (minus color
-    math), GRTX-HW checkpoint, eviction and resume rules included.  The
-    trace-equivalence test matrix pins the two implementations together.
-    """
-
-    __slots__ = (
-        "rec", "recs", "config", "hw", "trace", "t_clip", "cols",
-        "eval_map", "sph_box", "mesh_root", "blas",
-        # per-round state (the scalar _RoundState)
-        "t_min", "t_max", "kbuffer", "round_trace", "collect_all", "hits",
-        "hits_seen", "frontier", "evict_out", "ckpt_out", "pre",
-    )
-
-    def __init__(self, rec: PacketTraceRecorder, trace: RayTrace,
-                 t_clip: float, cols, eval_map, sph_box, mesh_root,
-                 blas) -> None:
-        self.rec = rec
-        self.recs = rec.static_recs()
-        self.config = rec.config
-        self.hw = rec.config.checkpointing
-        self.trace = trace
-        self.t_clip = t_clip
-        self.cols = cols
-        self.eval_map = eval_map
-        self.sph_box = sph_box
-        self.mesh_root = mesh_root
-        self.blas = blas
-
-    # -- round drivers (Tracer.trace_ray / _trace_*_round) -------------
-
-    def run(self) -> int:
-        """Trace the ray to completion; returns the exact round count."""
-        if self.config.mode == "singleround":
-            return self._run_single_round()
-        return self._run_multi_round()
-
-    def _run_single_round(self) -> int:
-        round_trace = self.trace.begin_round()
-        self._begin_state(0.0, None, round_trace, collect_all=True)
-        self._walk(0)
-        hits = sorted(self.hits, key=lambda e: (e.t, e.gaussian_id))
-        round_trace.kbuffer_ops += len(hits)
-        _, blended, _ = self._blend(hits, 1.0)
-        round_trace.blended = blended
-        return 1
-
-    def _run_multi_round(self) -> int:
-        config = self.config
-        hw = self.hw
-        trace = self.trace
-        t_min = 0.0
-        frontier: frozenset[int] = frozenset()
-        transmittance = 1.0
-        ckpt_src: list = []
-        evict_src: list[KBufferEntry] = []
-        rounds = 0
-        for round_index in range(config.max_rounds):
-            round_trace = trace.begin_round()
-            rounds += 1
-            kbuffer = KBuffer(config.k)
-            self._begin_state(t_min, kbuffer, round_trace,
-                              collect_all=False, frontier=frontier)
-            if hw and round_index > 0:
-                self._prefill(evict_src)
-                self._resume(ckpt_src)
-            else:
-                self._walk(0)
-            entries = sorted(kbuffer.drain(),
-                             key=lambda e: (e.t, e.gaussian_id))
-            round_trace.kbuffer_ops += kbuffer.insertions
-            if hw:
-                evict_out = self.evict_out
-                round_trace.evictions_written += len(evict_out)
-                if evict_out.high_water > trace.evict_high_water:
-                    trace.evict_high_water = evict_out.high_water
-                if len(self.ckpt_out) > trace.ckpt_high_water:
-                    trace.ckpt_high_water = len(self.ckpt_out)
-            if not entries:
-                break
-            transmittance, blended, terminated = self._blend(
-                entries, transmittance)
-            round_trace.blended = blended
-            if terminated:
-                break
-            last_t = entries[-1].t
-            tied = frozenset(
-                e.gaussian_id for e in entries if e.t == last_t)
-            frontier = (frontier | tied) if last_t == t_min else tied
-            t_min = last_t
-            if len(entries) < config.k:
-                break
-            if hw:
-                ckpt_src = self.ckpt_out
-                evict_src = self.evict_out.drain_sorted(t_min, frontier)
-                if not ckpt_src and not evict_src:
-                    break
-        return rounds
-
-    def _begin_state(self, t_min, kbuffer, round_trace, collect_all,
-                     frontier: frozenset = frozenset()) -> None:
-        self.t_min = t_min
-        self.t_max = _INF
-        self.kbuffer = kbuffer
-        self.round_trace = round_trace
-        self.collect_all = collect_all
-        self.hits = []
-        self.hits_seen = set()
-        self.frontier = frontier
-        self.evict_out = EvictionBuffer()
-        self.ckpt_out = []
-        #: Template entries checkpointed at their parent this round; a
-        #: later failing pop of one is not checkpointed twice.
-        self.pre = set()
-
-    def _blend(self, entries, transmittance):
-        """The scalar blend loop minus color math: same transmittance
-        sequence, so the same blended count and termination decision."""
-        blended = 0
-        terminated = False
-        threshold = self.config.transmittance_min
-        for entry in entries:
-            transmittance *= 1.0 - entry.alpha
-            blended += 1
-            if transmittance < threshold:
-                terminated = True
-                break
-        return transmittance, blended, terminated
-
-    # -- GRTX-HW: eviction prefill and checkpoint resume ---------------
-
-    def _checkpoint(self, ck) -> None:
-        self.ckpt_out.append(ck)
-        self.round_trace.checkpoints_written += 1
-
-    def _prefill(self, evict_src) -> None:
-        """``Tracer._prefill_from_evictions``: the first k evicted
-        entries seed the k-buffer, the first beyond them sets ``t_max``,
-        and the rest carry over to the next eviction buffer."""
-        kbuffer = self.kbuffer
-        k = kbuffer.k
-        for i, entry in enumerate(evict_src):
-            if i < k:
-                kbuffer.insert(entry)
-                continue
-            if i == k:
-                self.t_max = entry.t
-            self.evict_out.push(entry)
-
-    def _resume(self, ckpt_src) -> None:
-        """``Tracer._replay_checkpoints``: resume nearest first, each
-        checkpoint to completion; one still beyond ``t_max`` is written
-        again."""
-        trace = self.trace
-        for ck in sorted(ckpt_src, key=_get0):
-            if ck[0] > self.t_max:
-                self._checkpoint(ck)
-                continue
-            tag = ck[1]
-            if tag == _CK_TEMPLATE:
-                self._walk(ck[2])
-                continue
-            gid = ck[2]
-            inst_addr = ck[3]
-            # Re-fetch the instance record to recover the transform.
-            self.round_trace.stream.extend((inst_addr,) + _INSTANCE_REC)
-            trace.total_leaf += 1
-            if tag == _CK_INSTANCE:
-                n_int, n_leaf = self._instance(gid, inst_addr)
-            else:
-                n_int, n_leaf, best = self._walk_blas(ck[4], gid, inst_addr)
-                if best is not None:
-                    t_hit = self._anyhit(gid, self.eval_map[gid], best)
-                    if t_hit is not None:
-                        self._checkpoint((t_hit, _CK_INSTANCE, gid,
-                                          inst_addr))
-            trace.total_internal += n_int
-            trace.total_leaf += n_leaf
-
-    # -- the round walk -------------------------------------------------
-
-    def _walk(self, i: int) -> None:
-        """Walk template entry ``i``'s subtree ``[i, skip[i])`` with
-        subtree jumps.  Entry ``i`` itself is taken unconditionally: it
-        is the round's root or a resumed checkpoint (tested against its
-        stored ``t`` by the caller, like the scalar's seed)."""
-        recs = self.recs
-        trace = self.trace
-        rt = self.round_trace
-        stream = rt.stream
-        emit = stream.extend
-        pf_emit = rt.pf.extend
-        s_append = stream.append
-        t_min = self.t_min
-        hw = self.hw
-        pre = self.pre
-        checkpoint = self._checkpoint
-        em = self.eval_map
-        node_rec7 = recs.node_rec7
-        node_rec6 = recs.node_rec6
-        leaf_rec7 = recs.leaf_rec7
-        leaf_pf = recs.leaf_pf
-        leaf_addr = recs.leaf_addr
-        leaf_start = recs.leaf_start
-        leaf_count = recs.leaf_count
-        gids = recs.gids
-        anyhit = self._anyhit
-        instance = self._instance
-        kinds, tns, tfs, refs, skips, kptr, kids, cmax = self.cols[:8]
-        if len(self.cols) > 8:
-            hptr, hit_t, hit_g = self.cols[8:]
-        end = skips[i]
-        n_int = n_leaf = 0
-        # Only the any-hits of a leaf move t_max; it is re-read after one.
-        t_max = self.t_max
-
-        while True:
-            kind = kinds[i]
-            ref = refs[i]
-            if kind <= _T_NODE_PF:
-                if hw and cmax[i] > t_max:
-                    # Children failing t_max at the parent, slot order.
-                    for c in kids[kptr[i]:kptr[i + 1]]:
-                        if tfs[c] >= t_min and tns[c] > t_max:
-                            checkpoint((tns[c], _CK_TEMPLATE, c))
-                            pre.add(c)
-                if kind == _T_NODE:
-                    emit(node_rec7[ref])
-                else:
-                    npf = 0
-                    for c in kids[kptr[i]:kptr[i + 1]]:
-                        if (kinds[c] > _T_NODE_PF and tfs[c] >= t_min
-                                and tns[c] <= t_max):
-                            pf_emit(leaf_pf[refs[c]])
-                            npf += 1
-                    emit(node_rec6[ref])
-                    s_append(npf)
-                n_int += 1
-            else:
-                emit(leaf_rec7[ref])
-                n_leaf += 1
-                beyond = _INF
-                if kind == _T_TRI_LEAF:
-                    for j in range(hptr[i], hptr[i + 1]):
-                        gid = hit_g[j]
-                        t_hit = anyhit(gid, em[gid], hit_t[j])
-                        if t_hit is not None and t_hit < beyond:
-                            beyond = t_hit
-                elif kind == _T_CUSTOM_LEAF:
-                    start = leaf_start[ref]
-                    for slot in range(start, start + leaf_count[ref]):
-                        gid = gids[slot]
-                        t_hit = anyhit(gid, em[gid], None)
-                        if t_hit is not None and t_hit < beyond:
-                            beyond = t_hit
-                else:  # _T_TLAS_LEAF
-                    start = leaf_start[ref]
-                    base = leaf_addr[ref] + LEAF_HEADER_BYTES
-                    for slot in range(leaf_count[ref]):
-                        bi, bl = instance(gids[start + slot],
-                                          base + slot * INSTANCE_BYTES)
-                        n_int += bi
-                        n_leaf += bl
-                if hw and beyond < _INF:
-                    checkpoint((beyond, _CK_TEMPLATE, i))
-                t_max = self.t_max
-            i += 1
-            # Skip subtrees failing the round's interval; one failing
-            # t_max at its pop is checkpointed (unless its parent did).
-            while i < end:
-                if tfs[i] < t_min:
-                    i = skips[i]
-                elif tns[i] > t_max:
-                    if hw and i not in pre:
-                        checkpoint((tns[i], _CK_TEMPLATE, i))
-                    i = skips[i]
-                else:
-                    break
-            if i >= end:
-                break
-
-        trace.total_internal += n_int
-        trace.total_leaf += n_leaf
-
-    def _instance(self, gid: int, inst_addr: int) -> tuple[int, int]:
-        """``Tracer._process_instance``: the shared-BLAS test of one
-        instance.  Returns its ``(internal, leaf)`` fetch counts."""
-        t_min = self.t_min
-        if self.rec._sphere_blas:
-            sphere_rec = self.rec._sphere_rec
-            self.round_trace.stream.extend(sphere_rec)
-            itn, itf = self.sph_box[gid]
-            if itn > itf or itf < t_min or itf < 0.0 or itn > self.t_clip:
-                return 0, 1
-            if itn > self.t_max:
-                if self.hw:
-                    self._checkpoint((itn, _CK_INSTANCE, gid, inst_addr))
-                return 0, 1
-            t_hit = self._anyhit(gid, self.eval_map[gid], None)
-            if t_hit is not None and self.hw:
-                self._checkpoint((t_hit, _CK_INSTANCE, gid, inst_addr))
-            return 0, 1
-        rtn, rtf, root = self.mesh_root[gid]
-        if rtn > rtf or rtf < t_min or rtf < 0.0 or rtn > self.t_clip:
-            return 0, 0
-        if rtn > self.t_max:
-            if self.hw:
-                self._checkpoint((rtn, _CK_INSTANCE, gid, inst_addr))
-            return 0, 0
-        n_int, n_leaf, best = self._walk_blas(root, gid, inst_addr)
-        if best is not None:
-            t_hit = self._anyhit(gid, self.eval_map[gid], best)
-            if t_hit is not None and self.hw:
-                self._checkpoint((t_hit, _CK_INSTANCE, gid, inst_addr))
-        return n_int, n_leaf
-
-    def _walk_blas(self, i: int, gid: int, inst_addr: int):
-        """One shared-BLAS sub-traversal over BLAS template entry ``i``'s
-        subtree, entry ``i`` taken unconditionally.  ``t_max`` is frozen
-        inside (the any-hit runs after the walk), so a child failing it
-        fails at its parent, where it is checkpointed in slot order.
-        Returns ``(internal fetches, leaf fetches, nearest entering
-        template-triangle t or None)``."""
-        recs = self.recs
-        rt = self.round_trace
-        emit = rt.stream.extend
-        bnode_rec7 = recs.bnode_rec7
-        bleaf_rec7 = recs.bleaf_rec7
-        t_min = self.t_min
-        t_max = self.t_max
-        hw = self.hw
-        kinds, tns, tfs, refs, skips, kptr, kids, cmax, bests = self.blas
-        end = skips[i]
-        n_int = n_leaf = 0
-        best = _INF
-        while True:
-            ref = refs[i]
-            if kinds[i] == _T_NODE:
-                if hw and cmax[i] > t_max:
-                    for c in kids[kptr[i]:kptr[i + 1]]:
-                        if tfs[c] >= t_min and tns[c] > t_max:
-                            self._checkpoint((tns[c], _CK_BLAS, gid,
-                                              inst_addr, c))
-                emit(bnode_rec7[ref])
-                n_int += 1
-            else:  # _T_BLAS_LEAF
-                emit(bleaf_rec7[ref])
-                n_leaf += 1
-                if bests[i] < best:
-                    best = bests[i]
-            i += 1
-            while i < end and (tfs[i] < t_min or tns[i] > t_max):
-                i = skips[i]
-            if i >= end:
-                break
-        return n_int, n_leaf, (best if best < _INF else None)
-
-    # -- canonical any-hit (Tracer._anyhit) ----------------------------
-
-    def _anyhit(self, gid: int, result, t_depth: float | None):
-        """Returns the hit's depth when it fails ``t_max`` (the caller
-        checkpoints its enclosing node), else ``None``."""
-        if result is False:
-            self.round_trace.false_positives += 1
-            return None
-        t_exact, alpha = result
-        t_hit = t_exact if t_depth is None else t_depth
-
-        if t_hit > self.t_clip:
-            return None
-
-        if self.collect_all:
-            if t_hit > self.t_min and gid not in self.hits_seen:
-                self.hits_seen.add(gid)
-                self.round_trace.anyhit_calls += 1
-                self.hits.append(KBufferEntry(t_hit, gid, alpha))
-            return None
-
-        if t_hit < self.t_min or (t_hit == self.t_min
-                                  and gid in self.frontier):
-            return None
-        if t_hit > self.t_max:
-            return t_hit
-        kbuffer = self.kbuffer
-        if gid in kbuffer:
-            return None
-        self.round_trace.anyhit_calls += 1
-        rejected = kbuffer.insert(KBufferEntry(t_hit, gid, alpha))
-        if rejected is not None:
-            if self.hw:
-                self.evict_out.push(rejected)
-            if rejected.gaussian_id == gid:
-                # The new hit itself was beyond the k closest: the
-                # shader reports it, shrinking t_max (Listing 1, lines
-                # 18-20).
-                self.t_max = t_hit
-        return None

@@ -1,4 +1,6 @@
-"""Set-associative LRU cache model.
+"""Set-associative LRU cache model of the per-event replay oracle
+(``tests/replay_oracle.py``); :func:`repro.hwsim.replay` walks the same
+LRU sets in its compiled kernel.
 
 Dict insertion order doubles as the LRU chain: a hit deletes and
 re-inserts its line (most recently used at the back); an insertion that

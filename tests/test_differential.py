@@ -24,8 +24,13 @@ test's 1e-12 guard) or an exact axis direction.  On every input:
 A second slice generates ``RayTrace``s directly, with tiny cache
 geometries, merge windows, prefetch lists, both DRAM models and treelet
 maps, and holds :func:`repro.hwsim.replay` (its compiled cache walk)
-equal to :func:`repro.hwsim.replay_reference` field for field at the
-shipped chunk budget and at 3 events.
+equal to ``replay_reference`` (``tests/replay_oracle.py``) field for
+field at the shipped chunk budget and at 3 events.
+
+A stress slice aims the recorder's compiled round walk at its rare
+paths: Gaussians repeated at equal depths, ``k`` and ``max_rounds`` up
+to 8, mostly checkpointed, with a tiny termination threshold so rays run
+many rounds; its traces must equal the scalar tracer's.
 
 A third slice round-trips each single-BLAS structure through
 :func:`repro.bvh.save_structure`/:func:`repro.bvh.load_structure`: the
@@ -55,13 +60,15 @@ from repro.bvh import (
     save_structure,
 )
 from repro.bvh.two_level import build_two_level_hetero
-from repro.hwsim import DramTimings, GpuConfig, replay, replay_reference
+from repro.gaussians import GaussianCloud
+from repro.hwsim import DramTimings, GpuConfig, replay
 from repro.render import GaussianRayTracer, default_camera_for
 from repro.rt import RayTrace, SceneShading, TraceConfig, Tracer
-from repro.rt import WavefrontTracer
+from repro.rt import WavefrontTracer, tracerecord
 from repro.rt.recorder import FETCH_INTERNAL, FETCH_LEAF
 
 from tests.conftest import tiny_cloud
+from tests.replay_oracle import replay_reference
 from tests.test_tracerecord import (
     _assert_reports_equal,
     _assert_traces_equal,
@@ -194,6 +201,68 @@ def _ckpt_counts(trace: RayTrace) -> tuple[int, int, int, int]:
     return (sum(r.checkpoints_written for r in trace.rounds),
             sum(r.evictions_written for r in trace.rounds),
             trace.ckpt_high_water, trace.evict_high_water)
+
+
+@st.composite
+def stress_inputs(draw):
+    """A cloud with repeated Gaussians, a config that runs many rounds,
+    and a seed for the rays and their ``t_clip`` bounds.
+
+    A repeat has its original's geometry and a fresh opacity, so the
+    two hit at the same depth: rounds end on tied hits (frontier
+    carry-over) and evictions land exactly on the next round's
+    ``t_min``.  ``transmittance_min`` is tiny, so rays rarely terminate
+    early, and checkpointing is on in three examples of four."""
+    base = tiny_cloud(n=draw(st.integers(20, 80)),
+                      seed=draw(st.integers(0, 10_000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    dup = rng.integers(0, len(base), draw(st.integers(len(base) // 2,
+                                                      2 * len(base))))
+    cloud = GaussianCloud(
+        means=np.concatenate([base.means, base.means[dup]]),
+        scales=np.concatenate([base.scales, base.scales[dup]]),
+        rotations=np.concatenate([base.rotations, base.rotations[dup]]),
+        opacities=np.concatenate([base.opacities,
+                                  rng.uniform(0.05, 0.9, dup.size)]),
+        sh=np.concatenate([base.sh, base.sh[dup]]), name="tied")
+    config = TraceConfig(
+        k=draw(st.integers(1, 8)),
+        checkpointing=draw(st.integers(0, 3)) > 0,
+        max_rounds=draw(st.integers(1, 8)),
+        transmittance_min=draw(st.sampled_from([1e-6, 1e-3])),
+    )
+    return cloud, config, draw(st.integers(0, 2**16))
+
+
+@pytest.mark.parametrize("family", RECORDED)
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(stress_inputs())
+def test_recorded_walk_matches_scalar_under_stress(family, case):
+    """The compiled round walk's rare paths — tied depths, ``t ==
+    t_min`` evictions, many checkpointed rounds, clipped and unclipped
+    rays — record the scalar tracer's traces exactly.  The walk arrays
+    start a few words long, so every chunk outgrows them and is walked
+    again at its exact size."""
+    cloud, config, seed = case
+    structure = FAMILIES[family](cloud)
+    origins, directions, t_clip = _rays(cloud, 16, seed)
+    shading = SceneShading(cloud)
+    scalar = Tracer(structure, shading, config)
+    scalar_traces = [RayTrace() for _ in range(origins.shape[0])]
+    rounds = [scalar.trace_ray(o, d, trace, t_clip=float(t)).rounds
+              for o, d, t, trace in zip(origins, directions, t_clip,
+                                        scalar_traces)]
+    wavefront = WavefrontTracer(structure, shading, config)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(tracerecord, "_WALK_WORDS", (7, 2))
+        for recorded, traces in _record_at_each_chunk(
+                monkeypatch, lambda: wavefront.trace_packet_recorded(
+                    origins, directions, t_clip)):
+            assert recorded.rounds.tolist() == rounds
+            _assert_traces_equal(scalar_traces, traces)
+            for s, p in zip(scalar_traces, traces):
+                assert _ckpt_counts(s) == _ckpt_counts(p)
 
 
 @pytest.mark.parametrize("checkpointing", [False, True])

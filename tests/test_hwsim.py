@@ -13,7 +13,6 @@ from repro.bvh import build_monolithic, build_two_level
 from repro.hwsim import (
     CheckpointHardware,
     GpuConfig,
-    SetAssociativeCache,
     checkpoint_hardware_cost,
     replay,
 )
@@ -21,6 +20,7 @@ from repro.hwsim.rtunit import checkpoint_buffer_bytes
 from repro.render import GaussianRayTracer, default_camera_for
 from repro.rt import FETCH_INTERNAL, FETCH_LEAF, RayTrace, TraceConfig
 
+from tests.cache_oracle import SetAssociativeCache
 from tests.conftest import tiny_cloud
 
 

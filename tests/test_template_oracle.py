@@ -45,9 +45,12 @@ def _oracle_rows(n, log):
 
 
 def _columns(tpl, root):
+    """One root's entries ``(kind, tn, tf, ref)`` and template-local
+    skips, as plain lists."""
     a, b = int(tpl.ptr[root]), int(tpl.ptr[root + 1])
-    kind, tn, tf, ref, skip = tpl.lists(a, b)[:5]
-    return list(zip(kind, tn, tf, ref)), skip
+    kind, tn, tf, ref = (col[a:b].tolist()
+                         for col in (tpl.kind, tpl.tn, tpl.tf, tpl.ref))
+    return list(zip(kind, tn, tf, ref)), (tpl.skip[a:b] - a).tolist()
 
 
 @pytest.mark.parametrize("family", RECORDED)

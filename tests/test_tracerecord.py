@@ -14,7 +14,7 @@ chunk and at one of 3 rays, which splits every bundle.
 
 Also covered here: the batched :func:`repro.hwsim.replay` (its compiled
 cache walk) against its golden reference loop
-(:func:`repro.hwsim.replay_reference`), on eviction-free and
+(``replay_reference`` in ``tests/replay_oracle.py``), on eviction-free and
 eviction-prone cache geometries, at the shipped chunk budget and at one
 that cuts every frame into many chunks.
 """
@@ -30,7 +30,7 @@ import pytest
 
 from repro.bvh import build_monolithic, build_two_level
 from repro.gaussians import make_workload
-from repro.hwsim import GpuConfig, replay, replay_reference
+from repro.hwsim import GpuConfig, replay
 from repro.hwsim.treelet import build_treelet_map
 from repro.obs.tracing import BufferTraceSink, current_sink, install_sink
 from repro.render import GaussianRayTracer, SceneObjects, default_camera_for
@@ -38,6 +38,7 @@ from repro.rt import TraceConfig, tracerecord
 from repro.rt.recorder import FETCH_INTERNAL, RayTrace
 
 from tests.conftest import tiny_cloud
+from tests.replay_oracle import replay_reference
 
 STRUCTURES = ("20-tri", "custom", "tlas+sphere", "tlas+20-tri")
 
@@ -301,8 +302,8 @@ class TestTraceEquivalence:
 
     def test_record_span_counts_chunks(self, cloud, structures):
         """A recorded render emits one ``rt.wavefront.record`` span per
-        bundle: its rays, its ``ceil(rays / 32)`` chunks and its fetch
-        events."""
+        bundle: its rays, its ``ceil(rays / 32)`` chunks, its fetch
+        events and the compiled walk that recorded them."""
         camera = default_camera_for(cloud, 12, 12)
         result, spans = _with_spans(
             "rt.wavefront.record",
@@ -311,7 +312,7 @@ class TestTraceEquivalence:
                 engine="wavefront").render(camera, keep_traces=True))
         assert tracerecord._MAX_RECORD_PACKET == 32
         assert spans == [{
-            "rays": 144, "chunks": 5,
+            "rays": 144, "chunks": 5, "kernel": "c",
             "events": sum(rnd.n_fetches for trace in result.traces
                           for rnd in trace.rounds)}]
 
