@@ -478,7 +478,7 @@ def fig24(scenes: list[str] | None = None) -> ExperimentResult:
     """Figure 24: AMD-like GPU; monolithic BVHs exceed the 4 GB cap."""
     scenes = scenes or SCENES
     proxies = ("20-tri", "80-tri", "tlas+20-tri", "tlas+80-tri")
-    gpu = GpuConfig.amd_like(scene_scale=BENCH_SCALE * 100.0)
+    gpu = GpuConfig.amd_like(scene_scale=BENCH_SCALE)
     rows = []
     for scene in scenes:
         ref = run_config(scene, proxy="tlas+80-tri", k=8, gpu="amd")

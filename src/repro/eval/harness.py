@@ -227,7 +227,7 @@ def _run_config_uncached(cfg: dict) -> CachedRun:
     if cfg["gpu"] == "rtx":
         gpu_config = GpuConfig.rtx_like()
     elif cfg["gpu"] == "amd":
-        gpu_config = GpuConfig.amd_like(scene_scale=scale * 100.0)
+        gpu_config = GpuConfig.amd_like(scene_scale=scale)
     else:
         raise ValueError(f"unknown gpu {cfg['gpu']!r}")
     if not cfg["prefetch"]:

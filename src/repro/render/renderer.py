@@ -21,6 +21,7 @@ from repro.render.camera import PinholeCamera
 from repro.render.effects import SceneObjects
 from repro.render.image import ImageBuffer
 from repro.rt import RayTrace, SceneShading, TraceConfig, Tracer
+from repro.rt.recorder import unique_fetch_counts
 from repro.rt.tracerecord import recordable
 
 #: Secondary rays whose carried weight is below this contribute nothing
@@ -82,7 +83,9 @@ class RenderStats:
             combine = max if name in self._MAX_FIELDS else operator.add
             setattr(self, name, combine(getattr(self, name), getattr(other, name)))
 
-    def absorb(self, trace: RayTrace, rounds: int, blended: int, terminated: bool) -> None:
+    def absorb(self, trace: RayTrace, rounds: int, blended: int,
+               terminated: bool, unique) -> None:
+        """Count one traced ray with its ``unique_fetch_counts`` row."""
         self.n_rays += 1
         if trace.label == "primary":
             self.n_primary += 1
@@ -92,9 +95,8 @@ class RenderStats:
         self.blended_total += blended
         self.total_internal_visits += trace.total_internal
         self.total_leaf_visits += trace.total_leaf
-        unique_internal, unique_leaf = trace.unique_counts()
-        self.unique_internal_visits += unique_internal
-        self.unique_leaf_visits += unique_leaf
+        self.unique_internal_visits += int(unique[0])
+        self.unique_leaf_visits += int(unique[1])
         self.ckpt_high_water = max(self.ckpt_high_water, trace.ckpt_high_water)
         self.evict_high_water = max(self.evict_high_water, trace.evict_high_water)
         if terminated:
@@ -310,7 +312,9 @@ class GaussianRayTracer:
 
             trace = RayTrace(label="primary")
             outcome = tracer.trace_ray(origin, direction, trace, t_clip=t_obj)
-            stats.absorb(trace, outcome.rounds, outcome.blended, outcome.terminated_early)
+            stats.absorb(trace, outcome.rounds, outcome.blended,
+                         outcome.terminated_early,
+                         unique_fetch_counts([trace])[0])
             if keep_traces:
                 traces.append(trace)
             color = outcome.color
@@ -322,6 +326,7 @@ class GaussianRayTracer:
                 stats.absorb(
                     sec_trace, sec_outcome.rounds, sec_outcome.blended,
                     sec_outcome.terminated_early,
+                    unique_fetch_counts([sec_trace])[0],
                 )
                 if keep_traces:
                     traces.append(sec_trace)
@@ -409,10 +414,11 @@ class GaussianRayTracer:
         rounds = result.rounds
         blended = result.blended
         terminated = result.terminated
+        unique = unique_fetch_counts(traces)
         for i, trace in enumerate(traces):
             trace.label = "primary" if primary else "secondary"
             stats.absorb(trace, int(rounds[i]), int(blended[i]),
-                         bool(terminated[i]))
+                         bool(terminated[i]), unique[i])
 
     @staticmethod
     def _absorb_packet(stats: RenderStats, result, primary: bool) -> None:

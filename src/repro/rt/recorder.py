@@ -211,12 +211,7 @@ class RayTrace:
     def unique_counts(self) -> tuple[int, int]:
         """``(internal, leaf)``: the distinct fetch addresses of each
         kind over all rounds' event streams."""
-        if not self.rounds:
-            return 0, 0
-        events = np.concatenate([rnd.events_view() for rnd in self.rounds])
-        internal = events[:, 2] == FETCH_INTERNAL
-        return (np.unique(events[internal, 0]).size,
-                np.unique(events[~internal, 0]).size)
+        return tuple(unique_fetch_counts([self])[0].tolist())
 
     @property
     def n_rounds(self) -> int:
@@ -241,3 +236,38 @@ class RayTrace:
                 key = (addr, kind)
                 counts[key] = counts.get(key, 0) + 1
         return counts
+
+
+#: Traces per sort in :func:`unique_fetch_counts` (a recording chunk):
+#: bounds its temporaries to a few int64 words per event of a slice.
+_UNIQUE_SLICE = 32
+
+
+def unique_fetch_counts(traces) -> np.ndarray:
+    """Each trace's ``(internal, leaf)`` distinct fetch addresses over
+    all its rounds, as an ``(n, 2)`` int64 array: one sort of ``(trace,
+    is_leaf, addr)`` keys per :data:`_UNIQUE_SLICE` traces."""
+    counts = np.zeros((len(traces), 2), dtype=np.int64)
+    for s0 in range(0, len(traces), _UNIQUE_SLICE):
+        part = traces[s0:s0 + _UNIQUE_SLICE]
+        rounds = [(i, rnd.events_view()) for i, trace in enumerate(part)
+                  for rnd in trace.rounds]
+        if not any(len(ev) for _, ev in rounds):
+            continue
+        addr = np.concatenate([ev[:, 0] for _, ev in rounds])
+        addr -= addr.min()
+        span = int(addr.max()) + 1
+        if 2 * len(part) * span > np.iinfo(np.int64).max:
+            raise OverflowError("fetch addresses span too wide to count")
+        key = np.repeat([2 * i for i, _ in rounds],
+                        [len(ev) for _, ev in rounds])
+        key += np.concatenate([ev[:, 2] for _, ev in rounds]) != FETCH_INTERNAL
+        key *= span
+        key += addr
+        del addr
+        key.sort()
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        counts[s0:s0 + len(part)] = np.bincount(
+            key[first] // span, minlength=2 * len(part)).reshape(-1, 2)
+    return counts

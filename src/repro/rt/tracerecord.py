@@ -1,28 +1,27 @@
-"""Fetch-trace recording on the wavefront frontier.
+"""Fetch-trace recording for the batched engine.
 
 The scalar :class:`~repro.rt.tracer.Tracer` records per-ray fetch traces
 as a side effect of walking the BVH one ray at a time.  This module
 teaches the batched engine (:class:`~repro.rt.wavefront.WavefrontTracer`)
-to produce the *same* traces from its breadth-first traversal.  A bundle
-records in chunks of :data:`_MAX_RECORD_PACKET` rays (the modelled warp
-size), each taken through two phases before the next starts, so only
-the finished traces outlive a chunk:
+to produce the *same* traces.  A bundle records in chunks of
+:data:`_MAX_RECORD_PACKET` rays (the modelled warp size), each taken
+through two phases before the next starts, so only the finished traces
+outlive a chunk:
 
-**Phase A — batched geometry and round templates.**  One recording
-frontier traversal per chunk visits every ``(ray, node)`` pair
-reachable with ``t_min = 0`` and no ``t_max`` — a superset of what any
-tracing round visits — and logs each level's ``(depth, rays, nodes, tn,
-tf, hit)`` rows: every visiting pair's child slab results and accept
-mask.  :func:`build_templates` folds that log into every ray's *round
-template* with numpy: the ray's DFS visit sequence (node ordering
-depends only on per-ray entry distances, which are round-invariant) as
-CSR columns ``(kind, tn, tf, ref, skip)`` — subtree sizes bottom-up
-over the logged levels, preorder positions top-down with siblings in
-pop order (ascending ``tn``, ties in reverse slot order), and ``skip``
-= position + subtree size.  Leaf pairs feed one masked Möller–Trumbore
-over all candidate pairs, batched instance transforms, one shared-BLAS
-frontier traversal per chunk (whose log yields per-instance BLAS
-templates the same way), and one vectorized canonical any-hit
+**Phase A — round templates and batched geometry.**  One C kernel
+(``template_build.c``, loaded by :mod:`repro.native`) builds every ray's
+*round template*: a stack DFS over the level's arrays visiting every
+node reachable with ``t_min = 0`` and no ``t_max`` — a superset of what
+any tracing round visits — with the wavefront slab's arithmetic and
+accept test, children popped in the scalar DFS order (ascending ``tn``,
+ties in reverse slot order; node ordering depends only on per-ray entry
+distances, which are round-invariant).  It writes CSR columns ``(kind,
+tn, tf, ref, skip)`` in preorder, plus slot-ordered children and their
+largest ``tn`` (see :meth:`PacketTraceRecorder._templates`).  The leaf
+entries are the chunk's accepted ``(ray, leaf)`` pairs; they feed one
+masked Möller–Trumbore over all candidate pairs, batched instance
+transforms, one shared-BLAS template build per chunk over the live
+``(ray, instance)`` pairs, and one vectorized canonical any-hit
 evaluation per candidate ``(ray, gaussian)`` pair.  The shade/blend
 stage then runs on exactly the candidate sets a plain ``trace_packet``
 would build, so the recorded render's
@@ -72,7 +71,6 @@ from __future__ import annotations
 
 import ctypes
 import weakref
-from typing import NamedTuple
 
 import numpy as np
 
@@ -83,7 +81,7 @@ from repro.bvh.layout import (
     SPHERE_PRIM_BYTES,
     internal_node_bytes,
 )
-from repro.bvh.node import KIND_EMPTY, KIND_INTERNAL, KIND_LEAF
+from repro.bvh.node import KIND_EMPTY, KIND_LEAF
 from repro.native import kernel
 from repro.obs import span
 from repro.rt.kernels import (
@@ -111,32 +109,46 @@ _INF = float("inf")
 
 
 def recordable(flat) -> bool:
-    """Whether the frontier recorder covers a flattened structure: every
+    """Whether the batched recorder covers a flattened structure: every
     structure with at most one shared BLAS.  The one recording limit —
     a heterogeneous multi-BLAS structure records on the scalar tracer."""
     return not flat.two_level or len(flat.blas) == 1
 
 
-def _leaf_columns(level, l_rays, l_refs):
-    """``(ray, primitive, leaf)`` candidate columns for accepted
-    ``(ray, leaf)`` pairs."""
+def _leaf_entries(tpl: dict, code: int):
+    """A template set's leaf entries of kind ``code``: their template
+    indices, their roots and their leaf records."""
+    entries = np.nonzero(tpl["kind"] == code)[0]
+    roots = np.searchsorted(tpl["ptr"], entries, side="right") - 1
+    return entries, roots, tpl["ref"][entries]
+
+
+def _leaf_columns(level, entries, l_rays, l_refs):
+    """``(ray, primitive, leaf entry)`` candidate columns for the leaf
+    entries ``entries`` of rays ``l_rays`` at leaf records ``l_refs``."""
     rp, pp = expand_pairs(level, l_rays, l_refs)
-    return rp, pp, np.repeat(l_refs, level.leaf_count[l_refs])
+    return rp, pp, np.repeat(entries, level.leaf_count[l_refs])
 
 
-#: Rays per recording chunk: the modelled warp size.  A chunk's frontier
-#: log, round templates, Möller–Trumbore temporaries and any-hit maps
-#: live until its traces are built, so the chunk, not the bundle, sets
-#: recording's transient memory.  On a 2-core host, recording a 576-ray
-#: frame (24x24, ``train`` at 1/400, ``20-tri``, k=8) peaked at
-#: 178/190/216/275/367/818 MB RSS with 8/16/32/64/128/1,024-ray chunks
-#: and took 5.1-5.9 s at every chunk up to 128 (6.8 s at 1,024).
+#: Rays per recording chunk: the modelled warp size.  A chunk's round
+#: templates, Möller–Trumbore temporaries and any-hit maps live until
+#: its traces are built, so the chunk, not the bundle, sets recording's
+#: transient memory.  On a 2-core host, recording a 576-ray frame
+#: (24x24, ``train`` at 1/400, ``20-tri``, k=8) with numpy templates
+#: peaked at 178/190/216/275/367/818 MB RSS with 8/16/32/64/128/1,024-ray
+#: chunks and took 5.1-5.9 s at every chunk up to 128 (6.8 s at 1,024).
 _MAX_RECORD_PACKET = 32
 
 #: Starting event and prefetch capacities of a recording's walk arrays,
-#: in int64 words; a chunk that outgrows them is walked again at its
-#: exact size, and later chunks start there.
+#: in int64 words.  A chunk that outgrows them is walked again with
+#: twice the size it needed, and later chunks start there: chunks grow
+#: towards a frame's centre, and re-running each larger one at its exact
+#: size cost the ``train`` 12x12 campaign pass a tenth of its recording.
 _WALK_WORDS = (1 << 16, 1 << 14)
+
+#: Starting entry capacities of a recording's root and shared-BLAS
+#: template columns; same re-run rule as :data:`_WALK_WORDS`.
+_TEMPLATE_ENTRIES = (1 << 14, 1 << 16)
 
 # Template entry kinds (``round_walk.c`` has the same codes).  ``tn``/``tf``
 # of an entry are the ray's slab result at the entry's parent (the
@@ -184,17 +196,31 @@ class _Walk(ctypes.Structure):
     )
 
 
-_FIELD_TYPES = dict(_Walk._fields_)
+class _Build(ctypes.Structure):
+    """``build_t`` of ``template_build.c``: one level's tables, a bundle
+    of roots and the template columns."""
+
+    _fields_ = (
+        [(name, ctypes.c_int64) for name in (
+            "n_roots", "width", "leaf_code", "cap", "n_entries", "n_nodes")]
+        + [("lo", _F64P), ("hi", _F64P), ("child_ref", _I64P)]
+        + [(name, _I8P) for name in ("child_kind", "node_code")]
+        + [(name, _F64P) for name in ("o", "inv_d", "t_clip", "root_tn")]
+        + [(name, _I64P) for name in ("ptr", "ref", "skip", "kptr", "kids")]
+        + [(name, _F64P) for name in ("tn", "tf", "cmax")]
+        + [("kind", _I8P)]
+    )
 
 
-def _bind(walk: _Walk, arrays: dict, keep: list) -> None:
-    """Point ``walk``'s array fields at ``arrays`` (converted to the
+def _bind(struct, arrays: dict, keep: list) -> None:
+    """Point ``struct``'s array fields at ``arrays`` (converted to the
     field's dtype, C-contiguous); ``keep`` holds them for the call."""
+    types = dict(type(struct)._fields_)
     for name, arr in arrays.items():
-        ctype = _FIELD_TYPES[name]
+        ctype = types[name]
         arr = np.ascontiguousarray(arr, dtype=_DTYPES[ctype])
         keep.append(arr)
-        setattr(walk, name, arr.ctypes.data_as(ctype))
+        setattr(struct, name, arr.ctypes.data_as(ctype))
 
 
 def _ray_table(n: int, rays, gids, prefix: str, **cols) -> dict:
@@ -208,163 +234,8 @@ def _ray_table(n: int, rays, gids, prefix: str, **cols) -> dict:
     return out
 
 
-def _template_arrays(tpl: "Templates", prefix: str = "") -> dict:
-    """A template set's per-entry columns, names prefixed as in
-    ``walk_t``."""
-    return {prefix + name: getattr(tpl, name) for name in tpl._fields[1:]}
-
-
-class Templates(NamedTuple):
-    """Round templates of a bundle of traversal roots, as CSR columns.
-
-    Root ``r``'s template is ``[ptr[r], ptr[r + 1])`` of the entry
-    columns ``kind``, ``tn``, ``tf``, ``ref`` and ``skip`` (the first
-    index past the entry's subtree).  ``kptr``/``kids`` list each
-    entry's children in slot order (prefetch lists and checkpoints at
-    the parent follow slot order); ``cmax`` is the largest child ``tn``.
-    """
-
-    ptr: np.ndarray
-    kind: np.ndarray
-    tn: np.ndarray
-    tf: np.ndarray
-    ref: np.ndarray
-    skip: np.ndarray
-    kptr: np.ndarray
-    kids: np.ndarray
-    cmax: np.ndarray
-
-
-def build_templates(level, root_tn, log, node_code, leaf_code) -> Templates:
-    """Every root's round template from one recording traversal's
-    frontier log (``(depth, rays, nodes, tn, tf, hit)`` slices in level
-    order, as :meth:`~repro.rt.wavefront.WavefrontTracer._traverse_wave`
-    writes it).
-
-    ``root_tn`` is each root entry's ``tn`` (its ``tf`` is ``inf``);
-    ``node_code`` maps a node id to its entry kind and ``leaf_code`` is
-    the kind of every leaf entry.  An entry is an internal node's log
-    row or an accepted leaf slot; a root's template is its entries in
-    the scalar DFS order.
-    """
-    n = root_tn.shape[0]
-    rays = np.concatenate([s[1] for s in log])
-    nodes = np.concatenate([s[2] for s in log])
-    depth = np.concatenate([np.full(s[1].size, s[0], dtype=np.int64)
-                            for s in log])
-    n_rows = rays.size
-    # Accepted children in (row, slot) order — slot order per parent.
-    parts = []
-    base = 0
-    for _, fr, _, tn, tf, hit in log:
-        pp, ss = np.nonzero(hit)
-        parts.append((pp + base, ss, tn[pp, ss], tf[pp, ss]))
-        base += fr.size
-    parent = np.concatenate([q[0] for q in parts])
-    slot = np.concatenate([q[1] for q in parts])
-    c_tn = np.concatenate([q[2] for q in parts])
-    c_tf = np.concatenate([q[3] for q in parts])
-    del parts
-    c_kind = level.child_kind[nodes[parent], slot]
-    c_ref = level.child_ref[nodes[parent], slot]
-    internal = c_kind == KIND_INTERNAL
-    n_leaves = int(np.count_nonzero(~internal))
-
-    # Entry ids: log rows first, then leaf slots.  An accepted internal
-    # child is the next level's row of the same (root, node).
-    n_nodes = level.child_kind.shape[0]
-    row_key = rays * n_nodes + nodes
-    sorter = np.argsort(row_key)
-    child_key = rays[parent[internal]] * n_nodes + c_ref[internal]
-    entry = np.empty(parent.size, dtype=np.int64)
-    entry[internal] = sorter[np.searchsorted(row_key, child_key,
-                                             sorter=sorter)]
-    entry[~internal] = n_rows + np.arange(n_leaves)
-    n_entries = n_rows + n_leaves
-
-    n_levels = int(depth[-1]) + 1
-    level_row = np.searchsorted(depth, np.arange(n_levels + 1))
-    level_child = np.searchsorted(parent, level_row)
-
-    # Subtree sizes, bottom-up over the levels.
-    size = np.ones(n_entries, dtype=np.int64)
-    for d in range(n_levels - 1, -1, -1):
-        a, b = level_child[d], level_child[d + 1]
-        if a < b:
-            r0, r1 = level_row[d], level_row[d + 1]
-            size[r0:r1] += np.bincount(
-                parent[a:b] - r0, weights=size[entry[a:b]],
-                minlength=r1 - r0).astype(np.int64)
-
-    # Preorder positions, top-down: siblings in pop order (ascending tn,
-    # ties in reverse slot order — the reverse of the scalar's stable
-    # descending-tn push order), each after its earlier siblings'
-    # subtrees.  The sort's primary key is the parent, so every level's
-    # children stay one block.
-    order = np.lexsort((-slot, c_tn, parent))
-    o_entry = entry[order]
-    o_parent = parent[order]
-    o_size = size[o_entry]
-    before = np.cumsum(o_size) - o_size
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = o_parent[1:] != o_parent[:-1]
-    before -= before[first][np.cumsum(first) - 1]
-    pos = np.zeros(n_entries, dtype=np.int64)
-    for d in range(n_levels):
-        a, b = level_child[d], level_child[d + 1]
-        pos[o_entry[a:b]] = pos[o_parent[a:b]] + 1 + before[a:b]
-    del order, o_entry, o_parent, o_size, before, first
-
-    n_roots = int(level_row[1])
-    root_size = np.zeros(n, dtype=np.int64)
-    root_size[rays[:n_roots]] = size[:n_roots]
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(root_size, out=ptr[1:])
-    e_root = np.concatenate([rays, rays[parent[~internal]]])
-    g = ptr[e_root] + pos
-    del pos, e_root
-
-    kind = np.empty(n_entries, dtype=np.int8)
-    kind[g[:n_rows]] = node_code[nodes]
-    kind[g[n_rows:]] = leaf_code
-    ref = np.empty(n_entries, dtype=np.int64)
-    ref[g[:n_rows]] = nodes
-    ref[g[n_rows:]] = c_ref[~internal]
-    tn = np.empty(n_entries)
-    tf = np.empty(n_entries)
-    g_child = g[entry]
-    tn[g_child] = c_tn
-    tf[g_child] = c_tf
-    g_root = g[:n_roots]
-    tn[g_root] = root_tn[rays[:n_roots]]
-    tf[g_root] = _INF
-    skip = np.empty(n_entries, dtype=np.int64)
-    skip[g] = g + size
-
-    g_parent = g[parent]
-    by_parent = np.argsort(g_parent, kind="stable")
-    kids = g_child[by_parent]
-    kptr = np.zeros(n_entries + 1, dtype=np.int64)
-    np.cumsum(np.bincount(g_parent, minlength=n_entries), out=kptr[1:])
-    cmax = np.full(n_entries, -_INF)
-    np.maximum.at(cmax, g_parent, c_tn)
-    return Templates(ptr, kind, tn, tf, ref, skip, kptr, kids, cmax)
-
-
-def _entry_index(tpl: Templates, code: int, keys_root, keys_ref):
-    """Template index of each ``(root, ref)`` leaf entry of kind
-    ``code`` named by the key columns (every key must exist)."""
-    sel = np.nonzero(tpl.kind == code)[0]
-    span = int(tpl.ref.max()) + 1 if tpl.ref.size else 1
-    roots = np.repeat(np.arange(tpl.ptr.size - 1), np.diff(tpl.ptr))
-    have = roots[sel] * span + tpl.ref[sel]
-    sorter = np.argsort(have)
-    want = keys_root * span + keys_ref
-    return sel[sorter[np.searchsorted(have, want, sorter=sorter)]]
-
-
 class PacketTraceRecorder:
-    """Produces scalar-identical fetch traces from frontier traversal.
+    """Produces scalar-identical fetch traces from round templates.
 
     Built once per :class:`~repro.rt.wavefront.WavefrontTracer` (the
     tracer memoizes it); carries only static tables, so one instance
@@ -398,6 +269,12 @@ class PacketTraceRecorder:
         self._node_code = np.where(
             (tracer.flat.root.child_kind == KIND_LEAF).any(axis=1),
             _T_NODE_PF, _T_NODE).astype(np.int8)
+        # Template build inputs per level: (level, node kinds, leaf kind).
+        self._root_level = (self.flat.root, self._node_code, self._leaf_code)
+        if self.two_level and not self._sphere_blas:
+            bvh = self._blas.bvh
+            self._blas_level = (bvh, np.zeros(len(bvh.child_kind),
+                                              dtype=np.int8), _T_BLAS_LEAF)
         self._static = None
 
     def static_recs(self) -> dict:
@@ -445,8 +322,10 @@ class PacketTraceRecorder:
         reconstruction's exact per-ray round counts.  ``traces`` is one
         :class:`~repro.rt.recorder.RayTrace` per ray, in ray order.
         Records chunk by chunk and emits one ``rt.wavefront.record``
-        span with the bundle's ``rays``, ``chunks``, fetch ``events``
-        and ``kernel="c"``.  Raises
+        span with the bundle's ``rays``, ``chunks``, fetch ``events``,
+        template ``entries`` built (root and shared BLAS),
+        Möller–Trumbore ``candidates`` (ray, triangle) pairs and
+        ``kernel="c"``.  Raises
         :class:`~repro.native.NativeUnavailable` without a C compiler.
         """
         o = np.ascontiguousarray(origins, dtype=np.float64)
@@ -458,21 +337,24 @@ class PacketTraceRecorder:
             t_clip = np.asarray(t_clip, dtype=np.float64)
         if n == 0:
             return empty_result(0, self.config.record_blended), []
+        build_fn = kernel("repro.rt", "template_build.c", _Build)
         walk_fn = kernel("repro.rt", "round_walk.c", _Walk)
         chunk = _MAX_RECORD_PACKET
         parts = []
         traces: list[RayTrace] = []
-        caps = list(_WALK_WORDS)
+        caps = list(_WALK_WORDS) + list(_TEMPLATE_ENTRIES)
+        work = {"entries": 0, "candidates": 0}
         with span("rt.wavefront.record", rays=n, kernel="c") as record_span:
             for i in range(0, n, chunk):
                 part, part_traces = self._record_chunk(
                     o[i:i + chunk], d[i:i + chunk], t_clip[i:i + chunk],
-                    label, walk_fn, caps)
+                    label, (build_fn, walk_fn), caps, work)
                 parts.append(part)
                 traces.extend(part_traces)
             record_span.args["chunks"] = len(parts)
             record_span.args["events"] = sum(
                 rnd.n_fetches for trace in traces for rnd in trace.rounds)
+            record_span.args.update(work)
         return (PacketResult.concatenate(parts, self.config.record_blended),
                 traces)
 
@@ -480,25 +362,24 @@ class PacketTraceRecorder:
     # Phase A — batched geometry and round templates
     # ------------------------------------------------------------------
 
-    def _record_chunk(self, o, d, t_clip, label, walk_fn, caps):
+    def _record_chunk(self, o, d, t_clip, label, kernels, caps, work):
         tracer = self.tracer
+        build_fn, walk_fn = kernels
         n = o.shape[0]
         safe = np.where(np.abs(d) < 1e-12, 1e-12, d)
         inv_d = 1.0 / safe
 
-        log: list = []
-        leaf_rays, leaf_refs = tracer._traverse_wave(
-            tracer._root, o, inv_d, t_clip, log=log)
-        tpl = build_templates(tracer._root, np.zeros(n), log,
-                              self._node_code, self._leaf_code)
-        del log
+        tpl = self._templates(build_fn, self._root_level, o, inv_d, t_clip,
+                              np.zeros(n), caps, 2)
+        work["entries"] += tpl["kind"].size
+        leaves = _leaf_entries(tpl, self._leaf_code)
+        leaf_rays, leaf_refs = leaves[1:]
 
-        tables = {"ptr": tpl.ptr, "t_clip": t_clip,
-                  **_template_arrays(tpl)}
+        tables = {**tpl, "t_clip": t_clip}
         o2c = d2c = t_proxy = None
         if self.prims == PRIMS_TRIANGLES:
             hits, ray_c, gid_c, t_proxy = self._tri_leaf_hits(
-                tpl, o, d, leaf_rays, leaf_refs)
+                tpl, o, d, leaves, work)
             tables.update(zip(("hptr", "hit_t", "hit_g"), hits))
         elif self.prims == PRIMS_GAUSSIANS:
             ray_c, gid_c = tracer._wave_customs(leaf_rays, leaf_refs)
@@ -508,7 +389,7 @@ class PacketTraceRecorder:
             tables.update(inst)
         else:
             inst, ray_c, gid_c, t_proxy, o2c, d2c = self._mesh_tables(
-                n, o, d, t_clip, leaf_rays, leaf_refs)
+                n, o, d, t_clip, leaf_rays, leaf_refs, build_fn, caps, work)
             tables.update(inst)
 
         result = shade_and_blend(self.shading, self.config, o, d, t_clip,
@@ -518,6 +399,47 @@ class PacketTraceRecorder:
                                                   caps)
         return result, traces
 
+    @staticmethod
+    def _templates(build_fn, level, o, inv_d, t_clip, root_tn, caps,
+                   i) -> dict:
+        """Every root's round template, built in ``template_build.c``
+        over a ``(FlatBVH, node kinds, leaf kind)`` triple from the
+        roots' ``(o, inv_d, t_clip, root_tn)``, as CSR columns: root ``r``'s
+        template is ``[ptr[r], ptr[r + 1])`` of ``kind``, ``tn``,
+        ``tf`` (the slab result at the parent; ``root_tn`` and ``inf``
+        at a root), ``ref`` (node or leaf record) and ``skip`` (the
+        first index past the entry's subtree); ``kptr``/``kids`` list
+        each entry's children in slot order and ``cmax`` is their
+        largest ``tn`` (``-inf`` for none).  ``caps[i]`` holds the entry
+        capacity (see :data:`_TEMPLATE_ENTRIES`) and grows it."""
+        bvh, node_code, leaf_code = level
+        n = o.shape[0]
+        ptr = np.empty(n + 1, dtype=np.int64)
+        build = _Build(n_roots=n, leaf_code=leaf_code)
+        build.n_nodes, build.width = bvh.child_kind.shape
+        keep: list = []
+        _bind(build, {"lo": bvh.child_lo, "hi": bvh.child_hi,
+                      "child_ref": bvh.child_ref,
+                      "child_kind": bvh.child_kind, "node_code": node_code,
+                      "o": o, "inv_d": inv_d, "t_clip": t_clip,
+                      "root_tn": root_tn, "ptr": ptr}, keep)
+        while True:
+            cap = build.cap = caps[i]
+            # The output columns, the last fields of ``build_t``.
+            cols = {name: np.empty(cap + (name == "kptr"), _DTYPES[ctype])
+                    for name, ctype in _Build._fields_[-8:]}
+            _bind(build, cols, keep)
+            err = build_fn(ctypes.byref(build))
+            if err:
+                raise RuntimeError(f"template_build failed with code {err}")
+            if build.n_entries <= cap:
+                break
+            caps[i] = 2 * build.n_entries
+        m = build.n_entries
+        size = {"kptr": m + 1, "kids": m - n}
+        return {"ptr": ptr, **{name: col[:size.get(name, m)]
+                               for name, col in cols.items()}}
+
     # ------------------------------------------------------------------
     # Phase B — the compiled round walk
     # ------------------------------------------------------------------
@@ -525,8 +447,8 @@ class PacketTraceRecorder:
     def _walk_rounds(self, n, tables, label, walk_fn, caps):
         """Every ray's rounds over its template in ``round_walk.c``;
         returns one :class:`~repro.rt.recorder.RayTrace` per ray and the
-        per-ray round counts.  ``caps`` holds the event and prefetch
-        capacities (see :data:`_WALK_WORDS`) and keeps the larger."""
+        per-ray round counts.  ``caps[:2]`` holds the event and prefetch
+        capacities (see :data:`_WALK_WORDS`) and grows them."""
         config = self.config
         single = config.mode == "singleround"
         walk = _Walk(
@@ -548,13 +470,14 @@ class PacketTraceRecorder:
                          "pre": np.zeros(tables["kind"].size, np.int64),
                          "seen": np.zeros(tables["egid"].size, np.int8)},
                   keep)
-            walk.ev_cap, walk.pf_cap = caps
+            walk.ev_cap, walk.pf_cap = caps[:2]
             err = walk_fn(ctypes.byref(walk))
             if err:
                 raise RuntimeError(f"round_walk failed with code {err}")
             if walk.n_ev <= caps[0] and walk.n_pf <= caps[1]:
                 break
-            caps[:] = max(caps[0], walk.n_ev), max(caps[1], walk.n_pf)
+            caps[:2] = (max(caps[0], 2 * walk.n_ev),
+                        max(caps[1], 2 * walk.n_pf))
 
         ev = memoryview(events).cast("B")
         pfb = memoryview(pf).cast("B")
@@ -577,15 +500,16 @@ class PacketTraceRecorder:
             traces.append(trace)
         return traces, rays[:, 0].copy()
 
-    def _tri_leaf_hits(self, tpl, o, d, leaf_rays, leaf_refs):
+    def _tri_leaf_hits(self, tpl, o, d, leaves, work):
         """Each triangle-leaf template entry's entering proxy hits as
         the scalar leaf loop sees them — sorted by ``(t, gid)``,
         deduplicated per Gaussian keeping the nearest — as CSR ``(hptr,
         t, gid)`` (``hptr`` per template entry), plus the global
         per-(ray, gid) candidates (nearest entering triangle over all
         leaves, the values the plain path's reduction produces)."""
-        rp, tp, lf = _leaf_columns(self.tracer._root, leaf_rays, leaf_refs)
-        n_entries = tpl.kind.size
+        rp, tp, le = _leaf_columns(self.tracer._root, *leaves)
+        work["candidates"] += rp.size
+        n_entries = tpl["kind"].size
         empty = np.empty(0, dtype=np.int64)
         if rp.size:
             mesh = self.flat.mesh
@@ -595,21 +519,19 @@ class PacketTraceRecorder:
             hits = (np.zeros(n_entries + 1, dtype=np.int64), np.empty(0),
                     empty)
             return hits, empty, empty, np.empty(0)
-        hr, hl = rp[sel], lf[sel]
+        hr, he = rp[sel], le[sel]
         hg = mesh.owner[tp[sel]]
-        # Nearest entering triangle per (ray, leaf, gid)...
-        order = np.lexsort((t, hg, hl, hr))
-        hr, hl, hg, t = hr[order], hl[order], hg[order], t[order]
+        # Nearest entering triangle per (leaf entry, gid)...
+        order = np.lexsort((t, hg, he))
+        hr, he, hg, t = hr[order], he[order], hg[order], t[order]
         first = np.ones(hr.size, dtype=bool)
-        first[1:] = ((hr[1:] != hr[:-1]) | (hl[1:] != hl[:-1])
-                     | (hg[1:] != hg[:-1]))
-        hr, hl, hg, t = hr[first], hl[first], hg[first], t[first]
+        first[1:] = (he[1:] != he[:-1]) | (hg[1:] != hg[:-1])
+        hr, he, hg, t = hr[first], he[first], hg[first], t[first]
         # ...then the scalar's (t, gid) iteration order within the leaf,
         # grouped by the leaf's template entry.
-        entry = _entry_index(tpl, _T_TRI_LEAF, hr, hl)
-        order = np.lexsort((hg, t, entry))
+        order = np.lexsort((hg, t, he))
         hptr = np.zeros(n_entries + 1, dtype=np.int64)
-        np.cumsum(np.bincount(entry, minlength=n_entries), out=hptr[1:])
+        np.cumsum(np.bincount(he, minlength=n_entries), out=hptr[1:])
         hits = (hptr, t[order], hg[order])
         # Global candidates: nearest entering triangle per (ray, gid) —
         # the min over per-leaf minima equals the plain path's min over
@@ -649,7 +571,8 @@ class PacketTraceRecorder:
         return (_ray_table(n, rp, gid, "i", tn=tn, tf=tf), rp[keep],
                 gid[keep], o2[keep], d2[keep])
 
-    def _mesh_tables(self, n, o, d, t_clip, leaf_rays, leaf_refs):
+    def _mesh_tables(self, n, o, d, t_clip, leaf_rays, leaf_refs, build_fn,
+                     caps, work):
         """Per (ray, instance), as the walk's ``i*`` table: root-box slab
         result and the global index of the pair's BLAS template (-1 for
         a pair that misses the root box); the BLAS templates of every
@@ -671,18 +594,16 @@ class PacketTraceRecorder:
         root = np.full(rp.size, -1, dtype=np.int64)
         tables = {}
         if live.size:
-            level = tracer._blas_levels[0]
             o_l, d_l = o2[live], d2[live]
-            blog: list = []
-            bleaf_rays, bleaf_refs = tracer._traverse_wave(
-                level, o_l, inv_d2[live], clip[live], log=blog)
-            tpl = build_templates(level, rtn[live], blog,
-                                  np.zeros(level.child_kind.shape[0],
-                                           dtype=np.int8), _T_BLAS_LEAF)
-            del blog
-            root[live] = tpl.ptr[:-1]
-            best = np.full(tpl.kind.size, _INF)
-            tables = {"bbest": best, **_template_arrays(tpl, "b")}
+            tpl = self._templates(build_fn, self._blas_level, o_l,
+                                  inv_d2[live], clip[live], rtn[live], caps,
+                                  3)
+            work["entries"] += tpl["kind"].size
+            root[live] = tpl["ptr"][:-1]
+            best = np.full(tpl["kind"].size, _INF)
+            tables = {"b" + name: col for name, col in tpl.items()
+                      if name != "ptr"}
+            tables["bbest"] = best
         tables.update(_ray_table(n, rp, gid, "i", tn=rtn, tf=rtf, root=root))
         none = (tables, rp[:0], rp[:0], np.empty(0), None, None)
         if not live.size:
@@ -691,19 +612,21 @@ class PacketTraceRecorder:
         # Per (pair, BLAS leaf): nearest entering template triangle, at
         # the leaf's template entry.
         blas = self._blas
-        pr, tp, lf = _leaf_columns(level, bleaf_rays, bleaf_refs)
+        pr, tp, le = _leaf_columns(tracer._blas_levels[0],
+                                   *_leaf_entries(tpl, _T_BLAS_LEAF))
+        work["candidates"] += pr.size
         if pr.size:
             sel, t = entering_hits(o_l[pr], d_l[pr], tp, blas.mesh.v0,
                                    blas.mesh.e1, blas.mesh.e2)
         if pr.size == 0 or sel.size == 0:
             return none
-        pr, lf = pr[sel], lf[sel]
-        order = np.lexsort((t, lf, pr))
-        pr, lf, t = pr[order], lf[order], t[order]
+        pr, le = pr[sel], le[sel]
+        order = np.lexsort((t, le))
+        pr, le, t = pr[order], le[order], t[order]
         first = np.ones(pr.size, dtype=bool)
-        first[1:] = (pr[1:] != pr[:-1]) | (lf[1:] != lf[:-1])
-        pr, lf, t = pr[first], lf[first], t[first]
-        best[_entry_index(tpl, _T_BLAS_LEAF, pr, lf)] = t
+        first[1:] = le[1:] != le[:-1]
+        pr, le, t = pr[first], le[first], t[first]
+        best[le] = t
 
         # Candidates: nearest entering template triangle per pair (min
         # over per-leaf minima == the plain path's global min).

@@ -34,13 +34,14 @@ are batched into bundles or chunks) changes nothing: a tile traced alone
 is bit-identical to the same rays traced inside a frame.  Images match
 the scalar tracer within 1e-9 per channel with exactly equal functional
 counters; :meth:`WavefrontTracer.trace_packet_recorded` additionally
-emits scalar-identical fetch traces (:mod:`repro.rt.tracerecord` reads
-the frontier's per-level slab rows).
+emits scalar-identical fetch traces (:mod:`repro.rt.tracerecord` builds
+per-ray round templates in C with this traversal's slab arithmetic and
+accept test, so its leaf pairs are the frontier's).
 
 Checkpointing (GRTX-HW) changes traversal order and fetch traces, not
 which Gaussians blend, so plain checkpointing frames trace on the same
 path; recorded ones replay the checkpoint/resume rounds over the
-frontier's round templates.  :func:`resolve_engine` therefore maps
+round templates.  :func:`resolve_engine` therefore maps
 ``"wavefront"`` and ``"auto"`` to this engine for every config, and the
 scalar tracer is the explicit reference.
 
@@ -281,7 +282,6 @@ class WavefrontTracer:
         o: np.ndarray,
         inv_d: np.ndarray,
         t_clip: np.ndarray,
-        log: list | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Breadth-first traversal of one flattened level.
 
@@ -292,11 +292,6 @@ class WavefrontTracer:
         flat parallel arrays.  The accept test is the scalar slab's with
         ``t_min = 0`` and no ``t_max`` pruning, so the frontier holds
         every pair any tracing round can visit.
-
-        With ``log`` given, every slice appends its ``(depth, rays,
-        nodes, tn, tf, hit)`` rows — each visiting pair's slab results
-        for *all* child slots plus the accept mask, in level order —
-        which the trace recorder folds into round templates.
         """
         kinds = level.child_kind
         refs = level.child_ref
@@ -311,7 +306,6 @@ class WavefrontTracer:
         f_nodes = np.zeros(n, dtype=np.int64)
         leaf_ray_parts: list[np.ndarray] = []
         leaf_ref_parts: list[np.ndarray] = []
-        depth = 0
         while f_rays.size:
             next_ray_parts: list[np.ndarray] = []
             next_node_parts: list[np.ndarray] = []
@@ -348,8 +342,6 @@ class WavefrontTracer:
                 hit &= tf >= 0.0
                 hit &= tn <= t_clip[fr, None]
                 hit &= k != 0
-                if log is not None:
-                    log.append((depth, fr, fn, tn, tf, hit))
                 b0 = time.perf_counter()
                 pair, slot = np.nonzero(hit)
                 child_kind = k[pair, slot]
@@ -375,7 +367,6 @@ class WavefrontTracer:
                 f_rays = f_rays[order]
                 f_nodes = f_nodes[order]
             self._bin_s += time.perf_counter() - b0
-            depth += 1
         if not leaf_ray_parts:
             return empty, empty
         b0 = time.perf_counter()

@@ -1,16 +1,16 @@
 """The per-ray round-template builders of the frontier trace recorder,
-kept verbatim as the oracle for the array-native template build.
+kept verbatim as the oracle for the compiled template build.
 
-Before round templates were built with numpy over the whole frontier
-log (``repro.rt.tracerecord.build_templates``), the recorder folded the
-log into per-ray ``node -> row`` dicts (``_visit_tables``) and rebuilt
-each ray's DFS visit sequence with a Python stack walk
-(``_RaySim._build_template`` / ``_build_blas_template``, with
-``_skip_table`` for the subtree jumps).  Those four functions are below
-unchanged; :class:`OracleSim` supplies the handful of ``_RaySim``
-attributes the two methods read.  ``tests/test_template_oracle.py``
-asserts that the array-native columns ``(kind, tn, tf, ref, skip)``
-equal these entries and skips ray for ray.
+The recorder once folded a recording traversal's visit rows into per-ray
+``node -> row`` dicts (``_visit_tables``) and rebuilt each ray's DFS
+visit sequence with a Python stack walk (``_RaySim._build_template`` /
+``_build_blas_template``, with ``_skip_table`` for the subtree jumps).
+Those four functions are below unchanged; :class:`OracleSim` supplies
+the handful of ``_RaySim`` attributes the two methods read.
+``tests/test_template_oracle.py`` feeds them slab rows computed over
+every ``(ray, node)`` pair and asserts that the columns ``(kind, tn, tf,
+ref, skip)`` of ``template_build.c`` equal these entries and skips ray
+for ray.
 """
 
 from __future__ import annotations

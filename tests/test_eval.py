@@ -7,11 +7,14 @@ These run the actual experiment functions at a drastically reduced scale
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import repro.eval.harness as harness
 from repro.eval import experiments as exp
+from repro.hwsim import GpuConfig
 from repro.eval.report import format_table, geomean
 
 TEST_SCALE = 1.0 / 4000.0
@@ -130,6 +133,29 @@ class TestExperiments:
         result = exp.fig24(["room"])
         row = result.row("room")
         assert len(row) == 5
+
+    def test_fig24_cap_is_proportional_to_scale(self, monkeypatch):
+        """fig24's allocation cap is the 4 GiB Vulkan cap shrunk by the
+        scene scale, no more: a structure whose AMD-scaled size is 5%
+        over it is marked OOM and never run, one 5% under it runs."""
+        cap = 4 * 1024 ** 3 * exp.BENCH_SCALE
+        scale = GpuConfig.amd_like().bvh_size_scale
+        sizes = {"20-tri": 1.05, "80-tri": 0.95, "tlas+20-tri": 0.01,
+                 "tlas+80-tri": 0.01}
+        ran = []
+
+        def run_config(scene, proxy, k, gpu):
+            ran.append(proxy)
+            return SimpleNamespace(time_ms=2.0 if proxy == "tlas+80-tri"
+                                   else 3.0)
+
+        monkeypatch.setattr(exp, "run_config", run_config)
+        monkeypatch.setattr(exp, "get_structure", lambda scene, proxy:
+                            SimpleNamespace(
+                                total_bytes=sizes[proxy] * cap / scale))
+        assert exp.fig24(["room"]).row("room") == [
+            "room", "x (OOM)", 1.5, 1.5, 1.0]
+        assert "20-tri" not in ran and "80-tri" in ran
 
     def test_experiment_result_helpers(self):
         result = exp.table1()

@@ -22,9 +22,13 @@ from tests.test_tracerecord import _replay_span, _with_spans
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: Every shipped kernel: package, source and its entry point's signature.
-KERNELS = (("repro.hwsim", "lru_walk.c", "int64_t lru_walk(walk_t *w)"),
-           ("repro.rt", "round_walk.c", "int64_t round_walk(walk_t *w)"))
+#: Every kernel source in the tree: package, source and the head of its
+#: entry point's definition.  Derived from the ``.c`` files, so a new
+#: kernel that ``setup.py`` does not ship fails the packaging test.
+KERNELS = tuple(
+    (".".join(path.parent.relative_to(ROOT / "src").parts), path.name,
+     f"int64_t {path.stem}(")
+    for path in sorted((ROOT / "src" / "repro").rglob("*.c")))
 
 
 @pytest.fixture(scope="module")

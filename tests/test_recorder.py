@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.rt import (
@@ -12,6 +13,7 @@ from repro.rt import (
     RayTrace,
     RoundTrace,
 )
+from repro.rt.recorder import unique_fetch_counts
 
 
 class TestRoundTrace:
@@ -54,6 +56,26 @@ class TestRayTrace:
         assert trace.total_fetches == 5
         assert trace.unique_fetches == 3
         assert RayTrace().unique_counts() == (0, 0)
+
+    def test_bundle_unique_counts_match_per_trace(self):
+        """The bundle count equals each trace's own distinct addresses
+        per kind, across several sort slices, with empty traces, rounds
+        without fetches and the same address under both kinds."""
+        rng = np.random.default_rng(3)
+        traces = []
+        for i in range(75):
+            trace = RayTrace()
+            for _ in range(i % 4):
+                rnd = trace.begin_round()
+                for addr in rng.integers(0, 40, rng.integers(0, 9)):
+                    rnd.fetch(int(addr) * 64 + (1 << 40) * (i % 3), 64,
+                              FETCH_INTERNAL if addr % 3 else FETCH_LEAF)
+            traces.append(trace)
+        want = [[len({e[0] for r in t.rounds for e in r.iter_events()
+                      if (e[2] == FETCH_LEAF) == leaf})
+                 for leaf in (False, True)] for t in traces]
+        assert unique_fetch_counts(traces).tolist() == want
+        assert unique_fetch_counts([]).shape == (0, 2)
 
     def test_rounds_accumulate(self):
         trace = RayTrace()

@@ -60,6 +60,16 @@ CHUNK_BUDGETS = (_replay_module.CHUNK_EVENTS, 300)
 RECORD_CHUNKS = (tracerecord._MAX_RECORD_PACKET, 3)
 
 
+#: Exact ``rt.wavefront.record`` work counters of a 12x12 recorded
+#: render (k=4) of each structure of the ``cloud`` fixture.
+RECORD_WORK = {
+    "20-tri": {"entries": 5561, "candidates": 6841},
+    "custom": {"entries": 1575, "candidates": 0},
+    "tlas+sphere": {"entries": 1998, "candidates": 0},
+    "tlas+20-tri": {"entries": 5470, "candidates": 6255},
+}
+
+
 @pytest.fixture(scope="module")
 def cloud():
     return tiny_cloud(n=128, seed=21)
@@ -303,7 +313,8 @@ class TestTraceEquivalence:
     def test_record_span_counts_chunks(self, cloud, structures):
         """A recorded render emits one ``rt.wavefront.record`` span per
         bundle: its rays, its ``ceil(rays / 32)`` chunks, its fetch
-        events and the compiled walk that recorded them."""
+        events, its work counters and the compiled walk that recorded
+        them."""
         camera = default_camera_for(cloud, 12, 12)
         result, spans = _with_spans(
             "rt.wavefront.record",
@@ -314,7 +325,22 @@ class TestTraceEquivalence:
         assert spans == [{
             "rays": 144, "chunks": 5, "kernel": "c",
             "events": sum(rnd.n_fetches for trace in result.traces
-                          for rnd in trace.rounds)}]
+                          for rnd in trace.rounds),
+            **RECORD_WORK["20-tri"]}]
+
+    @pytest.mark.parametrize("proxy", sorted(RECORD_WORK))
+    def test_record_span_work_counters(self, cloud, structures, proxy):
+        """The record span's exact work counters on the fixed cloud and a
+        12x12 camera: template entries built (root plus shared BLAS)
+        and Möller–Trumbore candidate (ray, triangle) pairs."""
+        camera = default_camera_for(cloud, 12, 12)
+        _, (args,) = _with_spans(
+            "rt.wavefront.record",
+            lambda: GaussianRayTracer(
+                cloud, structures[proxy], TraceConfig(k=4),
+                engine="wavefront").render(camera, keep_traces=True))
+        assert {name: args[name] for name in ("entries", "candidates")} \
+            == RECORD_WORK[proxy]
 
     def test_tiled_pooled_recording_ships_traces(self, cloud, structures):
         """Recording composes with pooled tiles: the reassembled frame
