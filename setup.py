@@ -14,6 +14,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     package_data={"repro.hwsim": ["lru_walk.c"],
-                  "repro.rt": ["round_walk.c", "template_build.c"]},
+                  "repro.rt": ["leaf_hits.c", "round_walk.c",
+                               "template_build.c"]},
     install_requires=["numpy"],
 )

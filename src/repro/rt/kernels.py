@@ -1,11 +1,15 @@
 """Shared vectorized kernels of the batched tracing engine.
 
-Everything in :mod:`repro.rt.wavefront` and the trace recorder
-(:mod:`repro.rt.tracerecord`) that touches geometry or color — leaf
-candidate expansion, masked Möller–Trumbore, world→object ray
+Everything in :mod:`repro.rt.wavefront` that touches geometry or color
+— leaf candidate expansion, masked Möller–Trumbore, world→object ray
 transforms, the sphere-BLAS root-box test, the canonical any-hit
-evaluation and the front-to-back blend — lives here, so the plain and
-recorded paths cannot drift apart on it.
+evaluation and the front-to-back blend — lives here.  The trace
+recorder (:mod:`repro.rt.tracerecord`) shares all of it except the
+triangle-leaf stage: it intersects triangle leaves in ``leaf_hits.c``,
+which repeats :func:`entering_hits`' arithmetic in C.  Two tests hold
+the two paths together: ``test_recorded_result_matches_plain_packet``
+(recorded and plain renders bit-identical) and ``tests/test_leaf_hits.py``
+(the C leaf hits equal :func:`entering_hits` plus its numpy reductions).
 
 Every kernel is elementwise over its batch (no cross-element reductions
 except the documented sorted ones), which is what makes the engine

@@ -18,11 +18,16 @@ ties in reverse slot order; node ordering depends only on per-ray entry
 distances, which are round-invariant).  It writes CSR columns ``(kind,
 tn, tf, ref, skip)`` in preorder, plus slot-ordered children and their
 largest ``tn`` (see :meth:`PacketTraceRecorder._templates`).  The leaf
-entries are the chunk's accepted ``(ray, leaf)`` pairs; they feed one
-masked Möller–Trumbore over all candidate pairs, batched instance
-transforms, one shared-BLAS template build per chunk over the live
-``(ray, instance)`` pairs, and one vectorized canonical any-hit
-evaluation per candidate ``(ray, gaussian)`` pair.  The shade/blend
+entries are the chunk's accepted ``(ray, leaf)`` pairs.  A second C
+kernel (``leaf_hits.c``, see :meth:`PacketTraceRecorder._leaf_hits`)
+intersects each triangle-leaf entry's triangles with its ray using
+:func:`~repro.rt.kernels.entering_hits`' arithmetic and reduces the
+hits to each leaf's per-Gaussian nearest and the chunk's candidate
+pairs.  Instance leaves get batched instance transforms and one
+shared-BLAS template build per chunk over the live ``(ray, instance)``
+pairs, whose leaves go through the same leaf-hit kernel; then one
+vectorized canonical any-hit evaluation runs per candidate ``(ray,
+gaussian)`` pair.  The shade/blend
 stage then runs on exactly the candidate sets a plain ``trace_packet``
 would build, so the recorded render's
 :class:`~repro.rt.kernels.PacketResult` matches the plain path.
@@ -88,7 +93,6 @@ from repro.rt.kernels import (
     PacketResult,
     box_slab,
     empty_result,
-    entering_hits,
     expand_pairs,
     shade_and_blend,
     to_object_space,
@@ -116,22 +120,15 @@ def recordable(flat) -> bool:
 
 
 def _leaf_entries(tpl: dict, code: int):
-    """A template set's leaf entries of kind ``code``: their template
-    indices, their roots and their leaf records."""
+    """A template set's leaf entries of kind ``code``: their roots and
+    their leaf records."""
     entries = np.nonzero(tpl["kind"] == code)[0]
     roots = np.searchsorted(tpl["ptr"], entries, side="right") - 1
-    return entries, roots, tpl["ref"][entries]
-
-
-def _leaf_columns(level, entries, l_rays, l_refs):
-    """``(ray, primitive, leaf entry)`` candidate columns for the leaf
-    entries ``entries`` of rays ``l_rays`` at leaf records ``l_refs``."""
-    rp, pp = expand_pairs(level, l_rays, l_refs)
-    return rp, pp, np.repeat(entries, level.leaf_count[l_refs])
+    return roots, tpl["ref"][entries]
 
 
 #: Rays per recording chunk: the modelled warp size.  A chunk's round
-#: templates, Möller–Trumbore temporaries and any-hit maps live until
+#: templates, leaf hits and any-hit maps live until
 #: its traces are built, so the chunk, not the bundle, sets recording's
 #: transient memory.  On a 2-core host, recording a 576-ray frame
 #: (24x24, ``train`` at 1/400, ``20-tri``, k=8) with numpy templates
@@ -209,6 +206,22 @@ class _Build(ctypes.Structure):
         + [(name, _I64P) for name in ("ptr", "ref", "skip", "kptr", "kids")]
         + [(name, _F64P) for name in ("tn", "tf", "cmax")]
         + [("kind", _I8P)]
+    )
+
+
+class _Hits(ctypes.Structure):
+    """``hits_t`` of ``leaf_hits.c``: one template set's leaf entries,
+    its roots' rays, a leaf-ordered triangle mesh and the outputs."""
+
+    _fields_ = (
+        [(name, ctypes.c_int64) for name in (
+            "n_roots", "leaf_code", "blas", "cap", "n_hits", "n_cands")]
+        + [(name, _I64P) for name in (
+            "ptr", "ref", "leaf_start", "leaf_count", "owner")]
+        + [("kind", _I8P)]
+        + [(name, _F64P) for name in ("v0", "e1", "e2", "o", "d")]
+        + [(name, _I64P) for name in ("hptr", "hit_g", "c_root", "c_gid")]
+        + [(name, _F64P) for name in ("hit_t", "c_t", "bbest")]
     )
 
 
@@ -324,7 +337,8 @@ class PacketTraceRecorder:
         Records chunk by chunk and emits one ``rt.wavefront.record``
         span with the bundle's ``rays``, ``chunks``, fetch ``events``,
         template ``entries`` built (root and shared BLAS),
-        Möller–Trumbore ``candidates`` (ray, triangle) pairs and
+        Möller–Trumbore ``candidates`` (ray, triangle) pairs, entering
+        proxy ``hits`` kept after per-leaf deduplication and
         ``kernel="c"``.  Raises
         :class:`~repro.native.NativeUnavailable` without a C compiler.
         """
@@ -337,18 +351,19 @@ class PacketTraceRecorder:
             t_clip = np.asarray(t_clip, dtype=np.float64)
         if n == 0:
             return empty_result(0, self.config.record_blended), []
-        build_fn = kernel("repro.rt", "template_build.c", _Build)
-        walk_fn = kernel("repro.rt", "round_walk.c", _Walk)
+        kernels = (kernel("repro.rt", "template_build.c", _Build),
+                   kernel("repro.rt", "leaf_hits.c", _Hits),
+                   kernel("repro.rt", "round_walk.c", _Walk))
         chunk = _MAX_RECORD_PACKET
         parts = []
         traces: list[RayTrace] = []
         caps = list(_WALK_WORDS) + list(_TEMPLATE_ENTRIES)
-        work = {"entries": 0, "candidates": 0}
+        work = {"entries": 0, "candidates": 0, "hits": 0}
         with span("rt.wavefront.record", rays=n, kernel="c") as record_span:
             for i in range(0, n, chunk):
                 part, part_traces = self._record_chunk(
                     o[i:i + chunk], d[i:i + chunk], t_clip[i:i + chunk],
-                    label, (build_fn, walk_fn), caps, work)
+                    label, kernels, caps, work)
                 parts.append(part)
                 traces.extend(part_traces)
             record_span.args["chunks"] = len(parts)
@@ -364,7 +379,7 @@ class PacketTraceRecorder:
 
     def _record_chunk(self, o, d, t_clip, label, kernels, caps, work):
         tracer = self.tracer
-        build_fn, walk_fn = kernels
+        build_fn, hits_fn, walk_fn = kernels
         n = o.shape[0]
         safe = np.where(np.abs(d) < 1e-12, 1e-12, d)
         inv_d = 1.0 / safe
@@ -372,15 +387,16 @@ class PacketTraceRecorder:
         tpl = self._templates(build_fn, self._root_level, o, inv_d, t_clip,
                               np.zeros(n), caps, 2)
         work["entries"] += tpl["kind"].size
-        leaves = _leaf_entries(tpl, self._leaf_code)
-        leaf_rays, leaf_refs = leaves[1:]
+        leaf_rays, leaf_refs = _leaf_entries(tpl, self._leaf_code)
 
         tables = {**tpl, "t_clip": t_clip}
         o2c = d2c = t_proxy = None
         if self.prims == PRIMS_TRIANGLES:
-            hits, ray_c, gid_c, t_proxy = self._tri_leaf_hits(
-                tpl, o, d, leaves, work)
-            tables.update(zip(("hptr", "hit_t", "hit_g"), hits))
+            hits = self._leaf_hits(hits_fn, tpl, tracer._root,
+                                   self.flat.mesh, o, d, work)
+            ray_c, gid_c, t_proxy = (hits.pop(name) for name in (
+                "c_root", "c_gid", "c_t"))
+            tables.update(hits)
         elif self.prims == PRIMS_GAUSSIANS:
             ray_c, gid_c = tracer._wave_customs(leaf_rays, leaf_refs)
         elif self._sphere_blas:
@@ -389,7 +405,8 @@ class PacketTraceRecorder:
             tables.update(inst)
         else:
             inst, ray_c, gid_c, t_proxy, o2c, d2c = self._mesh_tables(
-                n, o, d, t_clip, leaf_rays, leaf_refs, build_fn, caps, work)
+                n, o, d, t_clip, leaf_rays, leaf_refs, kernels[:2], caps,
+                work)
             tables.update(inst)
 
         result = shade_and_blend(self.shading, self.config, o, d, t_clip,
@@ -500,47 +517,46 @@ class PacketTraceRecorder:
             traces.append(trace)
         return traces, rays[:, 0].copy()
 
-    def _tri_leaf_hits(self, tpl, o, d, leaves, work):
-        """Each triangle-leaf template entry's entering proxy hits as
-        the scalar leaf loop sees them — sorted by ``(t, gid)``,
-        deduplicated per Gaussian keeping the nearest — as CSR ``(hptr,
-        t, gid)`` (``hptr`` per template entry), plus the global
-        per-(ray, gid) candidates (nearest entering triangle over all
-        leaves, the values the plain path's reduction produces)."""
-        rp, tp, le = _leaf_columns(self.tracer._root, *leaves)
-        work["candidates"] += rp.size
-        n_entries = tpl["kind"].size
-        empty = np.empty(0, dtype=np.int64)
-        if rp.size:
-            mesh = self.flat.mesh
-            sel, t = entering_hits(o[rp], d[rp], tp, mesh.v0, mesh.e1,
-                                   mesh.e2)
-        if rp.size == 0 or sel.size == 0:
-            hits = (np.zeros(n_entries + 1, dtype=np.int64), np.empty(0),
-                    empty)
-            return hits, empty, empty, np.empty(0)
-        hr, he = rp[sel], le[sel]
-        hg = mesh.owner[tp[sel]]
-        # Nearest entering triangle per (leaf entry, gid)...
-        order = np.lexsort((t, hg, he))
-        hr, he, hg, t = hr[order], he[order], hg[order], t[order]
-        first = np.ones(hr.size, dtype=bool)
-        first[1:] = (he[1:] != he[:-1]) | (hg[1:] != hg[:-1])
-        hr, he, hg, t = hr[first], he[first], hg[first], t[first]
-        # ...then the scalar's (t, gid) iteration order within the leaf,
-        # grouped by the leaf's template entry.
-        order = np.lexsort((hg, t, he))
-        hptr = np.zeros(n_entries + 1, dtype=np.int64)
-        np.cumsum(np.bincount(he, minlength=n_entries), out=hptr[1:])
-        hits = (hptr, t[order], hg[order])
-        # Global candidates: nearest entering triangle per (ray, gid) —
-        # the min over per-leaf minima equals the plain path's min over
-        # all entering hits, bit for bit.
-        order = np.lexsort((t, hg, hr))
-        cr, cg, ct = hr[order], hg[order], t[order]
-        first = np.ones(cr.size, dtype=bool)
-        first[1:] = (cr[1:] != cr[:-1]) | (cg[1:] != cg[:-1])
-        return hits, cr[first], cg[first], ct[first]
+    @staticmethod
+    def _leaf_hits(hits_fn, tpl, level, mesh, o, d, work) -> dict:
+        """The entering proxy hits of a template set's triangle-leaf
+        entries against their roots' rays ``(o, d)``, from
+        ``leaf_hits.c``.  For monolithic proxies (``mesh.owner`` set):
+        per leaf entry each Gaussian's nearest hit as the CSR ``hptr``
+        (per template entry), ``hit_t``, ``hit_g`` in the scalar leaf
+        loop's ``(t, gid)`` order, and per ``(root, gid)`` the nearest
+        hit over all leaves as the candidates ``c_root``, ``c_gid``,
+        ``c_t`` in ``(root, gid)`` order (the plain path's reduction).
+        For the shared mesh BLAS: per template entry its nearest leaf
+        hit as ``bbest`` (``inf`` for none), and per root with a hit its
+        nearest as ``c_root``, ``c_t``.  Every output is sized by the
+        leaves' triangle count, which bounds hits and candidates."""
+        blas = mesh.owner is None
+        code = _T_BLAS_LEAF if blas else _T_TRI_LEAF
+        cap = int(level.leaf_count[tpl["ref"][tpl["kind"] == code]].sum())
+        m = tpl["kind"].size
+        out = {"c_root": np.empty(cap, np.int64), "c_t": np.empty(cap)}
+        if blas:
+            out["bbest"] = np.empty(m)
+        else:
+            out.update(hptr=np.empty(m + 1, np.int64), hit_t=np.empty(cap),
+                       hit_g=np.empty(cap, np.int64),
+                       c_gid=np.empty(cap, np.int64))
+        hits = _Hits(n_roots=o.shape[0], leaf_code=code, blas=blas, cap=cap)
+        keep: list = []
+        _bind(hits, {"ptr": tpl["ptr"], "ref": tpl["ref"],
+                     "kind": tpl["kind"], "leaf_start": level.leaf_start,
+                     "leaf_count": level.leaf_count, "v0": mesh.v0,
+                     "e1": mesh.e1, "e2": mesh.e2, "o": o, "d": d, **out,
+                     **({} if blas else {"owner": mesh.owner})}, keep)
+        err = hits_fn(ctypes.byref(hits))
+        if err:
+            raise RuntimeError(f"leaf_hits failed with code {err}")
+        work["candidates"] += cap
+        work["hits"] += hits.n_hits
+        rows = dict.fromkeys(("hit_t", "hit_g"), hits.n_hits)
+        rows.update(dict.fromkeys(("c_root", "c_gid", "c_t"), hits.n_cands))
+        return {name: col[:rows.get(name)] for name, col in out.items()}
 
     def _instance_pairs(self, o, d, leaf_rays, leaf_refs):
         """The TLAS (ray, instance) pair bundle with object-space rays —
@@ -571,7 +587,7 @@ class PacketTraceRecorder:
         return (_ray_table(n, rp, gid, "i", tn=tn, tf=tf), rp[keep],
                 gid[keep], o2[keep], d2[keep])
 
-    def _mesh_tables(self, n, o, d, t_clip, leaf_rays, leaf_refs, build_fn,
+    def _mesh_tables(self, n, o, d, t_clip, leaf_rays, leaf_refs, kernels,
                      caps, work):
         """Per (ray, instance), as the walk's ``i*`` table: root-box slab
         result and the global index of the pair's BLAS template (-1 for
@@ -582,6 +598,7 @@ class PacketTraceRecorder:
         proxy depths (the plain path's
         nearest-entering-template-triangle reduction)."""
         tracer = self.tracer
+        build_fn, hits_fn = kernels
         rp, pp, gid, o2, d2 = self._instance_pairs(o, d, leaf_rays,
                                                    leaf_refs)
         if rp.size == 0:
@@ -592,7 +609,7 @@ class PacketTraceRecorder:
         clip = t_clip[rp]
         live = np.nonzero((rtn <= rtf) & (rtf >= 0.0) & (rtn <= clip))[0]
         root = np.full(rp.size, -1, dtype=np.int64)
-        tables = {}
+        tables, sub, t_proxy = {}, live, np.empty(0)
         if live.size:
             o_l, d_l = o2[live], d2[live]
             tpl = self._templates(build_fn, self._blas_level, o_l,
@@ -600,42 +617,15 @@ class PacketTraceRecorder:
                                   3)
             work["entries"] += tpl["kind"].size
             root[live] = tpl["ptr"][:-1]
-            best = np.full(tpl["kind"].size, _INF)
+            hits = self._leaf_hits(hits_fn, tpl, tracer._blas_levels[0],
+                                   self._blas.mesh, o_l, d_l, work)
             tables = {"b" + name: col for name, col in tpl.items()
                       if name != "ptr"}
-            tables["bbest"] = best
+            tables["bbest"] = hits["bbest"]
+            # Candidates: the live pairs with an entering template hit.
+            sub, t_proxy = live[hits["c_root"]], hits["c_t"]
         tables.update(_ray_table(n, rp, gid, "i", tn=rtn, tf=rtf, root=root))
-        none = (tables, rp[:0], rp[:0], np.empty(0), None, None)
-        if not live.size:
-            return none
-
-        # Per (pair, BLAS leaf): nearest entering template triangle, at
-        # the leaf's template entry.
-        blas = self._blas
-        pr, tp, le = _leaf_columns(tracer._blas_levels[0],
-                                   *_leaf_entries(tpl, _T_BLAS_LEAF))
-        work["candidates"] += pr.size
-        if pr.size:
-            sel, t = entering_hits(o_l[pr], d_l[pr], tp, blas.mesh.v0,
-                                   blas.mesh.e1, blas.mesh.e2)
-        if pr.size == 0 or sel.size == 0:
-            return none
-        pr, le = pr[sel], le[sel]
-        order = np.lexsort((t, le))
-        pr, le, t = pr[order], le[order], t[order]
-        first = np.ones(pr.size, dtype=bool)
-        first[1:] = le[1:] != le[:-1]
-        pr, le, t = pr[first], le[first], t[first]
-        best[le] = t
-
-        # Candidates: nearest entering template triangle per pair (min
-        # over per-leaf minima == the plain path's global min).
-        order = np.lexsort((t, pr))
-        pr2, t2 = pr[order], t[order]
-        first = np.ones(pr2.size, dtype=bool)
-        first[1:] = pr2[1:] != pr2[:-1]
-        sub = live[pr2[first]]
-        return tables, rp[sub], gid[sub], t2[first], o2[sub], d2[sub]
+        return tables, rp[sub], gid[sub], t_proxy, o2[sub], d2[sub]
 
     def _eval_tables(self, n, o, d, ray_c, gid_c, o2, d2):
         """Per (ray, gaussian) canonical any-hit results for every

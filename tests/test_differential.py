@@ -243,7 +243,7 @@ def test_recorded_walk_matches_scalar_under_stress(family, case):
     t_min`` evictions, many checkpointed rounds, clipped and unclipped
     rays — record the scalar tracer's traces exactly.  The walk arrays
     start a few words long, so every chunk outgrows them and is walked
-    again at its exact size."""
+    again at twice the size it needed."""
     cloud, config, seed = case
     structure = FAMILIES[family](cloud)
     origins, directions, t_clip = _rays(cloud, 16, seed)

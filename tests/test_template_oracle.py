@@ -124,7 +124,7 @@ def _check_against_oracle(family, cloud, o, d, t_clip, caps):
     if not flat.two_level or recorder._sphere_blas:
         return
     # Shared mesh BLAS: one template per live (ray, instance) pair.
-    _, leaf_rays, leaf_refs = tracerecord._leaf_entries(
+    leaf_rays, leaf_refs = tracerecord._leaf_entries(
         tpl, tracerecord._T_TLAS_LEAF)
     rp, _, _, o2, d2 = recorder._instance_pairs(o, d, leaf_rays, leaf_refs)
     if rp.size == 0:
@@ -182,8 +182,8 @@ def test_degenerate_rays_and_small_capacity_match_oracle(family):
 @pytest.mark.parametrize("family", RECORDED)
 def test_template_rerun_records_the_same_traces(family, monkeypatch):
     """A recording whose template columns start a few entries long
-    re-runs each build at its exact size and records the same traces
-    as one from the default capacities."""
+    re-runs each build at twice the size it needed and records the
+    same traces as one from the default capacities."""
     cloud = tiny_cloud(n=60, seed=11)
     tracer = WavefrontTracer(FAMILIES[family](cloud), SceneShading(cloud),
                              TraceConfig(k=3, checkpointing=True))

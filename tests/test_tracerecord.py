@@ -63,10 +63,10 @@ RECORD_CHUNKS = (tracerecord._MAX_RECORD_PACKET, 3)
 #: Exact ``rt.wavefront.record`` work counters of a 12x12 recorded
 #: render (k=4) of each structure of the ``cloud`` fixture.
 RECORD_WORK = {
-    "20-tri": {"entries": 5561, "candidates": 6841},
-    "custom": {"entries": 1575, "candidates": 0},
-    "tlas+sphere": {"entries": 1998, "candidates": 0},
-    "tlas+20-tri": {"entries": 5470, "candidates": 6255},
+    "20-tri": {"entries": 5561, "candidates": 6841, "hits": 421},
+    "custom": {"entries": 1575, "candidates": 0, "hits": 0},
+    "tlas+sphere": {"entries": 1998, "candidates": 0, "hits": 0},
+    "tlas+20-tri": {"entries": 5470, "candidates": 6255, "hits": 421},
 }
 
 
@@ -331,15 +331,16 @@ class TestTraceEquivalence:
     @pytest.mark.parametrize("proxy", sorted(RECORD_WORK))
     def test_record_span_work_counters(self, cloud, structures, proxy):
         """The record span's exact work counters on the fixed cloud and a
-        12x12 camera: template entries built (root plus shared BLAS)
-        and Möller–Trumbore candidate (ray, triangle) pairs."""
+        12x12 camera: template entries built (root plus shared BLAS),
+        Möller–Trumbore candidate (ray, triangle) pairs and the entering
+        proxy hits kept after per-leaf deduplication."""
         camera = default_camera_for(cloud, 12, 12)
         _, (args,) = _with_spans(
             "rt.wavefront.record",
             lambda: GaussianRayTracer(
                 cloud, structures[proxy], TraceConfig(k=4),
                 engine="wavefront").render(camera, keep_traces=True))
-        assert {name: args[name] for name in ("entries", "candidates")} \
+        assert {name: args[name] for name in RECORD_WORK[proxy]} \
             == RECORD_WORK[proxy]
 
     def test_tiled_pooled_recording_ships_traces(self, cloud, structures):
