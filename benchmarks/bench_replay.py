@@ -11,7 +11,9 @@ plain script::
 
     python benchmarks/bench_replay.py [--size 20] [--check]
 
-Four sections, written to ``benchmarks/results/BENCH_replay.json``:
+Four sections, written to ``benchmarks/results/BENCH_replay.json``
+(``--out`` overrides; the text table lands next to it as
+``replay_pipeline.txt``):
 
 * **recording** — the wavefront recorded render's time next to the
   scalar tracer's, and which round-walk ``kernel`` its
@@ -101,6 +103,9 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument("--max-record-mb", type=float, default=None,
                         help="per-config recorded-render peak-RSS growth "
                              "ceiling for --check (MB; default: not gated)")
+    parser.add_argument("--out",
+                        default=str(RESULTS_DIR / "BENCH_replay.json"),
+                        help="machine-readable output path")
     parser.add_argument("--check", action="store_true",
                         help="gate on the speed bars (trace/replay parity "
                              "failures exit non-zero regardless)")
@@ -291,10 +296,8 @@ def main(argv: list[str] | None = None) -> int:
               "new = wavefront recorder + batched replay",
     )
     print(report)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "replay_pipeline.txt").write_text(report + "\n")
-    write_bench_json(
-        RESULTS_DIR / "BENCH_replay.json", "replay",
+    out = write_bench_json(
+        args.out, "replay",
         config={"scene": args.scene, "size": args.size,
                 "scale": args.scale, "k": args.k,
                 "replay_reps": args.replay_reps,
@@ -306,6 +309,8 @@ def main(argv: list[str] | None = None) -> int:
                   "campaign": {"old_total_s": old_total,
                                "new_total_s": new_total,
                                "e2e_speedup": total_e2e}})
+    (out.parent / "replay_pipeline.txt").write_text(report + "\n")
+    print(f"\nwrote {out}")
 
     failures = []
     for name, m in measurements.items():

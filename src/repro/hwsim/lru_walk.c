@@ -13,21 +13,27 @@
  *   - the sibling prefetch of every pair the window does not hold, merged
  *     events included.
  *
- * Cache sets and the merge window are recency lists: element 0 is the
- * most recently used, the last element of a full set the LRU victim. The
- * caches' tags and fill counts live in caller-owned arrays and the
- * counters in the walk_t, so all of them carry from one chunk to the
- * next. The code is integer only: the caller charges banked-DRAM
- * latencies from the DRAM accesses listed in dram_line/dram_ev and does
- * the floating point.
+ * The merge window is a recency list: element 0 is the most recently
+ * used address. A cache set keeps its recency order as a doubly linked
+ * list over its way slots, head the MRU way and tail the LRU victim, and
+ * the caches find a line's slot through an open-addressed (set, line)
+ * table with linear probing, so every access is O(1) in the ways. The
+ * caches' slots, lists and tables and the per-line demand map live in
+ * caller-owned arrays and the counters in the walk_t, so all of them
+ * carry from one chunk to the next. The code is integer only: the caller
+ * charges banked-DRAM latencies from the DRAM accesses listed in
+ * dram_line/dram_ev and does the floating point.
  */
 #include <stdint.h>
 #include <string.h>
 
 typedef struct {
-    int64_t *tag;  /* sets * ways, set-major, each set in recency order */
-    int64_t *fill; /* filled ways per set */
-    int64_t sets, ways;
+    int64_t *tag;         /* sets * ways line slots, set-major */
+    int64_t *fill;        /* filled ways per set; slots fill in order */
+    int32_t *prev, *next; /* per slot: its recency neighbours, -1 at ends */
+    int32_t *head, *tail; /* per set: MRU and LRU slot, -1 while empty */
+    int32_t *table;       /* 2^bits entries: a slot, or -1 for empty */
+    int64_t sets, ways, bits;
 } lru_t;
 
 typedef struct {
@@ -48,6 +54,12 @@ typedef struct {
     uint8_t *merged;
     int64_t *lat, *dram_line, *dram_ev;
     int64_t n_dram;
+    /* demand footprint: a flag per line up to the chunk's last line and
+       the count of lines flagged. Only unmerged events' demand lines
+       count: merged requests ride the in-flight original, and prefetched
+       lines are not demanded. */
+    uint8_t *seen;
+    int64_t footprint;
 } walk_t;
 
 static int64_t find(const int64_t *v, int64_t n, int64_t x)
@@ -65,30 +77,106 @@ static void to_front(int64_t *v, int64_t i, int64_t x)
     v[0] = x;
 }
 
+/* The table entry a (set, line) key hashes to: the top bits of a
+   Fibonacci-hashing product, which spreads runs of consecutive lines. */
+static uint64_t home(const lru_t *c, int64_t set, int64_t line)
+{
+    uint64_t key = (uint64_t)line ^ (uint64_t)set << 48;
+    return key * 0x9E3779B97F4A7C15u >> (64 - c->bits);
+}
+
+/* The table entry holding set's slot of line, or the empty entry that
+   ends the line's probe chain. */
+static uint64_t probe(const lru_t *c, int64_t set, int64_t line)
+{
+    uint64_t mask = ((uint64_t)1 << c->bits) - 1;
+    uint64_t i = home(c, set, line);
+    int64_t s;
+    while ((s = c->table[i]) >= 0
+           && !(c->tag[s] == line
+                && (uint64_t)(s - set * c->ways) < (uint64_t)c->ways))
+        i = (i + 1) & mask;
+    return i;
+}
+
+/* Drop line's table entry, shifting later entries of the probe run back
+   into the hole so every chain stays unbroken. */
+static void forget(lru_t *c, int64_t set, int64_t line)
+{
+    uint64_t mask = ((uint64_t)1 << c->bits) - 1;
+    uint64_t i = probe(c, set, line);
+    for (uint64_t j = (i + 1) & mask; c->table[j] >= 0; j = (j + 1) & mask) {
+        int64_t s = c->table[j];
+        uint64_t k = home(c, s / c->ways, c->tag[s]);
+        if (((j - k) & mask) >= ((j - i) & mask)) {
+            c->table[i] = s;
+            i = j;
+        }
+    }
+    c->table[i] = -1;
+}
+
+static void unlink_slot(lru_t *c, int64_t set, int64_t s)
+{
+    int64_t p = c->prev[s], n = c->next[s];
+    if (p >= 0)
+        c->next[p] = n;
+    else
+        c->head[set] = n;
+    if (n >= 0)
+        c->prev[n] = p;
+    else
+        c->tail[set] = p;
+}
+
+/* Make slot s the set's MRU way. */
+static void push_front(lru_t *c, int64_t set, int64_t s)
+{
+    int64_t h = c->head[set];
+    c->prev[s] = -1;
+    c->next[s] = h;
+    if (h >= 0)
+        c->prev[h] = s;
+    else
+        c->tail[set] = s;
+    c->head[set] = s;
+}
+
 static int holds(const lru_t *c, int64_t set, int64_t line)
 {
-    return find(c->tag + set * c->ways, c->fill[set], line) >= 0;
+    return c->table[probe(c, set, line)] >= 0;
 }
 
 /* Install an absent line as the set's MRU way, evicting the LRU way of a
    full set. */
 static void insert(lru_t *c, int64_t set, int64_t line)
 {
-    if (c->fill[set] < c->ways)
-        c->fill[set]++;
-    to_front(c->tag + set * c->ways, c->fill[set] - 1, line);
+    int64_t s;
+    if (c->fill[set] < c->ways) {
+        s = set * c->ways + c->fill[set]++;
+    } else {
+        s = c->tail[set];
+        forget(c, set, c->tag[s]);
+        unlink_slot(c, set, s);
+    }
+    c->tag[s] = line;
+    c->table[probe(c, set, line)] = s;
+    push_front(c, set, s);
 }
 
 /* Demand access: a hit makes the line MRU and returns 1; a miss installs
    it and returns 0. */
 static int touch(lru_t *c, int64_t set, int64_t line)
 {
-    int64_t w = find(c->tag + set * c->ways, c->fill[set], line);
-    if (w < 0) {
+    int64_t s = c->table[probe(c, set, line)];
+    if (s < 0) {
         insert(c, set, line);
         return 0;
     }
-    to_front(c->tag + set * c->ways, w, line);
+    if (s != c->head[set]) {
+        unlink_slot(c, set, s);
+        push_front(c, set, s);
+    }
     return 1;
 }
 
@@ -142,6 +230,10 @@ static int64_t demand(walk_t *w, int64_t i, int64_t l1_base)
     int64_t latency = 0;
     for (int64_t line = w->first[i]; line <= w->last[i]; line++) {
         int64_t lat;
+        if (!w->seen[line]) {
+            w->seen[line] = 1;
+            w->footprint++;
+        }
         w->l1_accesses++;
         if (touch(&w->l1, l1_base + line % w->l1.sets, line)) {
             w->l1_hits++;

@@ -34,7 +34,10 @@ The inherently sequential part, the MSHR-like merge window and the LRU
 tag walk (whose state feeds back into what the next event sees), is one
 exact C kernel (``lru_walk.c``, built and loaded by :mod:`repro.native`;
 without a C compiler replay raises
-:class:`~repro.native.NativeUnavailable`). It returns each event's
+:class:`~repro.native.NativeUnavailable`). Its cache sets are linked
+recency lists over the way slots, found through a (set, line) hash
+table, so an access costs O(1) however many ways a set has; it also
+counts the demand footprint in a per-line map. It returns each event's
 merged flag and integer latency plus the DRAM accesses in processing
 order; Python runs the banked DRAM model over those and sums the
 per-segment stalls. Merge windows and per-segment sums reset at segment
@@ -118,15 +121,6 @@ def _group_warps(traces: list[RayTrace], warp_size: int) -> list[list[RayTrace]]
     return warps
 
 
-def _expand_spans(first: np.ndarray, spans: np.ndarray) -> np.ndarray:
-    """``[first_i, first_i + spans_i)`` for every i, concatenated."""
-    total = int(spans.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offs = np.repeat(spans.cumsum() - spans, spans)
-    return np.repeat(first, spans) + np.arange(total, dtype=np.int64) - offs
-
-
 def _kbuffer_cycles(config: GpuConfig, kbuffer_layout: str) -> float:
     """Cycles per k-buffer insertion step; the SoA layout pays global-memory
     traffic on top of the register-resident payload layout."""
@@ -156,10 +150,15 @@ _I64P = ctypes.POINTER(ctypes.c_int64)
 
 
 class Lru(ctypes.Structure):
-    """``lru_t``: one cache level's LRU sets, each in recency order."""
+    """``lru_t``: one cache level's LRU sets, each a recency-linked list
+    over its way slots, and the (set, line) hash table over the slots."""
 
-    _fields_ = [("tag", _I64P), ("fill", _I64P),
-                ("sets", ctypes.c_int64), ("ways", ctypes.c_int64)]
+    _fields_ = (
+        [(name, _I64P) for name in ("tag", "fill")]
+        + [(name, ctypes.POINTER(ctypes.c_int32)) for name in (
+            "prev", "next", "head", "tail", "table")]
+        + [(name, ctypes.c_int64) for name in ("sets", "ways", "bits")]
+    )
 
 
 class Walk(ctypes.Structure):
@@ -180,6 +179,8 @@ class Walk(ctypes.Structure):
         + [("merged", ctypes.POINTER(ctypes.c_uint8))]
         + [(name, _I64P) for name in ("lat", "dram_line", "dram_ev")]
         + [("n_dram", ctypes.c_int64)]
+        + [("seen", ctypes.POINTER(ctypes.c_uint8))]
+        + [("footprint", ctypes.c_int64)]
     )
 
 
@@ -193,16 +194,18 @@ def _lap(profile: PhaseAccumulator, phase: str, mark: float) -> float:
 class _CacheState:
     """Cache, DRAM and footprint state carried from one chunk to the next.
 
-    The compiled walk's record (:class:`Walk`) points into the
-    cache tag arrays held here and keeps the cache counters; the banked
-    :class:`DramModel` and the sorted demand footprint stay in Python.
+    The compiled walk's record (:class:`Walk`) points into the arrays
+    held here: per cache level the way slots, their recency links and
+    the slot hash table, and the per-line demand map. It keeps the cache
+    counters and the demand footprint; the banked :class:`DramModel`
+    stays in Python.
     """
 
     def __init__(self, walk_fn, config: GpuConfig, treelet_map) -> None:
         self.walk_fn = walk_fn
         self.dram = DramModel() if config.dram_model == "banked" else None
-        #: Sorted lines with at least one demand touch.
-        self.footprint = np.empty(0, dtype=np.int64)
+        #: A flag per line with a demand touch, grown before each chunk.
+        self.seen = np.zeros(0, dtype=np.uint8)
         self.l2_line_bytes = config.l2_line_bytes
         self.l2_latency = config.l2_latency
         walk = self.walk = Walk()
@@ -214,10 +217,21 @@ class _CacheState:
                 (walk.l2, 1, config.l2_bytes, config.l2_line_bytes,
                  config.l2_ways)):
             lru.sets, lru.ways = size // (line * ways), ways
-            tag = np.empty(copies * lru.sets * ways, dtype=np.int64)
-            fill = np.zeros(copies * lru.sets, dtype=np.int64)
-            self._arrays += [tag, fill]
-            lru.tag, lru.fill = _ptr(tag), _ptr(fill)
+            slots = copies * lru.sets * ways
+            # A table at most half full keeps the probe chains short.
+            lru.bits = max(1, (2 * slots - 1).bit_length())
+            arrays = dict(
+                tag=np.empty(slots, dtype=np.int64),
+                fill=np.zeros(copies * lru.sets, dtype=np.int64),
+                prev=np.empty(slots, dtype=np.int32),
+                next=np.empty(slots, dtype=np.int32),
+                head=np.full(copies * lru.sets, -1, dtype=np.int32),
+                tail=np.full(copies * lru.sets, -1, dtype=np.int32),
+                table=np.full(1 << lru.bits, -1, dtype=np.int32))
+            for name, arr in arrays.items():
+                setattr(lru, name, _ptr(arr, np.ctypeslib.as_ctypes_type(
+                    arr.dtype)))
+            self._arrays += arrays.values()
         walk.line_bytes = config.l1_line_bytes
         walk.l1_lat = config.l1_latency
         walk.l2_lat = config.l2_latency
@@ -239,6 +253,8 @@ class _CacheState:
                               for pair in treelet_map[root]],
                              dtype=np.int64).reshape(-1, 2)
             counts = [len(treelet_map[root]) for root in roots]
+            if (pairs[:, 0] < 0).any():
+                raise ValueError("replay needs non-negative fetch addresses")
             first = pairs[:, 0] // config.l1_line_bytes
             last = ((pairs[:, 0] + np.maximum(pairs[:, 1], 1) - 1)
                     // config.l1_line_bytes)
@@ -261,6 +277,14 @@ class _CacheState:
         """Run the compiled walk over one chunk; returns each event's
         merged flag and latency, banked DRAM latency included."""
         n_events = addr.shape[0]
+        if addr.min() < 0 or (pf_addr.size and pf_addr.min() < 0):
+            raise ValueError("replay needs non-negative fetch addresses")
+        need = int(last_line.max()) + 1
+        if need > self.seen.size:
+            seen = np.zeros(need, dtype=np.uint8)
+            seen[:self.seen.size] = self.seen
+            self.seen = seen
+            self.walk.seen = _ptr(seen, ctypes.c_uint8)
         merged = np.empty(n_events, dtype=np.uint8)
         lat = np.empty(n_events, dtype=np.int64)
         walk = self.walk
@@ -451,7 +475,7 @@ def replay(
         report.sorting_cycles += sorting
         report.blending_cycles += blending
 
-    report.footprint_bytes = state.footprint.size * config.l1_line_bytes
+    report.footprint_bytes = walk.footprint * config.l1_line_bytes
     if state.dram is not None:
         report.dram_row_hit_rate = state.dram.stats.row_hit_rate
     report.sm_cycles = sm_cycles
@@ -495,8 +519,11 @@ def _replay_chunk(state: _CacheState, report: TimingReport,
     # (seg, pos, slot) triples are unique, so one combined-key sort yields
     # the reference interleave: segments in replay order and, within one,
     # round-robin with dropout == (position, slot).
+    # The keys are unique, so any sort gives this order; a stable one is
+    # faster on the ascending run each ray's events form.
     max_pos = int(counts.max())
-    order = np.argsort((seg_ids * max_pos + pos_ids) * warp_size + slot_ids)
+    order = np.argsort((seg_ids * max_pos + pos_ids) * warp_size + slot_ids,
+                       kind="stable")
 
     addr = main[:, 0][order]
     nbytes = main[:, 1][order]
@@ -544,15 +571,8 @@ def _replay_chunk(state: _CacheState, report: TimingReport,
         seg_o, np.asarray(seg_sm, dtype=np.int64), addr, first_line,
         last_line, npf_o, pf_start, np.ascontiguousarray(pf_all[:, 0]),
         np.ascontiguousarray(pf_all[:, 1]))
-    demand = ~merged
-    seg_fetch = np.bincount(seg_o[demand], minlength=n_seg).tolist()
-    seg_merged = np.bincount(seg_o[merged], minlength=n_seg).tolist()
-    # The footprint counts demand lines of unmerged fetches only (merged
-    # requests ride the in-flight original; prefetch-only lines don't
-    # count).
-    d_ev = np.flatnonzero(demand)
-    state.footprint = np.union1d(state.footprint, _expand_spans(
-        first_line[d_ev], last_line[d_ev] - first_line[d_ev] + 1))
+    seg_merged = np.bincount(seg_o[merged], minlength=n_seg)
+    seg_fetch = np.bincount(seg_ids, minlength=n_seg) - seg_merged
     report.fetch_latency_sum += int(lat.sum())
     # Per-event division *before* the per-segment sum: bincount
     # accumulates weights in event order (a merged event adds 0.0), so
@@ -561,7 +581,8 @@ def _replay_chunk(state: _CacheState, report: TimingReport,
     seg_mem = np.bincount(seg_o, weights=lat / float(config.warp_buffer_size),
                           minlength=n_seg).tolist()
     _lap(profile, "tagwalk", mark)
-    return seg_mem, seg_fetch, seg_merged, seg_compute, seg_shader
+    return (seg_mem, seg_fetch.tolist(), seg_merged.tolist(), seg_compute,
+            seg_shader)
 
 
 def raster_cycles(result: RasterResult, config: GpuConfig | None = None) -> float:

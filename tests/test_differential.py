@@ -25,7 +25,9 @@ A second slice generates ``RayTrace``s directly, with tiny cache
 geometries, merge windows, prefetch lists, both DRAM models and treelet
 maps, and holds :func:`repro.hwsim.replay` (its compiled cache walk)
 equal to ``replay_reference`` (``tests/replay_oracle.py``) field for
-field at the shipped chunk budget and at 3 events.
+field at the shipped chunk budget and at 3 events. A wide-cache slice
+does the same over 1-4 sets of 32-256 ways, with more lines in play than
+one L1 holds, so long recency lists evict again and again.
 
 A stress slice aims the recorder's compiled round walk at its rare
 paths: Gaussians repeated at equal depths, ``k`` and ``max_rounds`` up
@@ -44,6 +46,7 @@ small, so it adds a few seconds to the suite.
 from __future__ import annotations
 
 import dataclasses
+import random
 import tempfile
 from pathlib import Path
 
@@ -410,6 +413,80 @@ def replay_cases(draw):
 def test_replay_matches_reference_on_generated_traces(case):
     traces, config, treelet_map = case
     want = replay_reference(traces, config, treelet_map=treelet_map)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for budget in REPLAY_BUDGETS:
+            monkeypatch.setattr(_replay_module, "CHUNK_EVENTS", budget)
+            _assert_reports_equal(
+                replay(traces, config, treelet_map=treelet_map), want)
+
+
+@st.composite
+def wide_replay_cases(draw):
+    """Generated traces over wide caches: 1-4 sets of 32-256 ways.
+
+    The address pool holds a few dozen to a few hundred lines more than
+    one L1, and each SM sees about three fetches per pool line, so full
+    sets evict again and again: the recency lists grow long, and the slot
+    tables build probe chains and shift entries back on every eviction.
+    Hypothesis draws the geometry and the switches; the events come from
+    a seeded generator, as a hand-drawn stream this long would be slow to
+    draw and shrink. A third of the fetches repeat one of the last few
+    addresses, so the merge window has work.
+    """
+    line = 128
+    l1_sets, l2_sets = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    l1_ways, l2_ways = draw(st.integers(32, 256)), draw(st.integers(32, 256))
+    n_sms, n_rays = draw(st.integers(1, 2)), draw(st.integers(4, 12))
+    n_lines = l1_sets * l1_ways + draw(st.integers(32, 300))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pool = [line * x + rng.choice([0, 32, 96])
+            for x in rng.sample(range(2 * n_lines), n_lines)]
+    nbytes = [0, 64, 128, 200, 300]
+    per_round = 3 * n_lines * n_sms // (2 * n_rays)
+
+    traces, recent = [], pool[:1]
+    for _ in range(n_rays):
+        trace = RayTrace(label=rng.choice(["primary", "secondary"]))
+        for _ in range(rng.randint(1, 3)):
+            rnd = trace.begin_round()
+            for _ in range(rng.randint(per_round // 2, 3 * per_round // 2)):
+                addr = (rng.choice(recent) if rng.random() < 0.3
+                        else rng.choice(pool))
+                recent = (recent + [addr])[-4:]
+                rnd.fetch(addr, rng.choice(nbytes),
+                          rng.choice([FETCH_INTERNAL, FETCH_LEAF]),
+                          box_tests=rng.randint(0, 1),
+                          prim_tests=rng.randint(0, 3),
+                          prim_kind=rng.randint(0, 4),
+                          prefetch=[(rng.choice(pool), rng.choice(nbytes))
+                                    for _ in range(rng.randint(0, 2))])
+        traces.append(trace)
+
+    config = dataclasses.replace(
+        GpuConfig.rtx_like(),
+        n_sms=n_sms,
+        warp_size=draw(st.integers(1, 4)),
+        l1_bytes=l1_sets * l1_ways * line, l1_ways=l1_ways,
+        l2_bytes=l2_sets * l2_ways * line, l2_ways=l2_ways,
+        merge_window_size=draw(st.sampled_from([0, 8])),
+        prefetch_enabled=draw(st.booleans()),
+        dram_model=draw(st.sampled_from(["flat", "banked"])),
+    )
+    treelet_map = None
+    if draw(st.booleans()):
+        treelet_map = {root: [(rng.choice(pool), rng.choice(nbytes))
+                              for _ in range(rng.randint(1, 6))]
+                       for root in rng.sample(pool, min(len(pool), 40))}
+    return traces, config, treelet_map
+
+
+@settings(max_examples=12, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(wide_replay_cases())
+def test_replay_matches_reference_on_wide_caches(case):
+    traces, config, treelet_map = case
+    want = replay_reference(traces, config, treelet_map=treelet_map)
+    assert want.l1_accesses > want.l1_hits
     with pytest.MonkeyPatch.context() as monkeypatch:
         for budget in REPLAY_BUDGETS:
             monkeypatch.setattr(_replay_module, "CHUNK_EVENTS", budget)

@@ -22,6 +22,8 @@ from repro.rt import FETCH_INTERNAL, FETCH_LEAF, RayTrace, TraceConfig
 
 from tests.cache_oracle import SetAssociativeCache
 from tests.conftest import tiny_cloud
+from tests.replay_oracle import replay_reference
+from tests.test_tracerecord import _replay_module
 
 
 class TestCache:
@@ -135,6 +137,39 @@ class TestReplay:
     def test_footprint_counts_unique_lines(self):
         report = replay([_synthetic_trace([0, 128, 0, 128, 256])], GpuConfig.rtx_like())
         assert report.footprint_bytes == 3 * 128
+
+    def test_footprint_grows_across_chunks(self, monkeypatch):
+        """Demand lines first seen in later chunks, at rising addresses,
+        grow the walk's line map chunk by chunk. A merged request's extra
+        lines, sibling prefetches and treelet prefetches never count."""
+        monkeypatch.setattr(_replay_module, "CHUNK_EVENTS", 3)
+        config = GpuConfig.rtx_like()
+        trace = RayTrace()
+        for r in range(6):
+            base = 4096 * (r + 1) ** 2
+            rt = trace.begin_round()  # one 3-event segment: one chunk
+            rt.fetch(base, 128, FETCH_INTERNAL, box_tests=1,
+                     prefetch=[(1 << 30, 256)])
+            rt.fetch(base, 384, FETCH_INTERNAL, box_tests=1)  # merged
+            rt.fetch(base + 1024, 64, FETCH_LEAF, prim_tests=1)
+        treelet_map = {4096: [(1 << 31, 512)]}
+        report = replay([trace], config, treelet_map=treelet_map)
+        assert report.merged_requests == 6
+        assert report.prefetches == 2 + 4
+        assert report.footprint_bytes == 6 * 2 * 128
+        assert report.footprint_bytes == replay_reference(
+            [trace], config, treelet_map=treelet_map).footprint_bytes
+
+    @pytest.mark.parametrize("where", ["fetch", "prefetch", "treelet"])
+    def test_negative_address_is_refused(self, where):
+        """A negative address has no line in the walk's arrays."""
+        trace = RayTrace()
+        rt = trace.begin_round()
+        rt.fetch(-128 if where == "fetch" else 0, 128, FETCH_INTERNAL,
+                 prefetch=[(-256, 128)] if where == "prefetch" else [])
+        treelet_map = {0: [(-512, 128)]} if where == "treelet" else None
+        with pytest.raises(ValueError, match="non-negative"):
+            replay([trace], GpuConfig.rtx_like(), treelet_map=treelet_map)
 
     def test_label_cycles_split(self):
         traces = [_synthetic_trace([i * 128], label="primary") for i in range(4)]
