@@ -46,8 +46,8 @@ Four sections, written to ``benchmarks/results/BENCH_replay.json``
 * **recording memory** — per config, the same peak-RSS growth over the
   wavefront engine's recorded render (``record_rss_growth_mb``), gated
   by ``--max-record-mb`` when given. Recording builds templates and hit
-  tables for one 32-ray chunk at a time, so only the finished traces
-  grow with the frame.
+  tables for 16-ray chunks on at most two lanes (32 rays in flight), so
+  only the finished traces grow with the frame.
 """
 
 from __future__ import annotations

@@ -4,9 +4,12 @@ The scalar :class:`~repro.rt.tracer.Tracer` records per-ray fetch traces
 as a side effect of walking the BVH one ray at a time.  This module
 teaches the batched engine (:class:`~repro.rt.wavefront.WavefrontTracer`)
 to produce the *same* traces.  A bundle records in chunks of
-:data:`_MAX_RECORD_PACKET` rays (the modelled warp size), each taken
-through two phases before the next starts, so only the finished traces
-outlive a chunk:
+:data:`_MAX_RECORD_PACKET` rays, each taken through two phases, so only
+the finished traces outlive a chunk.  On a host with at least two CPUs
+the calling thread and one worker thread take alternate chunks (two
+lanes) while the C kernels run without the GIL; the chunks' results are
+put back together in chunk order, so the output does not depend on the
+lane count:
 
 **Phase A — round templates and batched geometry.**  One C kernel
 (``template_build.c``, loaded by :mod:`repro.native`) builds every ray's
@@ -75,7 +78,9 @@ on the scalar tracer.
 from __future__ import annotations
 
 import ctypes
+import os
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -112,6 +117,14 @@ from repro.rt.shading import ALPHA_MAX, ALPHA_MIN
 _INF = float("inf")
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def recordable(flat) -> bool:
     """Whether the batched recorder covers a flattened structure: every
     structure with at most one shared BLAS.  The one recording limit —
@@ -127,14 +140,15 @@ def _leaf_entries(tpl: dict, code: int):
     return roots, tpl["ref"][entries]
 
 
-#: Rays per recording chunk: the modelled warp size.  A chunk's round
-#: templates, leaf hits and any-hit maps live until
-#: its traces are built, so the chunk, not the bundle, sets recording's
-#: transient memory.  On a 2-core host, recording a 576-ray frame
-#: (24x24, ``train`` at 1/400, ``20-tri``, k=8) with numpy templates
-#: peaked at 178/190/216/275/367/818 MB RSS with 8/16/32/64/128/1,024-ray
-#: chunks and took 5.1-5.9 s at every chunk up to 128 (6.8 s at 1,024).
-_MAX_RECORD_PACKET = 32
+#: Rays per recording chunk.  A chunk's round templates, leaf hits and
+#: any-hit maps live until its traces are built, so the chunk, not the
+#: bundle, sets recording's transient memory; two lanes of 16 keep the
+#: 32 rays in flight that one lane of 32 did.  On a 2-core host,
+#: recording a 576-ray frame (24x24, ``train`` at 1/400, ``20-tri``,
+#: k=8) with numpy templates peaked at 178/190/216/275/367/818 MB RSS
+#: with 8/16/32/64/128/1,024-ray chunks and took 5.1-5.9 s at every
+#: chunk up to 128 (6.8 s at 1,024).
+_MAX_RECORD_PACKET = 16
 
 #: Starting event and prefetch capacities of a recording's walk arrays,
 #: in int64 words.  A chunk that outgrows them is walked again with
@@ -334,12 +348,12 @@ class PacketTraceRecorder:
         on the same candidate sets), with ``rounds`` replaced by the
         reconstruction's exact per-ray round counts.  ``traces`` is one
         :class:`~repro.rt.recorder.RayTrace` per ray, in ray order.
-        Records chunk by chunk and emits one ``rt.wavefront.record``
-        span with the bundle's ``rays``, ``chunks``, fetch ``events``,
-        template ``entries`` built (root and shared BLAS),
-        Möller–Trumbore ``candidates`` (ray, triangle) pairs, entering
-        proxy ``hits`` kept after per-leaf deduplication and
-        ``kernel="c"``.  Raises
+        Records on the lanes :func:`_cpus` allows and emits one
+        ``rt.wavefront.record`` span with the bundle's ``rays``,
+        ``chunks``, ``lanes`` (1 or 2), fetch ``events``, template
+        ``entries`` built (root and shared BLAS), Möller–Trumbore
+        ``candidates`` (ray, triangle) pairs, entering proxy ``hits``
+        kept after per-leaf deduplication and ``kernel="c"``.  Raises
         :class:`~repro.native.NativeUnavailable` without a C compiler.
         """
         o = np.ascontiguousarray(origins, dtype=np.float64)
@@ -351,26 +365,45 @@ class PacketTraceRecorder:
             t_clip = np.asarray(t_clip, dtype=np.float64)
         if n == 0:
             return empty_result(0, self.config.record_blended), []
+        # Shared by the lanes, so loaded and built before either starts.
         kernels = (kernel("repro.rt", "template_build.c", _Build),
                    kernel("repro.rt", "leaf_hits.c", _Hits),
                    kernel("repro.rt", "round_walk.c", _Walk))
+        self.static_recs()
         chunk = _MAX_RECORD_PACKET
-        parts = []
-        traces: list[RayTrace] = []
-        caps = list(_WALK_WORDS) + list(_TEMPLATE_ENTRIES)
-        work = {"entries": 0, "candidates": 0, "hits": 0}
-        with span("rt.wavefront.record", rays=n, kernel="c") as record_span:
-            for i in range(0, n, chunk):
-                part, part_traces = self._record_chunk(
+        starts = range(0, n, chunk)
+        lanes = min(2 if _cpus() >= 2 else 1, len(starts))
+
+        def lane(first):
+            """Chunks ``first``, ``first + lanes``, ... as ``(result,
+            traces, work)``; each lane grows its own capacities."""
+            caps = list(_WALK_WORDS) + list(_TEMPLATE_ENTRIES)
+            out = []
+            for i in starts[first::lanes]:
+                work = {"entries": 0, "candidates": 0, "hits": 0}
+                out.append((*self._record_chunk(
                     o[i:i + chunk], d[i:i + chunk], t_clip[i:i + chunk],
-                    label, kernels, caps, work)
-                parts.append(part)
-                traces.extend(part_traces)
-            record_span.args["chunks"] = len(parts)
+                    label, kernels, caps, work), work))
+            return out
+
+        with span("rt.wavefront.record", rays=n, kernel="c",
+                  lanes=lanes) as record_span:
+            if lanes == 1:
+                done = [lane(0)]
+            else:
+                with ThreadPoolExecutor(max_workers=1) as pool:
+                    other = pool.submit(lane, 1)  # repro: lint-ok[process-boundary] a thread, not a process: nothing is pickled, the lanes share the bundle's arrays
+                    done = [lane(0), other.result()]
+            chunks = [done[j % lanes][j // lanes] for j in range(len(starts))]
+            traces = [trace for _, part, _ in chunks for trace in part]
+            record_span.args["chunks"] = len(chunks)
             record_span.args["events"] = sum(
                 rnd.n_fetches for trace in traces for rnd in trace.rounds)
-            record_span.args.update(work)
-        return (PacketResult.concatenate(parts, self.config.record_blended),
+            record_span.args.update(
+                (name, sum(work[name] for *_, work in chunks))
+                for name in chunks[0][2])
+        return (PacketResult.concatenate([part for part, _, _ in chunks],
+                                         self.config.record_blended),
                 traces)
 
     # ------------------------------------------------------------------
@@ -398,7 +431,8 @@ class PacketTraceRecorder:
                 "c_root", "c_gid", "c_t"))
             tables.update(hits)
         elif self.prims == PRIMS_GAUSSIANS:
-            ray_c, gid_c = tracer._wave_customs(leaf_rays, leaf_refs)
+            ray_c, pp = expand_pairs(tracer._root, leaf_rays, leaf_refs)
+            gid_c = self.flat.prim_gid[pp]
         elif self._sphere_blas:
             inst, ray_c, gid_c, o2c, d2c = self._sphere_box_tables(
                 n, o, d, t_clip, leaf_rays, leaf_refs)
@@ -491,10 +525,10 @@ class PacketTraceRecorder:
             err = walk_fn(ctypes.byref(walk))
             if err:
                 raise RuntimeError(f"round_walk failed with code {err}")
-            if walk.n_ev <= caps[0] and walk.n_pf <= caps[1]:
+            if walk.n_ev <= walk.ev_cap and walk.n_pf <= walk.pf_cap:
                 break
-            caps[:2] = (max(caps[0], 2 * walk.n_ev),
-                        max(caps[1], 2 * walk.n_pf))
+            caps[:2] = (max(walk.ev_cap, 2 * walk.n_ev),
+                        max(walk.pf_cap, 2 * walk.n_pf))
 
         ev = memoryview(events).cast("B")
         pfb = memoryview(pf).cast("B")

@@ -21,8 +21,12 @@ that cuts every frame into many chunks.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import importlib
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -34,7 +38,7 @@ from repro.hwsim import GpuConfig, replay
 from repro.hwsim.treelet import build_treelet_map
 from repro.obs.tracing import BufferTraceSink, current_sink, install_sink
 from repro.render import GaussianRayTracer, SceneObjects, default_camera_for
-from repro.rt import TraceConfig, tracerecord
+from repro.rt import SceneShading, TraceConfig, WavefrontTracer, tracerecord
 from repro.rt.recorder import FETCH_INTERNAL, RayTrace
 
 from tests.conftest import tiny_cloud
@@ -176,6 +180,55 @@ def _assert_matches_reference(monkeypatch, traces, config, want=None,
             assert span["chunks"] > 1
 
 
+def _assert_results_equal(a, b):
+    """Two ``PacketResult``s are equal field for field, bit for bit."""
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
+def _wavefront(cloud, structure, checkpointing):
+    return WavefrontTracer(structure, SceneShading(cloud),
+                           TraceConfig(k=4, checkpointing=checkpointing))
+
+
+def _record_on(monkeypatch, tracer, bundle, cpus):
+    """``trace_packet_recorded`` of ``bundle`` as if the process could
+    run on ``cpus`` CPUs, with its ``rt.wavefront.record`` span."""
+    monkeypatch.setattr(tracerecord, "_cpus", lambda: cpus)
+    out, (args,) = _with_spans(
+        "rt.wavefront.record", lambda: tracer.trace_packet_recorded(
+            bundle.origins, bundle.directions))
+    return out, args
+
+
+def _count_kernel_calls(monkeypatch, reruns_only):
+    """A counter of the recording kernels' calls (only those that
+    outgrew their capacities, with ``reruns_only``), keyed ``(source,
+    thread id)``."""
+    counts = collections.Counter()
+    load = tracerecord.kernel
+
+    def counted(package, name, struct):
+        fn = load(package, name, struct)
+
+        def call(ref):
+            err = fn(ref)
+            arg = ref._obj
+            if not reruns_only or (name == "round_walk.c" and (
+                    arg.n_ev > arg.ev_cap or arg.n_pf > arg.pf_cap)) or (
+                    name == "template_build.c" and arg.n_entries > arg.cap):
+                counts[name, threading.get_ident()] += 1
+            return err
+        return call
+
+    monkeypatch.setattr(tracerecord, "kernel", counted)
+    return counts
+
+
 def _render_pairs(monkeypatch, cloud, structure, config, camera,
                   objects=None):
     """Yield the scalar engine's recorded render paired with the
@@ -310,20 +363,22 @@ class TestTraceEquivalence:
                 assert plain.false_positives == recorded.false_positives
                 assert len(traces) == len(bundle)
 
-    def test_record_span_counts_chunks(self, cloud, structures):
+    def test_record_span_counts_chunks(self, cloud, structures,
+                                       monkeypatch):
         """A recorded render emits one ``rt.wavefront.record`` span per
-        bundle: its rays, its ``ceil(rays / 32)`` chunks, its fetch
-        events, its work counters and the compiled walk that recorded
-        them."""
+        bundle: its rays, its ``ceil(rays / 16)`` chunks, the two lanes
+        a 2-CPU host records them on, its fetch events, its work
+        counters and the compiled walk that recorded them."""
+        monkeypatch.setattr(tracerecord, "_cpus", lambda: 2)
         camera = default_camera_for(cloud, 12, 12)
         result, spans = _with_spans(
             "rt.wavefront.record",
             lambda: GaussianRayTracer(
                 cloud, structures["20-tri"], TraceConfig(k=4),
                 engine="wavefront").render(camera, keep_traces=True))
-        assert tracerecord._MAX_RECORD_PACKET == 32
+        assert tracerecord._MAX_RECORD_PACKET == 16
         assert spans == [{
-            "rays": 144, "chunks": 5, "kernel": "c",
+            "rays": 144, "chunks": 9, "lanes": 2, "kernel": "c",
             "events": sum(rnd.n_fetches for trace in result.traces
                           for rnd in trace.rounds),
             **RECORD_WORK["20-tri"]}]
@@ -342,6 +397,74 @@ class TestTraceEquivalence:
                 engine="wavefront").render(camera, keep_traces=True))
         assert {name: args[name] for name in RECORD_WORK[proxy]} \
             == RECORD_WORK[proxy]
+
+    @pytest.mark.parametrize("proxy", STRUCTURES)
+    def test_two_lanes_record_what_one_lane_does(self, cloud, structures,
+                                                 proxy, monkeypatch):
+        """Two lanes (the caller and one worker thread, alternate
+        chunks) record the traces, the ``PacketResult`` with its round
+        counts and the span work counters of one lane, with
+        checkpointing off and on."""
+        bundle = default_camera_for(cloud, 12, 12).generate_rays()
+        for checkpointing in CHECKPOINTING:
+            tracer = _wavefront(cloud, structures[proxy], checkpointing)
+            (one, one_args), (two, two_args) = (
+                _record_on(monkeypatch, tracer, bundle, cpus)
+                for cpus in (1, 2))
+            assert (one_args["lanes"], two_args["lanes"]) == (1, 2)
+            assert one_args == {**two_args, "lanes": 1}
+            _assert_results_equal(one[0], two[0])
+            _assert_traces_equal(one[1], two[1])
+
+    @pytest.mark.parametrize("proxy", STRUCTURES)
+    def test_two_lanes_rerun_chunks_concurrently(self, cloud, structures,
+                                                 proxy, monkeypatch):
+        """From capacities a few words long, both lanes re-run chunks'
+        walks and template builds, each growing its own capacities while
+        the other lane records; the output still equals one lane's from
+        the default capacities.  A short switch interval interleaves the
+        lanes' Python finely."""
+        bundle = default_camera_for(cloud, 12, 12).generate_rays()
+        tracer = _wavefront(cloud, structures[proxy], True)
+        want, _ = _record_on(monkeypatch, tracer, bundle, 1)
+        monkeypatch.setattr(tracerecord, "_WALK_WORDS", (7, 2))
+        monkeypatch.setattr(tracerecord, "_TEMPLATE_ENTRIES", (4, 4))
+        reruns = _count_kernel_calls(monkeypatch, reruns_only=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got, args = _record_on(monkeypatch, tracer, bundle, 2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert args["lanes"] == 2
+        for name in ("round_walk.c", "template_build.c"):
+            assert len({tid for kernel, tid in reruns if kernel == name}) \
+                == 2, name
+        _assert_results_equal(want[0], got[0])
+        _assert_traces_equal(want[1], got[1])
+
+    def test_one_cpu_records_on_the_caller(self, cloud, structures,
+                                           monkeypatch):
+        """With one CPU in the process's affinity every kernel runs on
+        the calling thread and the span says one lane."""
+        bundle = default_camera_for(cloud, 12, 12).generate_rays()
+        tracer = _wavefront(cloud, structures["tlas+20-tri"], True)
+        calls = _count_kernel_calls(monkeypatch, reruns_only=False)
+        _, args = _record_on(monkeypatch, tracer, bundle, 1)
+        assert args["lanes"] == 1 and args["chunks"] == 9
+        assert {tid for _, tid in calls} == {threading.get_ident()}
+
+    def test_cpus_falls_back_to_cpu_count(self, monkeypatch):
+        """The process's affinity decides the lanes; without an
+        affinity call, the CPU count does."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+        assert tracerecord._cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert tracerecord._cpus() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert tracerecord._cpus() == 2
 
     def test_tiled_pooled_recording_ships_traces(self, cloud, structures):
         """Recording composes with pooled tiles: the reassembled frame
