@@ -208,7 +208,7 @@ def _drill_sleep(x, seconds=0.3):
 #: Spans one traced serve request must produce, layer by layer. The
 #: worker.* names prove worker-process events rode back with results.
 REQUIRED_SPANS = {"serve.request", "serve.render", "tiles.render"}
-REQUIRED_POOLED_SPANS = {"worker.tile", "rt.scalar.trace"}
+REQUIRED_POOLED_SPANS = {"worker.tile", "rt.wavefront.trace"}
 
 
 def trace_serve_flow(args: argparse.Namespace, trace_path: str) -> dict:

@@ -1,7 +1,8 @@
 """Batched-vs-scalar engine benchmark (standalone script).
 
-Renders the same frame with the scalar per-ray tracer and the batched
-(wavefront) engine, reports rays/s for both, and checks the batched
+Renders the same frame with the scalar per-ray parity oracle
+(``tests/scalar_oracle.py``) and the batched (wavefront) engine, reports
+rays/s for both, and checks the batched
 engine's standing contract on every run:
 
 * images match the scalar golden within ``--tolerance`` (default 1e-9)
@@ -42,6 +43,9 @@ if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 if str(Path(__file__).resolve().parent) not in sys.path:
     sys.path.insert(0, str(Path(__file__).resolve().parent))
+# The scalar per-ray tracer is the parity oracle kept with the tests.
+if str(_SRC.parent) not in sys.path:
+    sys.path.append(str(_SRC.parent))
 
 import numpy as np
 
@@ -92,29 +96,27 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
 
 def run_mode(cloud, structure, camera, mode: str, k: int,
              reps: int = 3) -> dict:
-    """Render one mode with both engines and measure them.
+    """Render one mode on the scalar oracle and the wavefront engine and
+    measure both.
 
     The scalar golden renders once (it is the slow reference); the
     wavefront engine renders ``reps`` times and its minimum counts.
     """
     from repro.render import GaussianRayTracer
     from repro.rt import TraceConfig
+    from tests.scalar_oracle import render_scalar
 
     config = TraceConfig(k=k, mode=mode)
     n_rays = camera.width * camera.height
-    renderers = {
-        engine: GaussianRayTracer(cloud, structure, config, engine=engine)
-        for engine in ("scalar", "wavefront")
-    }
-    for engine, renderer in renderers.items():
-        assert renderer.engine_active == engine
+    renderer = GaussianRayTracer(cloud, structure, config, engine="wavefront")
     t0 = time.perf_counter()
-    scalar = renderers["scalar"].render(camera, keep_traces=False)
+    scalar = render_scalar(cloud, structure, camera, config,
+                           keep_traces=False)
     scalar_s = time.perf_counter() - t0
     wavefront_s = float("inf")
     for _ in range(max(1, reps)):
         t0 = time.perf_counter()
-        wavefront = renderers["wavefront"].render(camera, keep_traces=False)
+        wavefront = renderer.render(camera, keep_traces=False)
         wavefront_s = min(wavefront_s, time.perf_counter() - t0)
     counters_ok = all(
         getattr(scalar.stats, name) == getattr(wavefront.stats, name)

@@ -3,9 +3,10 @@
 Measures the paper campaign's measurement pipeline — fetch-trace
 production plus :func:`repro.hwsim.replay` — on the fig13/14 trace
 configurations (Baseline = monolithic 20-tri, GRTX-SW = tlas+20-tri),
-comparing the pre-refactor path (scalar tracer + the per-event
-``replay_reference`` loop of ``tests/replay_oracle.py``) with the new
-one (the wavefront engine's trace recorder + batched replay).  Unlike the figure benchmarks in this
+comparing the pre-refactor path (the per-ray scalar tracer of
+``tests/scalar_oracle.py`` + the per-event ``replay_reference`` loop of
+``tests/replay_oracle.py``) with the new one (the wavefront engine's
+trace recorder + batched replay).  Unlike the figure benchmarks in this
 directory (which run under ``pytest --benchmark-only``), this is a
 plain script::
 
@@ -63,7 +64,7 @@ if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 if str(Path(__file__).resolve().parent) not in sys.path:
     sys.path.insert(0, str(Path(__file__).resolve().parent))
-# The per-event replay oracle lives with the tests.
+# The per-event replay oracle and the scalar tracer live with the tests.
 if str(_SRC.parent) not in sys.path:
     sys.path.append(str(_SRC.parent))
 
@@ -161,14 +162,14 @@ def run_config(cloud, structure, camera, k: int, reps: int) -> dict:
     from repro.render import GaussianRayTracer
     from repro.rt import TraceConfig
     from tests.replay_oracle import replay_reference
+    from tests.scalar_oracle import render_scalar
 
     config = TraceConfig(k=k)
     gpu = GpuConfig.rtx_like()
 
     t0 = time.perf_counter()
-    scalar = GaussianRayTracer(cloud, structure, config,
-                               engine="scalar").render(
-        camera, keep_traces=True)
+    scalar = render_scalar(cloud, structure, camera, config,
+                           keep_traces=True)
     t_scalar_trace = time.perf_counter() - t0
 
     rss_before = _reset_peak_rss()

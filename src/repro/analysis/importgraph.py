@@ -67,8 +67,8 @@ def build_import_graph(files: dict[str, ast.Module]) -> dict[str, set[str]]:
     for module, tree in files.items():
         edges = set()
         for target in module_imports(tree, module, is_package=module in packages):
-            # ``from repro.rt import tracer`` produces both ``repro.rt``
-            # and ``repro.rt.tracer``; keep whichever are real modules.
+            # ``from repro.rt import recorder`` produces both ``repro.rt``
+            # and ``repro.rt.recorder``; keep whichever are real modules.
             if target in known:
                 edges.add(target)
             # Importing a package executes its __init__, which imports

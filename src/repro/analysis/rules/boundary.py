@@ -40,6 +40,27 @@ _NON_JSON_CTORS = frozenset({"set", "frozenset", "bytes", "bytearray",
                              "complex", "object"})
 
 
+def _is_thread_executor(expr: ast.expr) -> bool:
+    """Whether an expression constructs a ``ThreadPoolExecutor``."""
+    callee = call_name(expr) if isinstance(expr, ast.Call) else None
+    return callee is not None and callee.split(".")[-1] == "ThreadPoolExecutor"
+
+
+def _thread_executor_names(fn: ast.AST) -> set[str]:
+    """Names bound in ``fn`` to a ``ThreadPoolExecutor(...)``, by
+    assignment or by ``with ... as name``: submitting to a thread pickles
+    nothing, so these receivers are not process pools."""
+    names = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign) and _is_thread_executor(node.value):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.With, ast.AsyncWith)):
+            names.update(item.optional_vars.id for item in node.items
+                         if isinstance(item.optional_vars, ast.Name)
+                         and _is_thread_executor(item.context_expr))
+    return names
+
+
 def _is_pool_receiver(expr: ast.expr) -> bool:
     """Whether a call receiver looks like a worker pool."""
     name = dotted_name(expr)
@@ -79,11 +100,16 @@ class ProcessBoundaryRule(Rule):
                 and isinstance(n.value, ast.Lambda)
                 for t in n.targets if isinstance(t, ast.Name)
             }
+            threads = _thread_executor_names(fn)
             for node in ast.walk(fn):
                 if not (isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Attribute)
                         and node.func.attr in _SHIP_METHODS
                         and _is_pool_receiver(node.func.value)):
+                    continue
+                receiver = node.func.value
+                if (isinstance(receiver, ast.Name) and receiver.id in threads) \
+                        or _is_thread_executor(receiver):
                     continue
                 args = list(node.args) + [kw.value for kw in node.keywords]
                 for arg in args:

@@ -36,11 +36,9 @@ from repro.bvh.serialize import (
     save_structure,
 )
 from repro.bvh.two_level import (
-    HeteroTwoLevelBVH,
     SharedBlas,
     TwoLevelBVH,
     build_two_level,
-    build_two_level_hetero,
 )
 from repro.bvh.stats import BVHStats, structure_stats
 
@@ -53,7 +51,6 @@ __all__ = [
     "FlatBlas",
     "FlatMesh",
     "FlatStructure",
-    "HeteroTwoLevelBVH",
     "INSTANCE_BYTES",
     "KIND_EMPTY",
     "KIND_INTERNAL",
@@ -69,7 +66,6 @@ __all__ = [
     "build_bvh",
     "build_monolithic",
     "build_two_level",
-    "build_two_level_hetero",
     "flatten",
     "flattenable",
     "internal_node_bytes",

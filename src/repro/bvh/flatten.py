@@ -11,19 +11,19 @@ TLAS + shared BLAS — lower to a single numpy representation,
   Gaussian-id permutation for custom primitives and instances — gathered
   into leaf order once at flatten time so no traverser re-permutes;
 * for two-level structures, an **instance table** (leaf-ordered Gaussian
-  id, world->object transform, shared-BLAS slot) and a **BLAS table**
-  whose entries are either the analytic unit sphere or a template
-  triangle mesh with its own flattened level.
+  id and world->object transform) and the **shared BLAS**, either the
+  analytic unit sphere or a template triangle mesh with its own
+  flattened level.
 
-Both tracing engines consume this one layout — the scalar
-:class:`~repro.rt.tracer.Tracer` builds its plain-list hot-loop tables
-from it and the vectorized :class:`~repro.rt.wavefront.WavefrontTracer`
-traverses its arrays directly — so the engines cannot drift apart on
-what a structure *is*.  The flattened form is also what ships to pool
-workers: it is self-contained (a worker can build either engine from it
-without the original structure objects) and it round-trips the byte
-accounting — ``total_bytes``, ``height`` and ``instance_address`` match
-the source structure exactly.
+The batched engine (:class:`~repro.rt.wavefront.WavefrontTracer`) and
+its trace recorder traverse these arrays directly, and the scalar parity
+oracle in ``tests/`` builds its plain-list tables from them, so the
+engine and its oracle cannot drift apart on what a structure *is*.  The
+flattened form is also what ships to pool workers: it is self-contained
+(a worker builds the engine from it without the original structure
+objects) and it round-trips the byte accounting — ``total_bytes``,
+``height`` and ``instance_address`` match the source structure
+exactly.
 
 ``flatten`` memoizes per structure object (identity-checked weak
 registry, so recycled ids can never serve a stale layout), making the
@@ -42,7 +42,7 @@ import numpy as np
 from repro.bvh.layout import INSTANCE_BYTES, LEAF_HEADER_BYTES
 from repro.bvh.monolithic import MonolithicBVH
 from repro.bvh.node import FlatBVH
-from repro.bvh.two_level import HeteroTwoLevelBVH, TwoLevelBVH
+from repro.bvh.two_level import TwoLevelBVH
 from repro.util import IdentityMemo
 
 #: What a root level's leaves reference.
@@ -61,9 +61,10 @@ class FlatMesh:
     """A leaf-ordered triangle soup for one level.
 
     ``v0`` is the anchor vertex and ``e1``/``e2`` the edge vectors — the
-    precomputed Möller–Trumbore inputs both engines consume.  ``owner``
-    maps each triangle to its Gaussian (monolithic proxies); the shared
-    template BLAS has no owner (the instance supplies the Gaussian).
+    precomputed Möller–Trumbore inputs the engine and its oracle
+    consume.  ``owner`` maps each triangle to its Gaussian (monolithic
+    proxies); the shared template BLAS has no owner (the instance
+    supplies the Gaussian).
     """
 
     v0: np.ndarray
@@ -78,7 +79,7 @@ class FlatMesh:
 
 @dataclass
 class FlatBlas:
-    """One shared-BLAS slot of a flattened two-level structure."""
+    """The shared BLAS of a flattened two-level structure."""
 
     kind: str
     base_address: int
@@ -111,8 +112,6 @@ class FlatStructure:
     #: and instances; ``None`` for triangle proxies, whose triangles
     #: carry owners in ``mesh``).
     prim_gid: np.ndarray | None = None
-    #: Per-instance shared-BLAS slot, leaf order (two-level only).
-    inst_blas: np.ndarray | None = None
     #: Per-instance world->object transform, leaf order (two-level
     #: only); what the wavefront tracer transforms ray bundles with.  Equal
     #: by construction to the shading tables gathered by ``prim_gid`` —
@@ -121,9 +120,8 @@ class FlatStructure:
     #: engines' object-space rays bit-identical).
     inst_w2o_linear: np.ndarray | None = None
     inst_w2o_offset: np.ndarray | None = None
-    #: Shared-BLAS table indexed by ``inst_blas`` slot (empty when
-    #: monolithic).
-    blas: tuple[FlatBlas, ...] = ()
+    #: The shared BLAS every instance references (two-level only).
+    blas: FlatBlas | None = None
 
     @property
     def is_triangle_proxy(self) -> bool:
@@ -131,11 +129,12 @@ class FlatStructure:
 
     @property
     def total_bytes(self) -> int:
-        return self.root.total_bytes + sum(b.total_bytes for b in self.blas)
+        blas_bytes = self.blas.total_bytes if self.blas is not None else 0
+        return self.root.total_bytes + blas_bytes
 
     @property
     def height(self) -> int:
-        blas_height = max((b.height for b in self.blas), default=0)
+        blas_height = self.blas.height if self.blas is not None else 0
         return self.root.height + blas_height
 
     def instance_address(self, leaf_index: int, slot: int) -> int:
@@ -212,34 +211,11 @@ def _flatten_two_level(structure: TwoLevelBVH) -> FlatStructure:
         root=structure.tlas,
         root_prims=PRIMS_INSTANCES,
         prim_gid=np.ascontiguousarray(order.astype(np.int64)),
-        inst_blas=np.zeros(order.shape[0], dtype=np.int64),
         inst_w2o_linear=np.ascontiguousarray(
             structure.world_to_obj_linear[order]),
         inst_w2o_offset=np.ascontiguousarray(
             structure.world_to_obj_offset[order]),
-        blas=(_flatten_blas(structure.blas),),
-    )
-
-
-def _flatten_hetero(structure: HeteroTwoLevelBVH) -> FlatStructure:
-    """Lower a heterogeneous TLAS: same layout as the homogeneous case,
-    but ``inst_blas`` carries real per-instance slots and ``blas`` one
-    entry per template."""
-    order = structure.tlas.prim_order
-    return FlatStructure(
-        proxy=structure.proxy,
-        n_gaussians=structure.n_gaussians,
-        two_level=True,
-        root=structure.tlas,
-        root_prims=PRIMS_INSTANCES,
-        prim_gid=np.ascontiguousarray(order.astype(np.int64)),
-        inst_blas=np.ascontiguousarray(
-            structure.gaussian_blas[order].astype(np.int64)),
-        inst_w2o_linear=np.ascontiguousarray(
-            structure.world_to_obj_linear[order]),
-        inst_w2o_offset=np.ascontiguousarray(
-            structure.world_to_obj_offset[order]),
-        blas=tuple(_flatten_blas(b) for b in structure.blas),
+        blas=_flatten_blas(structure.blas),
     )
 
 
@@ -248,7 +224,7 @@ def flattenable(structure) -> bool:
     structural support predicate both tracing engines share."""
     return isinstance(
         structure,
-        (MonolithicBVH, TwoLevelBVH, HeteroTwoLevelBVH, FlatStructure),
+        (MonolithicBVH, TwoLevelBVH, FlatStructure),
     )
 
 
@@ -263,11 +239,9 @@ def _flatten_uncached(structure) -> FlatStructure:
         return _flatten_monolithic(structure)
     if isinstance(structure, TwoLevelBVH):
         return _flatten_two_level(structure)
-    if isinstance(structure, HeteroTwoLevelBVH):
-        return _flatten_hetero(structure)
     raise TypeError(
         f"cannot flatten {type(structure).__name__}; expected "
-        "MonolithicBVH, TwoLevelBVH, HeteroTwoLevelBVH or FlatStructure")
+        "MonolithicBVH, TwoLevelBVH or FlatStructure")
 
 
 def flatten(structure) -> FlatStructure:

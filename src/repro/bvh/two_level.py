@@ -103,47 +103,6 @@ class TwoLevelBVH:
         return int(self.tlas.leaf_addr[leaf_index]) + LEAF_HEADER_BYTES + slot * INSTANCE_BYTES
 
 
-@dataclass
-class HeteroTwoLevelBVH:
-    """TLAS over Gaussian instances + *several* shared BLAS templates.
-
-    The homogeneous :class:`TwoLevelBVH` references one template from
-    every instance; here each Gaussian picks one of a small set of
-    templates (``gaussian_blas[i]`` is the slot into ``blas``).  This is
-    how a merged multi-object scene keeps per-object proxy fidelity —
-    one object can use the unit-sphere BLAS while another uses an
-    icosphere mesh — without rebuilding either template per instance.
-    """
-
-    tlas: FlatBVH
-    blas: tuple[SharedBlas, ...]
-    gaussian_blas: np.ndarray
-    n_gaussians: int
-    world_to_obj_linear: np.ndarray
-    world_to_obj_offset: np.ndarray
-
-    @property
-    def proxy(self) -> str:
-        return "tlas+hetero"
-
-    @property
-    def total_bytes(self) -> int:
-        """TLAS (nodes + inline instance records) + every shared BLAS."""
-        return self.tlas.total_bytes + sum(b.total_bytes for b in self.blas)
-
-    @property
-    def height(self) -> int:
-        """Worst-case traversal depth: TLAS height plus deepest BLAS."""
-        blas_height = max(
-            1 if b.kind == "sphere" else b.bvh.height for b in self.blas
-        )
-        return self.tlas.height + blas_height
-
-    def instance_address(self, leaf_index: int, slot: int) -> int:
-        """Byte address of one instance record inside a TLAS leaf."""
-        return int(self.tlas.leaf_addr[leaf_index]) + LEAF_HEADER_BYTES + slot * INSTANCE_BYTES
-
-
 def _build_shared_blas(blas_kind: str, subdivisions: int, base_address: int) -> SharedBlas:
     if blas_kind == "sphere":
         return SharedBlas(kind="sphere", base_address=base_address)
@@ -221,82 +180,6 @@ def build_two_level(
     return TwoLevelBVH(
         tlas=tlas,
         blas=blas,
-        n_gaussians=len(cloud),
-        world_to_obj_linear=world_to_obj.linear,
-        world_to_obj_offset=world_to_obj.offset,
-    )
-
-
-def build_two_level_hetero(
-    cloud: GaussianCloud,
-    blas_specs: list[tuple[str, int]],
-    gaussian_blas: np.ndarray,
-    params: BuildParams | None = None,
-) -> HeteroTwoLevelBVH:
-    """Build a TLAS whose instances reference per-Gaussian BLAS templates.
-
-    ``blas_specs`` lists the distinct templates as ``(kind,
-    subdivisions)`` pairs; ``gaussian_blas[i]`` selects the slot for
-    Gaussian ``i``.  TLAS leaf boxes bound whichever proxy geometry the
-    selected template actually reports hits on (ellipsoid AABB for
-    sphere slots, circumscribed template AABB for icosphere slots), and
-    the BLAS regions are laid out sequentially after the TLAS on the
-    same 256-byte alignment the homogeneous build uses.
-    """
-    if not blas_specs:
-        raise ValueError("blas_specs must name at least one BLAS template")
-    gaussian_blas = np.ascontiguousarray(
-        np.asarray(gaussian_blas, dtype=np.int64)
-    )
-    if gaussian_blas.shape != (len(cloud),):
-        raise ValueError(
-            f"gaussian_blas must have one slot per Gaussian "
-            f"({len(cloud)}), got shape {gaussian_blas.shape}"
-        )
-    if gaussian_blas.size and (
-        gaussian_blas.min() < 0 or gaussian_blas.max() >= len(blas_specs)
-    ):
-        raise ValueError(
-            f"gaussian_blas slots must be in [0, {len(blas_specs)}); "
-            f"got range [{gaussian_blas.min()}, {gaussian_blas.max()}]"
-        )
-    lo = np.empty((len(cloud), 3), dtype=np.float64)
-    hi = np.empty((len(cloud), 3), dtype=np.float64)
-    sphere_boxes = None
-    for slot, (kind, subdivisions) in enumerate(blas_specs):
-        mask = gaussian_blas == slot
-        if not mask.any():
-            continue
-        if kind == "sphere":
-            if sphere_boxes is None:
-                sphere_boxes = world_aabbs(cloud)
-            lo[mask] = sphere_boxes[0][mask]
-            hi[mask] = sphere_boxes[1][mask]
-        elif kind == "icosphere":
-            proxy_lo, proxy_hi = _instance_proxy_aabbs(cloud, subdivisions)
-            lo[mask] = proxy_lo[mask]
-            hi[mask] = proxy_hi[mask]
-        else:
-            raise ValueError(
-                f"unknown BLAS kind {kind!r}; expected sphere or icosphere"
-            )
-    if params is None:
-        params = BuildParams()
-    tlas_params = replace(params, leaf_size=1)
-    tlas = build_bvh(lo, hi, INSTANCE_BYTES, tlas_params)
-    base = -(-tlas.total_bytes // _REGION_ALIGN) * _REGION_ALIGN
-    blas_list = []
-    for kind, subdivisions in blas_specs:
-        blas = _build_shared_blas(kind, subdivisions, base)
-        if blas.bvh is not None:
-            blas.bvh.rebase(base)
-        blas_list.append(blas)
-        base += -(-blas.total_bytes // _REGION_ALIGN) * _REGION_ALIGN
-    _, world_to_obj = canonical_transforms(cloud)
-    return HeteroTwoLevelBVH(
-        tlas=tlas,
-        blas=tuple(blas_list),
-        gaussian_blas=gaussian_blas,
         n_gaussians=len(cloud),
         world_to_obj_linear=world_to_obj.linear,
         world_to_obj_offset=world_to_obj.offset,

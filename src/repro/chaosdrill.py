@@ -67,7 +67,7 @@ def _requests(scene: str, frames: int, size: int, scale: float):
         RenderRequest(
             scene=SceneRef(name=scene, scale=scale, seed=index),
             proxy="tlas+sphere", mode="grtx", k=8,
-            width=size, height=size, engine="scalar")
+            width=size, height=size)
         for index in range(frames)
     ]
 

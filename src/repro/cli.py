@@ -62,13 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     render.add_argument("--mode", default="grtx",
                         choices=["baseline", "grtx-sw", "grtx-hw", "grtx"],
                         help="optimization mode (grtx-hw/grtx enable checkpointing)")
-    render.add_argument("--engine", default="auto",
-                        choices=["scalar", "wavefront", "auto"],
-                        help="tracing engine: breadth-first batched "
-                             "wavefront (every structure family and mode, "
-                             "GRTX-HW checkpointing included), auto (the "
-                             "default; the same engine), or per-ray scalar "
-                             "(the reference)")
     render.add_argument("--size", type=int, default=32, help="image width=height")
     render.add_argument("--k", type=int, default=8, help="k-buffer capacity")
     render.add_argument("--scale", type=float, default=1 / 400.0,
@@ -285,24 +278,18 @@ def _cmd_render(args: argparse.Namespace) -> int:
     checkpointing = args.mode in ("grtx-hw", "grtx")
     config = TraceConfig(k=args.k, checkpointing=checkpointing)
     camera = _make_camera(args.camera, cloud, args.size)
-    from repro.rt import resolve_engine
-
-    # Resolve auto once, then pass the concrete engine down so nothing
-    # re-resolves.
-    engine_active = resolve_engine(args.engine, structure, config)
     if tiles:
         from repro.serve import TileScheduler
 
         scheduler = TileScheduler(tile_size=(tiles, tiles), workers=args.workers)
         result = scheduler.render(cloud, structure, config, camera,
-                                  keep_traces=True, engine=engine_active)
+                                  keep_traces=True)
     else:
-        renderer = GaussianRayTracer(cloud, structure, config,
-                                     engine=engine_active)
+        renderer = GaussianRayTracer(cloud, structure, config)
         result = renderer.render(camera)
     write_ppm(args.out, result.image)
     print(f"scene={args.scene} gaussians={len(cloud)} proxy={args.proxy} "
-          f"mode={args.mode} engine={engine_active}")
+          f"mode={args.mode}")
     print(f"structure: {structure.total_bytes / 1024:.1f} KB")
     print(f"render:    {result.stats.n_rays} rays, {result.stats.rounds_total} rounds, "
           f"{result.stats.blended_total} blends")

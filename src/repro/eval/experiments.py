@@ -735,50 +735,33 @@ def ablation_dram(scene: str = "truck") -> ExperimentResult:
     )
 
 
-def ablation_popping(scene: str = "room", n_frames: int = 8) -> ExperimentResult:
-    """View-consistency: per-ray sorting vs 3DGS's global depth sort.
+def popping_frames(cloud, structure, config, cameras) -> tuple[list, list]:
+    """The two frame sequences of the popping ablation.
 
-    Section II-B: "ray tracing enables per-ray sorting that eliminates
-    visual artifacts during camera movement". To isolate the *sorting*
-    effect we blend the *same* per-ray hit lists twice per frame of a
-    camera orbit: once in exact per-ray t order (ray tracing), once
-    re-sorted by global view-space depth of each Gaussian's center (the
-    3DGS order, shared by all pixels). Popping is the temporal roughness
-    of each sequence; sort flips between frames raise it.
+    Each frame traces as one bundle with blend recording.  The per-ray
+    frame holds the traced colours (every ray blends its hits in its own
+    ``t`` order); the global frame re-blends each ray's same blend list
+    in the global view-space depth order of the Gaussian centres.
     """
-    from repro.render import GaussianRayTracer, default_camera_for
-    from repro.render.metrics import popping_score
-    from repro.rt import SceneShading
-
-    cloud = get_cloud(scene)
-    structure = get_structure(scene, "tlas+sphere")
-    config = _trace_config(k=8)
     from dataclasses import replace as dc_replace
 
+    from repro.rt import SceneShading, WavefrontTracer
+
     config = dc_replace(config, record_blended=True)
-    renderer = GaussianRayTracer(cloud, structure, config)
     shading = SceneShading(cloud)
+    tracer = WavefrontTracer(structure, shading, config)
     threshold = config.transmittance_min
-
-    base = default_camera_for(cloud, *BENCH_RESOLUTION)
-    center = cloud.means.mean(axis=0)
-    from repro.render.path import orbit_path
-
-    cameras = orbit_path(base, center, n_frames, total_angle=0.03 * (n_frames - 1))
     perray_frames, global_frames = [], []
     for camera in cameras:
         _r, _u, forward = camera.basis
         depth_key = (cloud.means - camera.position) @ forward
 
         bundle = camera.generate_rays()
+        result = tracer.trace_packet(bundle.origins, bundle.directions)
         exact = np.zeros((camera.n_pixels, 3))
         glob = np.zeros((camera.n_pixels, 3))
-        for r in range(len(bundle)):
-            outcome = renderer.tracer.trace_ray(
-                bundle.origins[r], bundle.directions[r])
-            pixel = int(bundle.pixel_ids[r])
-            exact[pixel] = outcome.color
-            records = outcome.blend_records or []
+        exact[bundle.pixel_ids] = result.colors
+        for r, records in enumerate(result.blend_records):
             if not records:
                 continue
             # Re-blend the same Gaussians in global depth order.
@@ -793,10 +776,35 @@ def ablation_popping(scene: str = "room", n_frames: int = 8) -> ExperimentResult
                 trans *= 1.0 - alpha
                 if trans < threshold:
                     break
-            glob[pixel] = color
+            glob[int(bundle.pixel_ids[r])] = color
         shape = (camera.height, camera.width, 3)
         perray_frames.append(exact.reshape(shape))
         global_frames.append(glob.reshape(shape))
+    return perray_frames, global_frames
+
+
+def ablation_popping(scene: str = "room", n_frames: int = 8) -> ExperimentResult:
+    """View-consistency: per-ray sorting vs 3DGS's global depth sort.
+
+    Section II-B: "ray tracing enables per-ray sorting that eliminates
+    visual artifacts during camera movement". To isolate the *sorting*
+    effect we blend the *same* per-ray hit lists twice per frame of a
+    camera orbit: once in exact per-ray t order (ray tracing), once
+    re-sorted by global view-space depth of each Gaussian's center (the
+    3DGS order, shared by all pixels). Popping is the temporal roughness
+    of each sequence; sort flips between frames raise it.
+    """
+    from repro.render import default_camera_for
+    from repro.render.metrics import popping_score
+    from repro.render.path import orbit_path
+
+    cloud = get_cloud(scene)
+    structure = get_structure(scene, "tlas+sphere")
+    base = default_camera_for(cloud, *BENCH_RESOLUTION)
+    center = cloud.means.mean(axis=0)
+    cameras = orbit_path(base, center, n_frames, total_angle=0.03 * (n_frames - 1))
+    perray_frames, global_frames = popping_frames(
+        cloud, structure, _trace_config(k=8), cameras)
 
     rows = [
         ["per-ray sort (ray tracing)", popping_score(perray_frames)],

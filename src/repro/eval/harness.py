@@ -158,9 +158,8 @@ def normalize_config(
 
     ``engine`` defaults to ``"auto"``: trace-producing campaign renders
     run on the wavefront engine's recording path, GRTX-HW checkpointing
-    included — per-ray fetch traces and every replayed timing figure
-    are engine-identical.  Only a heterogeneous multi-BLAS structure
-    records on the scalar tracer.
+    included, whose per-ray fetch traces are event-for-event the scalar
+    parity oracle's.
     """
     return dict(
         scene=scene, proxy=proxy, k=k, mode=mode, checkpointing=checkpointing,

@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.hwsim.config import GpuConfig
-from repro.rt.kbuffer import CHECKPOINT_ENTRY_BYTES, EVICTION_ENTRY_BYTES
+
+#: Serialized entry sizes from Section IV-B of the paper.
+CHECKPOINT_ENTRY_BYTES = 20  # 8 B node addr + 8 B TLAS leaf addr + 4 B t
+EVICTION_ENTRY_BYTES = 8  # 4 B primitive id + 4 B t
 
 
 @dataclass(frozen=True)

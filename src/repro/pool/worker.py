@@ -15,11 +15,11 @@ Two task kinds exist:
   the parent always knows what each worker holds). The structure the
   scheduler ships is the *flattened* SoA layout
   (:class:`~repro.bvh.flatten.FlatStructure`) and the engine is always
-  concrete (``auto`` resolves in the parent): a worker builds either
+  concrete (``auto`` resolves in the parent): a worker builds the
   tracing engine straight from the one layout. When the task asks for
-  fetch traces, both engines record them (the wavefront engine through its
-  trace recorder) and the per-ray ``RayTrace`` streams ship back inside
-  the tile's ``BundleResult``.
+  fetch traces, the engine's trace recorder records them and the
+  per-ray ``RayTrace`` streams ship back inside the tile's
+  ``BundleResult``.
 * ``"call"`` — run an arbitrary picklable ``fn(*args, **kwargs)``. This
   is what the eval campaign fans out; workers keep their module state
   (e.g. the eval harness render caches) across calls, which is the whole

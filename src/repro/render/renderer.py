@@ -1,9 +1,10 @@
 """The end-to-end Gaussian ray tracer.
 
-Glues together camera ray generation, the multi-round tracer, optional
-analytic objects (mirror / glass) for secondary rays, and per-render
-statistics. The returned :class:`RenderResult` carries the per-ray fetch
-traces, which :mod:`repro.hwsim` replays for cycle-level timing.
+Glues together camera ray generation, the batched wavefront engine
+(:mod:`repro.rt.wavefront`), optional analytic objects (mirror / glass)
+for secondary rays, and per-render statistics. A recorded render's
+:class:`RenderResult` carries the per-ray fetch traces, which
+:mod:`repro.hwsim` replays for cycle-level timing.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ import numpy as np
 from repro.bvh.monolithic import MonolithicBVH
 from repro.bvh.two_level import TwoLevelBVH
 from repro.gaussians import GaussianCloud
-from repro.obs import PhaseAccumulator, span
 from repro.render.camera import PinholeCamera
 from repro.render.effects import SceneObjects
 from repro.render.image import ImageBuffer
-from repro.rt import RayTrace, SceneShading, TraceConfig, Tracer
+from repro.rt import RayTrace, SceneShading, TraceConfig
 from repro.rt.recorder import unique_fetch_counts
-from repro.rt.tracerecord import recordable
+from repro.rt.wavefront import WavefrontTracer, resolve_engine
 
 #: Secondary rays whose carried weight is below this contribute nothing
 #: visible; skip them (matches shooting secondary rays only from surviving
@@ -139,15 +139,6 @@ class RenderResult:
         self.traces = []
 
 
-#: Engines a renderer can trace with.  ``"wavefront"`` is the
-#: numpy-vectorized batched engine (both structure families,
-#: multiround/singleround, GRTX-HW checkpointing, fetch-trace
-#: recording), parity-matched to the scalar images within 1e-9 per
-#: channel; ``"auto"`` is the same engine; ``"scalar"`` is the per-ray
-#: Python tracer, the explicit reference.
-ENGINES = ("scalar", "wavefront", "auto")
-
-
 class GaussianRayTracer:
     """Public renderer API: scene + acceleration structure -> image.
 
@@ -156,21 +147,16 @@ class GaussianRayTracer:
     cloud:
         The Gaussian scene.
     structure:
-        A :class:`MonolithicBVH` or :class:`TwoLevelBVH` built over it.
+        A :class:`MonolithicBVH` or :class:`TwoLevelBVH` built over it,
+        or an already-flattened :class:`~repro.bvh.flatten.FlatStructure`
+        (what pool workers receive).
     config:
         Tracing configuration (k, multi/single round, checkpointing, ...).
     engine:
-        ``"scalar"`` (default), ``"wavefront"`` or ``"auto"``.  The
-        wavefront engine (which ``"auto"`` resolves to) covers every
-        flattenable structure and config, checkpointing included; a
-        recorded bundle (``keep_traces``) on a heterogeneous multi-BLAS
-        structure traces on the scalar tracer, the one recording limit
-        (:func:`repro.rt.tracerecord.recordable`).  ``engine_active``
-        reports the engine.
-
-    ``structure`` may also be an already-flattened
-    :class:`~repro.bvh.flatten.FlatStructure` (what pool workers
-    receive); both engines consume the flattened layout natively.
+        ``"auto"`` (default) or ``"wavefront"``; both name the one
+        batched engine, which covers every structure and config,
+        checkpointing included.  Any other name raises ``ValueError``.
+        ``engine_active`` reports the resolved engine.
     """
 
     def __init__(
@@ -178,37 +164,17 @@ class GaussianRayTracer:
         cloud: GaussianCloud,
         structure: MonolithicBVH | TwoLevelBVH,
         config: TraceConfig | None = None,
-        engine: str = "scalar",
+        engine: str = "auto",
     ) -> None:
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
         self.cloud = cloud
         self.structure = structure
         self.config = config or TraceConfig()
         self.engine = engine
-        self.shading = SceneShading(cloud)
-        #: The batched tracer (``None`` on the scalar engine); every
-        #: consumer (tile scheduler, tests, pool workers) holds it
-        #: through this attribute.
-        self.packet = None
-        self._scalar_tracer: Tracer | None = None
-        from repro.rt.wavefront import WavefrontTracer, resolve_engine
-
         self._engine_active = resolve_engine(engine, structure, self.config)
-        if self._engine_active == "wavefront":
-            self.packet = WavefrontTracer(structure, self.shading,
-                                          self.config)
-        else:
-            self._scalar_tracer = Tracer(structure, self.shading, self.config)
-
-    @property
-    def tracer(self) -> Tracer:
-        """The scalar tracer — built lazily when the wavefront engine is
-        active (its table setup is O(scene) and the batched path never
-        touches it), eagerly otherwise."""
-        if self._scalar_tracer is None:
-            self._scalar_tracer = Tracer(self.structure, self.shading, self.config)
-        return self._scalar_tracer
+        self.shading = SceneShading(cloud)
+        #: The batched tracer; every consumer (tile scheduler, tests,
+        #: pool workers) holds it through this attribute.
+        self.packet = WavefrontTracer(structure, self.shading, self.config)
 
     @property
     def engine_active(self) -> str:
@@ -257,99 +223,13 @@ class GaussianRayTracer:
         tile sliced out of a full-frame bundle traces bit-identically to
         the untiled render.
 
-        With the wavefront engine active the whole batch is traced as one
-        bundle. ``keep_traces`` selects the *recorded* path
-        (:meth:`WavefrontTracer.trace_packet_recorded`): per-ray fetch
-        traces stream- and counter-identical to the scalar recorder's,
-        at extra recording cost — so serving paths keep it off and
-        timing runs turn it on.  A recorded bundle the frontier recorder
-        does not cover (a multi-BLAS structure) traces on the scalar
-        tracer.
+        The whole batch is traced as one bundle, plus (when scene objects
+        clip primaries) one secondary bundle.  ``keep_traces`` selects
+        the *recorded* path (:meth:`WavefrontTracer.trace_packet_recorded`):
+        per-ray fetch traces and every :class:`RenderStats` counter
+        absorbed from them, at extra recording cost — so serving paths
+        keep it off and timing runs turn it on.
         """
-        if self.packet is not None and (
-                not keep_traces or recordable(self.packet.flat)):
-            return self._trace_rays_packet(origins, directions, pixel_ids,
-                                           objects, keep_traces)
-        n = origins.shape[0]
-        colors = np.zeros((n, 3), dtype=np.float64)
-        stats = RenderStats()
-        traces: list[RayTrace] = []
-        tracer = self.tracer
-        # Per-phase timing at bundle granularity: the tracer accumulates
-        # traversal/blend seconds across all rays of this bundle and the
-        # totals flush as one histogram sample each — the same shape the
-        # wavefront engine reports per chunk.
-        profile = tracer.profile = PhaseAccumulator()
-        bundle_span = span("rt.scalar.trace", rays=n)
-        bundle_span.__enter__()
-        try:
-            self._trace_rays_scalar_loop(
-                tracer, origins, directions, colors, stats, traces,
-                objects, keep_traces)
-        finally:
-            bundle_span.__exit__(None, None, None)
-            tracer.profile = None
-        profile.flush("rt.phase")
-        return BundleResult(
-            colors=colors,
-            pixel_ids=np.asarray(pixel_ids, dtype=np.int64),
-            stats=stats,
-            traces=traces,
-        )
-
-    def _trace_rays_scalar_loop(self, tracer, origins, directions, colors,
-                                stats, traces, objects, keep_traces) -> None:
-        """The per-ray scalar loop (split out so the caller can bracket
-        it with profiling/tracing teardown in one ``finally``)."""
-        for i in range(origins.shape[0]):
-            origin = origins[i]
-            direction = directions[i]
-
-            t_obj = float("inf")
-            obj = None
-            if objects is not None:
-                t_obj, obj = objects.nearest(origin, direction)
-
-            trace = RayTrace(label="primary")
-            outcome = tracer.trace_ray(origin, direction, trace, t_clip=t_obj)
-            stats.absorb(trace, outcome.rounds, outcome.blended,
-                         outcome.terminated_early,
-                         unique_fetch_counts([trace])[0])
-            if keep_traces:
-                traces.append(trace)
-            color = outcome.color
-
-            if obj is not None and outcome.transmittance > _MIN_SECONDARY_WEIGHT:
-                sec_origin, sec_direction = obj.scatter(origin, direction, t_obj)
-                sec_trace = RayTrace(label="secondary")
-                sec_outcome = tracer.trace_ray(sec_origin, sec_direction, sec_trace)
-                stats.absorb(
-                    sec_trace, sec_outcome.rounds, sec_outcome.blended,
-                    sec_outcome.terminated_early,
-                    unique_fetch_counts([sec_trace])[0],
-                )
-                if keep_traces:
-                    traces.append(sec_trace)
-                weight = outcome.transmittance
-                color = color + weight * np.asarray(obj.tint) * sec_outcome.color
-
-            colors[i] = color
-
-    def _trace_rays_packet(
-        self,
-        origins: np.ndarray,
-        directions: np.ndarray,
-        pixel_ids: np.ndarray,
-        objects: SceneObjects | None,
-        keep_traces: bool = False,
-    ) -> BundleResult:
-        """Wavefront-engine ray batch: one vectorized primary bundle plus
-        (when scene objects clip primaries) one secondary bundle.
-
-        With ``keep_traces`` the bundles run through the recording path
-        and the stats are absorbed from the reconstructed traces exactly
-        like the scalar loop's, so every RenderStats counter matches the
-        scalar engine (not just the parity trio)."""
         origins = np.asarray(origins, dtype=np.float64)
         directions = np.asarray(directions, dtype=np.float64)
         n = origins.shape[0]
@@ -407,10 +287,10 @@ class GaussianRayTracer:
 
     @staticmethod
     def _absorb_recorded(stats: RenderStats, result, traces, primary: bool) -> None:
-        """Absorb a recorded bundle like the scalar per-ray loop does:
-        every counter (visit totals, anyhit calls, k-buffer ops, ...)
-        comes from the reconstructed traces, so the stats block equals
-        the scalar engine's exactly."""
+        """Absorb a recorded bundle one ray at a time: every counter
+        (visit totals, anyhit calls, k-buffer ops, ...) comes from the
+        reconstructed traces, so the stats block equals the scalar
+        oracle's exactly."""
         rounds = result.rounds
         blended = result.blended
         terminated = result.terminated
@@ -428,16 +308,17 @@ class GaussianRayTracer:
             stats.n_primary += n
         else:
             stats.n_secondary += n
-        # The round rule assumes the scalar's k-sized blend rounds; with
-        # checkpointing the scalar also stops a round early when no
-        # checkpoint or eviction is left, so rounds_total is an
-        # engine-specific work measure for those configs.
+        # The round rule assumes k-sized blend rounds; with checkpointing
+        # a recorded ray also stops a round early when no checkpoint or
+        # eviction is left, so on the plain path rounds_total is a work
+        # measure of its own for those configs.
         stats.rounds_total += int(result.rounds.sum())
         stats.blended_total += int(result.blended.sum())
         stats.rays_terminated_early += int(np.count_nonzero(result.terminated))
-        # One canonical evaluation per candidate pair; the scalar engine
-        # re-evaluates across rounds, so these two are engine-specific
-        # work measures, not parity-matched counters.
+        # One canonical evaluation per candidate pair; the recorded path
+        # (and the scalar oracle) re-evaluate across rounds, so these two
+        # are work measures of the plain path, not parity-matched
+        # counters.
         stats.anyhit_calls += result.anyhit_calls
         stats.kbuffer_ops += result.anyhit_calls
         stats.false_positives += result.false_positives

@@ -1,12 +1,13 @@
 """Gaussian ray-tracing runtime.
 
-Implements the paper's rendering algorithm (Section III-A / Listing 1):
-multi-round k-buffer tracing with any-hit sorting, early ray termination,
-and — for GRTX-HW — traversal checkpointing and replay. The tracer records
-byte-accurate node-fetch traces that :mod:`repro.hwsim` replays for timing.
+Implements the paper's rendering algorithm (Section III-A / Listing 1)
+on one batched engine (:mod:`repro.rt.wavefront`): multi-round k-buffer
+tracing with any-hit sorting, early ray termination, and — for GRTX-HW —
+traversal checkpointing and replay. Recorded bundles carry byte-accurate
+node-fetch traces that :mod:`repro.hwsim` replays for timing.
 """
 
-from repro.rt.kbuffer import EvictionBuffer, KBuffer, KBufferEntry
+from repro.rt.config import TraceConfig
 from repro.rt.recorder import (
     FETCH_INTERNAL,
     FETCH_LEAF,
@@ -18,17 +19,6 @@ from repro.rt.recorder import (
     RayTrace,
     RoundTrace,
 )
-from repro.rt.pipeline import (
-    ACCEPT,
-    IGNORE,
-    TERMINATE,
-    DepthPayload,
-    Hit,
-    RayTracingPipeline,
-    ShadowPayload,
-    depth_pipeline,
-    shadow_pipeline,
-)
 from repro.rt.kernels import PacketResult
 from repro.rt.wavefront import (
     WAVEFRONT_RAY_CHUNK,
@@ -37,18 +27,10 @@ from repro.rt.wavefront import (
 )
 from repro.rt.predictor import PredictorReport, RayPredictor, analyze_predictor
 from repro.rt.shading import SceneShading
-from repro.rt.tracer import RayOutcome, TraceConfig, Tracer
 
 __all__ = [
-    "ACCEPT",
-    "DepthPayload",
-    "EvictionBuffer",
     "FETCH_INTERNAL",
     "FETCH_LEAF",
-    "Hit",
-    "IGNORE",
-    "KBuffer",
-    "KBufferEntry",
     "PRIM_CUSTOM",
     "PRIM_NONE",
     "PRIM_SPHERE",
@@ -56,20 +38,13 @@ __all__ = [
     "PRIM_TRI",
     "PacketResult",
     "PredictorReport",
-    "RayOutcome",
     "RayTrace",
     "RayPredictor",
-    "RayTracingPipeline",
     "RoundTrace",
     "SceneShading",
-    "ShadowPayload",
-    "TERMINATE",
     "TraceConfig",
-    "Tracer",
     "WavefrontTracer",
     "WAVEFRONT_RAY_CHUNK",
     "analyze_predictor",
-    "depth_pipeline",
     "resolve_engine",
-    "shadow_pipeline",
 ]

@@ -14,7 +14,7 @@ the two paths together: ``test_recorded_result_matches_plain_packet``
 Every kernel is elementwise over its batch (no cross-element reductions
 except the documented sorted ones), which is what makes the engine
 bit-identical to itself however rays are batched, and within 1e-9 of
-the scalar tracer regardless of how candidates were ordered: IEEE float
+the per-ray scalar oracle (``tests/scalar_oracle.py``) regardless of how candidates were ordered: IEEE float
 ops are deterministic per element, and the blend stage re-sorts
 candidates by the fully determining key ``(ray, t, gid)`` before any
 order-sensitive accumulation.
@@ -56,7 +56,7 @@ class PacketResult:
     false_positives: int = 0
     #: Per-ray ``(gaussian_id, alpha, t)`` blend lists in blend order,
     #: populated when ``TraceConfig.record_blended`` is set — the same
-    #: lists the scalar tracer's ``RayOutcome.blend_records`` carries
+    #: lists the scalar oracle's ``RayOutcome.blend_records`` carries
     #: (the popping and predictor ablations consume them).
     blend_records: list[list[tuple[int, float, float]]] | None = None
 
@@ -221,7 +221,7 @@ def unit_box_slab(o2, d2):
     """Slab test of the sphere BLAS root record, the unit box: ``(tn,
     tf)`` — the scalar instance path's one box test, vectorized (same
     exact-zero direction guard)."""
-    safe = np.where(d2 == 0.0, 1e-12, d2)  # repro: lint-ok[float-eq] exact-zero guard mirrors the scalar engine's slab divide bit-for-bit
+    safe = np.where(d2 == 0.0, 1e-12, d2)  # repro: lint-ok[float-eq] exact-zero guard mirrors the scalar oracle's slab divide bit-for-bit
     t0 = (-1.0 - o2) / safe
     t1 = (1.0 - o2) / safe
     return np.minimum(t0, t1).max(axis=1), np.maximum(t0, t1).min(axis=1)

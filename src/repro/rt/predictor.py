@@ -105,20 +105,18 @@ class RayPredictor:
 
 def _blended_sets(renderer: GaussianRayTracer, camera: PinholeCamera
                   ) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
-    """Render with blend recording and collect per-ray blended Gaussians."""
+    """Trace one frame with blend recording and collect each ray's
+    blended Gaussians in blend order."""
     from dataclasses import replace as dc_replace
 
-    from repro.render.renderer import GaussianRayTracer
+    from repro.rt.wavefront import WavefrontTracer
 
     config = dc_replace(renderer.config, record_blended=True)
-    tracer_cfg_renderer = GaussianRayTracer(renderer.cloud, renderer.structure, config)
+    tracer = WavefrontTracer(renderer.structure, renderer.shading, config)
     bundle = camera.generate_rays()
-    blended: list[list[int]] = []
-    for i in range(len(bundle)):
-        outcome = tracer_cfg_renderer.tracer.trace_ray(
-            bundle.origins[i], bundle.directions[i]
-        )
-        blended.append([gid for gid, _a, _t in (outcome.blend_records or [])])
+    result = tracer.trace_packet(bundle.origins, bundle.directions)
+    blended = [[gid for gid, _a, _t in records]
+               for records in result.blend_records]
     return bundle.origins, bundle.directions, blended
 
 

@@ -54,8 +54,8 @@ class SceneShading:
 
         The row-expanded 3x3 matvec of
         :func:`repro.rt.kernels.to_object_space`, term for term and in
-        the same order, so the scalar and batched engines transform
-        rays bit-identically (a BLAS ``linear @ vec`` is free to fuse or
+        the same order, so the scalar parity oracle and the batched
+        engine transform rays bit-identically (a BLAS ``linear @ vec`` is free to fuse or
         reorder the products, and does on some hosts).
         """
         (a, b, c), (e, f, g), (h, i, j) = self.w2o_linear[gaussian_id].tolist()

@@ -1,9 +1,10 @@
 """Fetch-trace recording for the batched engine.
 
-The scalar :class:`~repro.rt.tracer.Tracer` records per-ray fetch traces
-as a side effect of walking the BVH one ray at a time.  This module
-teaches the batched engine (:class:`~repro.rt.wavefront.WavefrontTracer`)
-to produce the *same* traces.  A bundle records in chunks of
+This module makes the batched engine
+(:class:`~repro.rt.wavefront.WavefrontTracer`) record per-ray fetch
+traces: event-for-event the traces the per-ray scalar oracle
+(``tests/scalar_oracle.py``) records as a side effect of walking the BVH
+one ray at a time.  A bundle records in chunks of
 :data:`_MAX_RECORD_PACKET` rays, each taken through two phases, so only
 the finished traces outlive a chunk.  On a host with at least two CPUs
 the calling thread and one worker thread take alternate chunks (two
@@ -50,12 +51,11 @@ checkpointing a checkpoint is a template index plus its stored ``t``
 (an instance checkpoint carries the Gaussian and its TLAS leaf address
 instead); checkpoints are written in the scalar's order, and the next
 round resumes them nearest first over their subtree ``[i, skip[i])``,
-prefilled by the scalar's :class:`~repro.rt.kbuffer.EvictionBuffer`
-rules.  The emitted streams are event-for-event what the scalar
-recorder produces — same addresses, sizes, kinds, test counts, prefetch
-lists, per-round counters, checkpoint/eviction counts and high-water
-marks, and round structure — so :func:`repro.hwsim.replay` accepts
-either engine's traces interchangeably.
+prefilled by the scalar oracle's eviction-buffer rules.  The emitted
+streams are event-for-event what the scalar oracle records — same
+addresses, sizes, kinds, test counts, prefetch lists, per-round
+counters, checkpoint/eviction counts and high-water marks, and round
+structure — so :func:`repro.hwsim.replay` costs them the same.
 
 Equivalence argument: a round's DFS visits a node iff every ancestor
 accepted it under the round's ``(t_min, t_max, t_clip)`` interval, and
@@ -66,13 +66,10 @@ without reordering survivors, and ``t_max`` at an entry's walk position
 is exactly the scalar's value at that node's pop).  A resumed
 checkpoint's subtree is a contiguous template block in the same DFS
 order.  The static fetch records and leaf slices are read straight from
-the :class:`~repro.bvh.flatten.FlatStructure` arrays the scalar tracer's
+the :class:`~repro.bvh.flatten.FlatStructure` arrays the scalar oracle's
 tables are built from, so the two recorders cannot drift on what a
 structure looks like (the trace-equality suites hold them together).
-
-Recording covers every flattenable structure with at most one shared
-BLAS (:func:`recordable`); a heterogeneous multi-BLAS structure records
-on the scalar tracer.
+Recording covers every flattenable structure.
 """
 
 from __future__ import annotations
@@ -123,13 +120,6 @@ def _cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def recordable(flat) -> bool:
-    """Whether the batched recorder covers a flattened structure: every
-    structure with at most one shared BLAS.  The one recording limit —
-    a heterogeneous multi-BLAS structure records on the scalar tracer."""
-    return not flat.two_level or len(flat.blas) == 1
 
 
 def _leaf_entries(tpl: dict, code: int):
@@ -270,9 +260,6 @@ class PacketTraceRecorder:
     """
 
     def __init__(self, tracer) -> None:
-        if not recordable(tracer.flat):
-            raise NotImplementedError(
-                "trace recording supports a single shared BLAS")
         config = tracer.config
         # The tracer memoizes its recorder, so a strong reference back
         # would make a cycle that keeps both (and the per-structure walk
@@ -284,7 +271,7 @@ class PacketTraceRecorder:
         self.two_level = tracer.flat.two_level
         self.prims = tracer.flat.root_prims
         if self.two_level:
-            self._blas = tracer.flat.blas[0]
+            self._blas = tracer.flat.blas
             self._sphere_blas = self._blas.kind == BLAS_SPHERE
             self._leaf_code = _T_TLAS_LEAF
         else:
@@ -392,7 +379,7 @@ class PacketTraceRecorder:
                 done = [lane(0)]
             else:
                 with ThreadPoolExecutor(max_workers=1) as pool:
-                    other = pool.submit(lane, 1)  # repro: lint-ok[process-boundary] a thread, not a process: nothing is pickled, the lanes share the bundle's arrays
+                    other = pool.submit(lane, 1)
                     done = [lane(0), other.result()]
             chunks = [done[j % lanes][j // lanes] for j in range(len(starts))]
             traces = [trace for _, part, _ in chunks for trace in part]
@@ -639,7 +626,7 @@ class PacketTraceRecorder:
             none = np.empty(0)
             return (_ray_table(n, rp, rp, "i", tn=none, tf=none, root=rp),
                     rp, rp, none, None, None)
-        rtn, rtf, inv_d2 = box_slab(*tracer._blas_roots[0], o2, d2)
+        rtn, rtf, inv_d2 = box_slab(*tracer._blas_root, o2, d2)
         clip = t_clip[rp]
         live = np.nonzero((rtn <= rtf) & (rtf >= 0.0) & (rtn <= clip))[0]
         root = np.full(rp.size, -1, dtype=np.int64)
@@ -651,7 +638,7 @@ class PacketTraceRecorder:
                                   3)
             work["entries"] += tpl["kind"].size
             root[live] = tpl["ptr"][:-1]
-            hits = self._leaf_hits(hits_fn, tpl, tracer._blas_levels[0],
+            hits = self._leaf_hits(hits_fn, tpl, tracer._blas_level,
                                    self._blas.mesh, o_l, d_l, work)
             tables = {"b" + name: col for name, col in tpl.items()
                       if name != "ptr"}

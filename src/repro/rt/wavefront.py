@@ -1,11 +1,10 @@
-"""The batched engine: wavefront (breadth-first) ray tracing over the
-flattened layout, plus engine selection.
+"""The tracing engine: wavefront (breadth-first) ray tracing over the
+flattened layout, plus engine-name validation.
 
-The scalar :class:`~repro.rt.tracer.Tracer` walks acceleration
-structures one ray at a time in pure Python.  This module traces a whole
-bundle of rays (a tile or a frame) *together* over the one flattened
-layout every structure lowers to (:func:`repro.bvh.flatten.flatten`),
-with the traversal restructured as a **wavefront**:
+This module traces a whole bundle of rays (a tile or a frame)
+*together* over the one flattened layout every structure lowers to
+(:func:`repro.bvh.flatten.flatten`), with the traversal restructured as
+a **wavefront**:
 
 * the unit of work is a frontier of live ``(ray, node)`` pairs, all at
   the same tree depth, across the bundle's whole ray set;
@@ -20,11 +19,13 @@ with the traversal restructured as a **wavefront**:
 * leaf batches then flow through the shared kernels
   (:mod:`repro.rt.kernels`): one masked Möller–Trumbore per candidate
   batch, batched world->object instance transforms, the batched
-  sphere-BLAS root test, a breadth-first traversal of each shared mesh
-  BLAS with its whole instance group, and the canonical any-hit +
+  sphere-BLAS root test, a breadth-first traversal of the shared mesh
+  BLAS with the whole instance bundle, and the canonical any-hit +
   front-to-back blend.
 
-**Parity argument.**  The accept test per ``(ray, node)`` pair is the
+**Parity argument.**  The engine's oracle is the per-ray scalar tracer
+in ``tests/scalar_oracle.py``, which walks the structure one ray at a
+time in plain Python.  The accept test per ``(ray, node)`` pair is the
 scalar slab's arithmetic with ``t_min = 0`` and no shrinking ``t_max``,
 so the frontier visits every node any tracing round could visit.  Every
 kernel after traversal is elementwise per candidate, and the blend stage
@@ -32,7 +33,7 @@ sorts by the fully determining ``(ray, t, gid)`` key before any
 order-sensitive accumulation — so candidate *order* (and hence how rays
 are batched into bundles or chunks) changes nothing: a tile traced alone
 is bit-identical to the same rays traced inside a frame.  Images match
-the scalar tracer within 1e-9 per channel with exactly equal functional
+the scalar oracle within 1e-9 per channel with exactly equal functional
 counters; :meth:`WavefrontTracer.trace_packet_recorded` additionally
 emits scalar-identical fetch traces (:mod:`repro.rt.tracerecord` builds
 per-ray round templates in C with this traversal's slab arithmetic and
@@ -41,14 +42,12 @@ accept test, so its leaf pairs are the frontier's).
 Checkpointing (GRTX-HW) changes traversal order and fetch traces, not
 which Gaussians blend, so plain checkpointing frames trace on the same
 path; recorded ones replay the checkpoint/resume rounds over the
-round templates.  :func:`resolve_engine` therefore maps
-``"wavefront"`` and ``"auto"`` to this engine for every config, and the
-scalar tracer is the explicit reference.
+round templates.  It is the only engine: :func:`resolve_engine` maps
+``"wavefront"`` and ``"auto"`` to it for every config.
 
 Per-phase ``repro.obs`` histograms: ``rt.phase.bin`` (frontier
-compaction: nonzero/argsort/expand) alongside the ``rt.phase.traversal``
-/ ``rt.phase.intersect`` / ``rt.phase.blend`` the scalar tracer also
-reports, so the phase breakdown compares directly.
+compaction: nonzero/argsort/expand), ``rt.phase.traversal``,
+``rt.phase.intersect`` and ``rt.phase.blend``.
 """
 
 from __future__ import annotations
@@ -78,13 +77,16 @@ from repro.rt.kernels import (
     to_object_space,
 )
 from repro.rt.shading import SceneShading
-from repro.rt.tracer import TraceConfig
+from repro.rt.config import TraceConfig
 
 __all__ = [
     "WAVEFRONT_RAY_CHUNK",
     "WavefrontTracer",
     "resolve_engine",
 ]
+
+#: Engine names a caller may pass; both select this engine.
+ENGINES = ("wavefront", "auto")
 
 #: Rays per wavefront chunk.  Frontier temporaries scale with the live
 #: pair count (bounded separately by :data:`_MAX_FRONTIER`), so a whole
@@ -104,21 +106,18 @@ _INF = float("inf")
 
 def resolve_engine(engine: str, structure, config: TraceConfig) -> str:
     """The concrete engine a (structure, config) pair will trace with:
-    ``"scalar"`` or ``"wavefront"``.
+    always ``"wavefront"``.
 
-    ``"wavefront"`` and ``"auto"`` both resolve to the wavefront engine,
-    which covers every flattenable structure and every config (both
-    engines reject a structure :func:`repro.bvh.flatten.flatten` cannot
-    lower with the same ``TypeError``); ``"scalar"`` is the explicit
-    reference.  Unknown engine names are a fail-fast ``ValueError`` (a
-    typo must not silently render with the wrong engine).
+    ``"wavefront"`` and ``"auto"`` both name the one engine, which
+    covers every flattenable structure and every config.  Any other name
+    — the retired ``"scalar"`` included — is a fail-fast ``ValueError``
+    (a typo must not silently render with something else).  Cache keys
+    carry the resolved name, so callers resolve before keying.
     """
-    if engine == "scalar":
-        return "scalar"
-    if engine not in ("wavefront", "auto"):
+    if engine not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; valid engines are: "
-            "scalar, wavefront, auto")
+            + ", ".join(ENGINES))
     return "wavefront"
 
 
@@ -130,12 +129,10 @@ class WavefrontTracer:
     """Traces ray bundles breadth-first through one flattened scene
     structure.
 
-    Built once per (structure, shading, config) like the scalar
-    :class:`~repro.rt.tracer.Tracer`.  Accepts raw structures
+    Built once per (structure, shading, config).  Accepts raw structures
     (flattened on construction, memoized) or an already-flattened
-    :class:`~repro.bvh.flatten.FlatStructure`.  Like the scalar tracer,
-    one instance serves one caller at a time (it carries small
-    per-trace phase-timing scratch).
+    :class:`~repro.bvh.flatten.FlatStructure`.  One instance serves one
+    caller at a time (it carries small per-trace phase-timing scratch).
     """
 
     def __init__(
@@ -166,16 +163,10 @@ class WavefrontTracer:
             # test suite guards, so consuming it preserves scalar parity.
             self._inst_lin = flat.inst_w2o_linear
             self._inst_off = flat.inst_w2o_offset
-            self._inst_blas = flat.inst_blas
             self._blas = flat.blas
-            self._blas_levels = [
-                Level(b.bvh) if b.bvh is not None else None
-                for b in flat.blas
-            ]
-            self._blas_roots = [
-                b.bvh.root_box() if b.bvh is not None else None
-                for b in flat.blas
-            ]
+            if flat.blas.bvh is not None:
+                self._blas_level = Level(flat.blas.bvh)
+                self._blas_root = flat.blas.bvh.root_box()
         #: Seconds spent in frontier compaction during the current
         #: chunk (reset per chunk; reported as ``rt.phase.bin``).
         self._bin_s = 0.0
@@ -227,8 +218,8 @@ class WavefrontTracer:
 
         Returns ``(PacketResult, traces)`` where ``traces`` is one
         :class:`~repro.rt.recorder.RayTrace` per input ray, stream- and
-        counter-equal to what the scalar tracer would have recorded (the
-        timing model replays either interchangeably).  The result's
+        counter-equal to what the scalar oracle records for the same
+        rays.  The result's
         ``rounds`` array carries the reconstructed exact round counts.
         See :mod:`repro.rt.tracerecord` for the recording pipeline.
         """
@@ -243,7 +234,7 @@ class WavefrontTracer:
     # ------------------------------------------------------------------
 
     def _trace_chunk(self, o, d, t_clip) -> PacketResult:
-        # Same degenerate-direction guard as the scalar tracer, so slab
+        # Same degenerate-direction guard as the scalar oracle, so slab
         # tests agree bit-for-bit.
         safe = np.where(np.abs(d) < 1e-12, 1e-12, d)
         inv_d = 1.0 / safe
@@ -430,9 +421,8 @@ class WavefrontTracer:
         l_refs: np.ndarray,
     ) -> tuple:
         """TLAS leaves: transform the candidate bundle through its
-        instances and intersect each shared BLAS once with its slot
-        group — including the heterogeneous multi-BLAS case, where
-        ``inst_blas`` partitions the bundle per template."""
+        instances and intersect the shared BLAS once with the whole
+        bundle."""
         empty = np.empty(0, dtype=np.int64)
         b0 = time.perf_counter()
         rp, pp = expand_pairs(self._root, l_rays, l_refs)
@@ -443,53 +433,27 @@ class WavefrontTracer:
         o2, d2 = to_object_space(
             self._inst_lin[pp], self._inst_off[pp], o[rp], d[rp])
 
-        sub_parts: list[np.ndarray] = []
-        t_parts: list[np.ndarray] = []
-        mesh_hit = False
-        for slot, blas in enumerate(self._blas):
-            if len(self._blas) > 1:
-                b0 = time.perf_counter()
-                group = np.nonzero(self._inst_blas[pp] == slot)[0]
-                self._bin_s += time.perf_counter() - b0
-                if group.size == 0:
-                    continue
-                o_s, d_s = o2[group], d2[group]
-                clip_s = t_clip[rp[group]]
-            else:
-                group = None
-                o_s, d_s = o2, d2
-                clip_s = t_clip[rp]
-            if blas.kind == BLAS_SPHERE:
-                keep = sphere_blas_hits(o_s, d_s, clip_s)
-                sub = np.nonzero(keep)[0] if group is None else group[keep]
-                sub_parts.append(sub)
-                t_parts.append(np.full(sub.size, np.nan))
-            else:
-                sel, t = self._wave_mesh_blas(slot, blas, o_s, d_s, clip_s)
-                sub_parts.append(sel if group is None else group[sel])
-                t_parts.append(t)
-                mesh_hit = True
-        if not sub_parts:
-            return empty, empty, None, None, None
-        sub = np.concatenate(sub_parts)
-        t_proxy = np.concatenate(t_parts) if mesh_hit else None
+        clip = t_clip[rp]
+        if self._blas.kind == BLAS_SPHERE:
+            sub = np.nonzero(sphere_blas_hits(o2, d2, clip))[0]
+            t_proxy = None
+        else:
+            sub, t_proxy = self._wave_mesh_blas(o2, d2, clip)
         return rp[sub], gid[sub], t_proxy, o2[sub], d2[sub]
 
-    def _wave_mesh_blas(
-        self, slot: int, blas, o2, d2, clip
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Traverse one shared mesh BLAS breadth-first with a whole
-        instance group, then reduce to the nearest entering template
+    def _wave_mesh_blas(self, o2, d2, clip) -> tuple[np.ndarray, np.ndarray]:
+        """Traverse the shared mesh BLAS breadth-first with the whole
+        instance bundle, then reduce to the nearest entering template
         triangle per pair — the scalar ``_traverse_blas``'s ``best``.
-        Returns ``(sel, t)``: indices into the input group with a hit,
+        Returns ``(sel, t)``: indices into the input bundle with a hit,
         and the proxy depths (object-space t equals world t; the
         transform is affine in the ray parameter)."""
-        tn, tf, inv_d2 = box_slab(*self._blas_roots[slot], o2, d2)
+        tn, tf, inv_d2 = box_slab(*self._blas_root, o2, d2)
         live = np.nonzero((tn <= tf) & (tf >= 0.0) & (tn <= clip))[0]
         if live.size == 0:
             return np.empty(0, dtype=np.int64), np.empty(0)
 
-        level = self._blas_levels[slot]
+        level = self._blas_level
         o_l, d_l = o2[live], d2[live]
         l_rays, l_refs = self._traverse_wave(level, o_l, inv_d2[live],
                                              clip[live])
@@ -498,7 +462,7 @@ class WavefrontTracer:
         self._bin_s += time.perf_counter() - b0
         if pr.size == 0:
             return np.empty(0, dtype=np.int64), np.empty(0)
-        mesh = blas.mesh
+        mesh = self._blas.mesh
         sel, t = entering_hits(o_l[pr], d_l[pr], tp, mesh.v0, mesh.e1, mesh.e2)
         pr = pr[sel]
         if pr.size == 0:

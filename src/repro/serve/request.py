@@ -19,15 +19,16 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.gaussians import GaussianCloud, make_workload
-from repro.render.renderer import ENGINES
 from repro.rt import TraceConfig
+from repro.rt.wavefront import ENGINES
 
 #: Tracing modes understood by the service (same set as the render CLI).
 MODES = ("baseline", "grtx-sw", "grtx-hw", "grtx")
 
 #: Tracing engines understood by the service: ``ENGINES`` is imported
-#: from the renderer (the single source of the valid set) and
-#: re-exported here for service callers.
+#: from :mod:`repro.rt.wavefront` (the single source of the valid set)
+#: and re-exported here for service callers.  Both names select the one
+#: batched engine.
 
 
 def cloud_fingerprint(cloud: GaussianCloud) -> str:
@@ -84,7 +85,7 @@ class RenderRequest:
     camera: str = "pinhole"
     scale: float = 1.0 / 400.0
     seed: int | None = None
-    engine: str = "scalar"
+    engine: str = "auto"
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -118,12 +119,11 @@ class RenderRequest:
         """The engine that will actually trace this request.
 
         :func:`repro.rt.wavefront.resolve_engine`'s rule from the
-        request field alone (``"scalar"`` only when asked for), so cache
-        keys always carry the engine a render would really use — in
-        particular ``engine="auto"`` resolves *before* any frame or
-        tracer key is formed.
+        request field alone, so cache keys always carry the engine a
+        render would really use — in particular ``engine="auto"``
+        resolves *before* any frame or tracer key is formed.
         """
-        return "scalar" if self.engine == "scalar" else "wavefront"
+        return "wavefront"
 
     def trace_config(self) -> TraceConfig:
         return TraceConfig(k=self.k, checkpointing=self.checkpointing)
@@ -133,10 +133,8 @@ class RenderRequest:
 
         Everything that can change a pixel is in here; nothing else is,
         so equivalent requests coalesce onto one cache entry. The
-        *effective* engine is included (engines are parity-matched only
-        to 1e-9 per channel, not bit-identical) — keying on the
-        requested engine would re-render and double-cache fallback
-        combinations whose frames are bit-identical to scalar ones.
+        *effective* engine is included, not the requested name, so
+        ``"auto"`` and ``"wavefront"`` requests share one entry.
         """
         return (scene_hash, self.proxy, self.mode, self.k,
                 self.width, self.height, self.camera, self.engine_active)

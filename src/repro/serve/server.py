@@ -490,8 +490,8 @@ class RenderServer:
         renderer = None
         tracer_key = None
         if self.scheduler.workers <= 1:
-            # Check the tracer *out* of the cache (pop, not get): Tracer
-            # keeps per-ray scratch state, so two threads must never
+            # Check the tracer *out* of the cache (pop, not get): the
+            # engine keeps per-trace scratch state, so two threads must never
             # trace through one instance concurrently. A concurrent
             # request simply builds its own.
             #

@@ -205,7 +205,7 @@ class TileScheduler:
         objects: SceneObjects | None = None,
         keep_traces: bool = False,
         renderer: GaussianRayTracer | None = None,
-        engine: str = "scalar",
+        engine: str = "auto",
         force_serial: bool = False,
     ) -> RenderResult:
         """Render one frame tile-by-tile; returns a normal RenderResult.
@@ -219,23 +219,19 @@ class TileScheduler:
         Any camera type works: tiles are cut out of the camera's own
         full-frame bundle. Traces default to off (they are the expensive
         part to ship between processes); enable ``keep_traces`` when the
-        caller needs a timing replay — both engines record them (the
-        wavefront engine through its trace recorder), and pooled tile
-        workers ship the per-ray traces back with their tile results, so
+        caller needs a timing replay — the engine records them through
+        its trace recorder, and pooled tile workers ship the per-ray traces back with their tile results, so
         a pooled trace-producing render still fans out across cores.
         ``renderer`` lets a caller reuse an already-constructed tracer
         for this (cloud, structure, config, engine) — per-frame shading
         setup is O(scene) — and only applies to the serial path (pool
         workers resolve their own from their scene caches). ``engine``
-        selects the tracing engine
-        (``"scalar"``/``"wavefront"``/``"auto"``); it is
-        resolved to the concrete engine *here*, before any cache key is
-        formed, so ``auto`` and an equivalent explicit engine share
-        worker scene caches (workers only ever see resolved engines).  Every
-        engine fans out the same way: a wavefront tile traced alone is
-        bit-identical to the same rays traced inside the whole frame.
-        Pooled tiles ship the *flattened* structure
-        (:func:`repro.bvh.flatten.flatten`): workers build either
+        (``"auto"`` or ``"wavefront"``, the same engine) is resolved
+        *here*, before any cache key is formed, so both names share
+        worker scene caches (workers only ever see resolved engines).
+        A tile traced alone is bit-identical to the same rays traced
+        inside the whole frame.  Pooled tiles ship the *flattened*
+        structure (:func:`repro.bvh.flatten.flatten`): workers build the
         engine straight from the one SoA layout.
         """
         from repro.rt.wavefront import resolve_engine

@@ -1,33 +1,28 @@
-"""Multi-round Gaussian ray tracing with optional checkpoint & replay.
+"""The per-ray scalar tracer: the parity oracle of the batched engine.
 
-This module is the heart of the reproduction. It implements:
+Traces one ray at a time in plain Python: interval-constrained BVH
+traversal over both structure families (monolithic proxy BVH and
+GRTX-SW's TLAS + shared BLAS), the any-hit k-buffer of Listing 1,
+multi-round tracing with early ray termination, single-round tracing,
+and GRTX-HW traversal checkpointing with the eviction buffer.  Every
+node fetch is recorded with its byte address.
 
-* interval-constrained BVH traversal over both structure families
-  (monolithic proxy BVH and GRTX-SW's TLAS + shared BLAS);
-* the any-hit k-buffer algorithm of Listing 1, including the
-  ``ignoreIntersectionEXT`` / hit-report ``t_max`` semantics;
-* multi-round tracing with early ray termination (the 3DGRT baseline);
-* single-round tracing (Figure 6a's comparison point);
-* GRTX-HW traversal checkpointing: nodes and instances whose entry
-  distance fails the ``t_max`` validation are checkpointed (node address +
-  TLAS leaf address + t, Figure 11), rejected k-buffer entries go to the
-  eviction buffer, and subsequent rounds resume from the checkpointed
-  frontier instead of the root.
+The shipped engine (:class:`repro.rt.wavefront.WavefrontTracer`) must
+render these images within 1e-9 per channel with exactly equal
+functional counters, and its recorded fetch traces must be
+event-for-event this tracer's.  The suites hold it to that by comparing
+against :func:`render_scalar` / :func:`trace_rays_scalar` (whole frames
+and ray bundles, secondary rays included) and :class:`Tracer` (single
+rays).  The benchmarks import the same helpers for their scalar side.
 
-Every node fetch is recorded with its byte address so the hardware model
-can replay the exact memory behaviour.
-
-Implementation note: the traversal inner loops deliberately use plain
-Python floats and pre-converted lists for per-slot scalar work, and numpy
-only for the vectorized slab and triangle tests. Pure-Python BVH traversal
-over hundreds of thousands of nodes is the throughput bottleneck of the
-whole reproduction and this hybrid is ~10x faster than idiomatic
-numpy-everywhere code.
+The traversal inner loops use plain Python floats and pre-converted
+lists (:class:`FlatTables`) for per-slot scalar work, and numpy only for
+the vectorized slab and triangle tests.
 """
 
 from __future__ import annotations
 
-import time
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +32,14 @@ from repro.bvh.layout import INSTANCE_BYTES, LEAF_HEADER_BYTES, SPHERE_PRIM_BYTE
 from repro.bvh.monolithic import MonolithicBVH
 from repro.bvh.node import KIND_INTERNAL, KIND_LEAF
 from repro.bvh.two_level import TwoLevelBVH
-
-from repro.rt.kbuffer import EvictionBuffer, KBuffer, KBufferEntry
+from repro.render.image import ImageBuffer
+from repro.render.renderer import (
+    _MIN_SECONDARY_WEIGHT,
+    BundleResult,
+    RenderResult,
+    RenderStats,
+)
+from repro.rt.config import TraceConfig
 from repro.rt.recorder import (
     FETCH_INTERNAL,
     FETCH_LEAF,
@@ -47,9 +48,149 @@ from repro.rt.recorder import (
     PRIM_TRANSFORM,
     PRIM_TRI,
     RayTrace,
+    unique_fetch_counts,
 )
 from repro.rt.shading import SceneShading
 from repro.util import IdentityMemo
+
+
+# ---------------------------------------------------------------------------
+# The k-buffer and eviction buffer of Listing 1
+#
+# The k-buffer keeps the k closest accepted Gaussians in depth order via
+# insertion sort (the paper's any-hit shader).  The eviction buffer is the
+# GRTX-HW addition: Gaussians rejected from a full k-buffer are parked
+# there and get a second opportunity at the start of the next round
+# instead of being re-discovered by a root-restarted traversal.
+
+@dataclass(frozen=True)
+class KBufferEntry:
+    """One accepted hit: depth, Gaussian id, and its precomputed alpha."""
+
+    t: float
+    gaussian_id: int
+    alpha: float
+
+
+class KBuffer:
+    """Depth-sorted buffer of the k closest Gaussians for one ray.
+
+    ``insert`` implements the any-hit shader's insertion-sort semantics:
+
+    * buffer not full -> insert, return ``None`` (ignoreIntersection);
+    * buffer full, new hit closer than the farthest -> insert, evict and
+      return the old farthest (ignoreIntersection);
+    * buffer full, new hit farthest -> return the new entry itself
+      (the shader *reports* the hit, shrinking ``t_max``).
+    """
+
+    __slots__ = ("k", "_entries", "_members", "insertions")
+
+    def __init__(self, k: int) -> None:
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        self.k = k
+        self._entries: list[KBufferEntry] = []
+        self._keys: list[float]
+        self._members: set[int] = set()
+        self.insertions = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    @property
+    def full(self) -> bool:
+        return len(self._entries) >= self.k
+
+    def __contains__(self, gaussian_id: int) -> bool:
+        return gaussian_id in self._members
+
+    @property
+    def farthest_t(self) -> float:
+        """Depth of the current farthest entry (inf when empty)."""
+        return self._entries[-1].t if self._entries else float("inf")
+
+    def insert(self, entry: KBufferEntry) -> KBufferEntry | None:
+        """Insert an accepted hit; return the rejected entry, if any.
+
+        The returned entry is either the evicted old farthest (new hit was
+        closer) or ``entry`` itself (new hit was beyond all k). ``None``
+        means the buffer absorbed the hit without rejecting anything.
+        """
+        self.insertions += 1
+        if self.full and entry.t >= self._entries[-1].t:
+            return entry
+        keys = [e.t for e in self._entries]
+        pos = bisect.bisect_right(keys, entry.t)
+        self._entries.insert(pos, entry)
+        self._members.add(entry.gaussian_id)
+        if len(self._entries) > self.k:
+            evicted = self._entries.pop()
+            self._members.discard(evicted.gaussian_id)
+            return evicted
+        return None
+
+    def drain(self) -> list[KBufferEntry]:
+        """Remove and return all entries in depth order (round blending)."""
+        entries = self._entries
+        self._entries = []
+        self._members = set()
+        return entries
+
+    def peek(self) -> list[KBufferEntry]:
+        """Entries in depth order without draining."""
+        return list(self._entries)
+
+
+class EvictionBuffer:
+    """Per-ray eviction buffer (GRTX-HW, global-memory resident).
+
+    Tracks its high-water mark so Figure 20's memory-usage numbers can be
+    reproduced: the hardware sizes the allocation by the maximum number of
+    entries any concurrent ray holds.
+    """
+
+    __slots__ = ("_entries", "high_water")
+
+    def __init__(self) -> None:
+        self._entries: list[KBufferEntry] = []
+        self.high_water = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def push(self, entry: KBufferEntry) -> None:
+        self._entries.append(entry)
+        if len(self._entries) > self.high_water:
+            self.high_water = len(self._entries)
+
+    def drain_sorted(
+        self, t_min: float, blended_at_t_min: frozenset[int] = frozenset()
+    ) -> list[KBufferEntry]:
+        """Remove all entries, deduplicated by Gaussian id, depth order.
+
+        Entries strictly before ``t_min`` belong to already-blended
+        Gaussians and are dropped (the baseline equally skips them via
+        the ``t >= t_min`` traversal interval). Entries exactly at
+        ``t_min`` are kept unless their Gaussian is in
+        ``blended_at_t_min`` — an evicted hit that ties the round
+        boundary must get its second opportunity, not be dropped.
+        """
+        best: dict[int, KBufferEntry] = {}
+        for entry in self._entries:
+            if entry.t < t_min or (
+                entry.t == t_min and entry.gaussian_id in blended_at_t_min
+            ):
+                continue
+            prev = best.get(entry.gaussian_id)
+            if prev is None or entry.t < prev.t:
+                best[entry.gaussian_id] = entry
+        self._entries = []
+        return sorted(best.values(), key=lambda e: (e.t, e.gaussian_id))
+
+
+# ---------------------------------------------------------------------------
+# The tracer
 
 # Checkpoint entry kinds (what the 20-byte checkpoint record refers to).
 CKPT_NODE = 0
@@ -64,52 +205,6 @@ _HIT_REJECTED = 1
 _HIT_BEYOND = 2
 
 _INF = float("inf")
-
-
-@dataclass(frozen=True)
-class TraceConfig:
-    """Rendering algorithm configuration.
-
-    Attributes
-    ----------
-    k:
-        k-buffer capacity per tracing round (paper default: 16 for the
-        motivation study, 8 for GRTX).
-    mode:
-        ``"multiround"`` (3DGRT's k-buffer rounds) or ``"singleround"``
-        (collect every intersection in one traversal, sort, then blend).
-    checkpointing:
-        Enable GRTX-HW checkpoint & replay across rounds.
-    transmittance_min:
-        Early-ray-termination threshold: blending stops once accumulated
-        transmittance drops below this.
-    max_rounds:
-        Safety bound on tracing rounds per ray.
-    kbuffer_layout:
-        ``"soa"`` (k-buffer in global memory, our Vulkan-style layout) or
-        ``"payload"`` (OptiX-style ray payload registers). Only affects
-        the timing model (Figure 21), never the image.
-    """
-
-    k: int = 16
-    mode: str = "multiround"
-    checkpointing: bool = False
-    transmittance_min: float = 0.01
-    max_rounds: int = 64
-    kbuffer_layout: str = "soa"
-    record_blended: bool = False
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.mode not in ("multiround", "singleround"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.kbuffer_layout not in ("soa", "payload"):
-            raise ValueError(f"unknown kbuffer layout {self.kbuffer_layout!r}")
-        if not 0.0 < self.transmittance_min < 1.0:
-            raise ValueError("transmittance_min must be in (0, 1)")
-        if self.mode == "singleround" and self.checkpointing:
-            raise ValueError("checkpointing only applies to multiround tracing")
 
 
 @dataclass
@@ -196,7 +291,7 @@ class FlatTables:
         "child_lo", "child_hi", "child_kind", "child_ref",
         "node_addr", "leaf_addr", "leaf_bytes", "leaf_start", "leaf_count",
         "child_addr", "child_bytes", "child_is_leaf", "ordered_gids",
-        "v0", "e1", "e2", "owner", "blas_tables", "gid_blas",
+        "v0", "e1", "e2", "owner", "blas_tables",
     )
 
     def __init__(self, flat) -> None:
@@ -240,22 +335,12 @@ class FlatTables:
         self.ordered_gids = None
         self.v0 = self.e1 = self.e2 = self.owner = None
         self.blas_tables = None
-        self.gid_blas = None
         if flat.two_level:
             self.ordered_gids = flat.prim_gid.tolist()
-            # One entry per shared-BLAS slot (None for sphere slots, which
-            # need no tree tables). Homogeneous structures have one slot.
-            self.blas_tables = tuple(
-                _BlasTables(b) if b.kind == "mesh" else None
-                for b in flat.blas
-            )
-            if len(flat.blas) > 1:
-                # Per-Gaussian slot lookup for heterogeneous scenes: the
-                # instance table is leaf-ordered, the hot loop indexes by
-                # Gaussian id.
-                gid_blas = np.zeros(flat.n_gaussians, dtype=np.int64)
-                gid_blas[flat.prim_gid] = flat.inst_blas
-                self.gid_blas = gid_blas.tolist()
+            # The shared mesh BLAS's tables (None for the sphere BLAS,
+            # which needs no tree tables).
+            blas = flat.blas
+            self.blas_tables = _BlasTables(blas) if blas.kind == "mesh" else None
         elif flat.is_triangle_proxy:
             # Plain-list copies of the flattened (already leaf-ordered)
             # triangle soup: leaves hold <= a handful of triangles, and
@@ -311,8 +396,7 @@ class Tracer:
         self.config = config or TraceConfig()
         self.two_level = flat.two_level
         self._bvh = flat.root
-        self._blas = flat.blas[0] if flat.two_level else None
-        self._blas_list = flat.blas if flat.two_level else ()
+        self._blas = flat.blas
         self._node_bytes = internal_node_bytes(self._bvh.width)
         self._sphere_blas_bytes = LEAF_HEADER_BYTES + 24 + SPHERE_PRIM_BYTES
         self._prepare_tables()
@@ -321,12 +405,6 @@ class Tracer:
         self._d = np.zeros(3)
         self._inv_d = np.zeros(3)
         self._blend_log: list[tuple[int, float, float]] | None = None
-        #: Optional :class:`repro.obs.PhaseAccumulator`; when set, the
-        #: round drivers accumulate traversal/blend seconds into it
-        #: (the renderer attaches one per bundle and flushes it into
-        #: the ``rt.phase.*`` histograms). None keeps the hot loop
-        #: branch-cheap.
-        self.profile = None
 
     def _prepare_tables(self) -> None:
         """Bind the shared plain-list tables to hot-loop attributes."""
@@ -346,10 +424,7 @@ class Tracer:
 
         if self.two_level:
             self._ordered_gids = tables.ordered_gids
-            self._blas_tables_all = tables.blas_tables
-            self._gid_blas = tables.gid_blas
-            if self._blas.kind == "mesh":
-                self._blas_tables = tables.blas_tables[0]
+            self._blas_tables = tables.blas_tables
         elif self.flat.is_triangle_proxy:
             self._v0l = tables.v0
             self._e1l = tables.e1
@@ -398,22 +473,14 @@ class Tracer:
         during traversal and no per-hit sorting in the any-hit shader;
         all intersections are collected and sorted afterwards.
         """
-        profile = self.profile
         round_trace = ray_trace.begin_round()
         state = _RoundState(0.0, None, round_trace, collect_all=True,
                             ckpt_enabled=False, t_clip=t_clip)
-        if profile is not None:
-            t0 = time.perf_counter()
         self._drain([(KIND_INTERNAL, 0, 0.0)], state, ray_trace)
         hits = sorted(state.hits, key=lambda e: (e.t, e.gaussian_id))
         round_trace.kbuffer_ops += len(hits)
         self._blend_log = [] if self.config.record_blended else None
-        if profile is not None:
-            t1 = time.perf_counter()
-            profile.add("traversal", t1 - t0)
         color, transmittance, blended, terminated = self._blend(hits, 1.0, np.zeros(3))
-        if profile is not None:
-            profile.add("blend", time.perf_counter() - t1)
         round_trace.blended = blended
         return RayOutcome(
             color=color,
@@ -445,7 +512,6 @@ class Tracer:
         evict_src: list[KBufferEntry] = []
         rounds = 0
 
-        profile = self.profile
         for round_index in range(config.max_rounds):
             round_trace = ray_trace.begin_round()
             rounds += 1
@@ -453,15 +519,11 @@ class Tracer:
             state = _RoundState(t_min, kbuffer, round_trace, collect_all=False,
                                 ckpt_enabled=hw, t_clip=t_clip, frontier=frontier)
 
-            if profile is not None:
-                t0 = time.perf_counter()
             if hw and round_index > 0:
                 self._prefill_from_evictions(evict_src, state)
                 self._replay_checkpoints(ckpt_src, state, ray_trace)
             else:
                 self._drain([(KIND_INTERNAL, 0, 0.0)], state, ray_trace)
-            if profile is not None:
-                profile.add("traversal", time.perf_counter() - t0)
 
             entries = sorted(kbuffer.drain(), key=lambda e: (e.t, e.gaussian_id))
             round_trace.kbuffer_ops += kbuffer.insertions
@@ -474,13 +536,9 @@ class Tracer:
             if not entries:
                 break
 
-            if profile is not None:
-                t1 = time.perf_counter()
             color, transmittance, blended, terminated = self._blend(
                 entries, transmittance, color
             )
-            if profile is not None:
-                profile.add("blend", time.perf_counter() - t1)
             round_trace.blended = blended
             blended_total += blended
             if terminated:
@@ -600,10 +658,8 @@ class Tracer:
                 o2, d2 = self.shading.to_object(gid, self._o, self._d)
                 o2, d2 = np.array(o2), np.array(d2)
                 start_kind = KIND_INTERNAL if kind == CKPT_BLAS_NODE else KIND_LEAF
-                tables = (self._blas_tables_all[self._gid_blas[gid]]
-                          if self._gid_blas is not None else None)
                 hit_t = self._traverse_blas(o2, d2, gid, inst_addr, state, ray_trace,
-                                            start=(start_kind, ref, t), tables=tables)
+                                            start=(start_kind, ref, t))
                 if hit_t is not None:
                     code, t_hit = self._anyhit(gid, state, hit_t)
                     if code == _HIT_BEYOND:
@@ -834,14 +890,7 @@ class Tracer:
         """Transform the ray into the instance's object space and test the
         shared BLAS (one box + one sphere test for the sphere BLAS)."""
         shading = self.shading
-        if self._gid_blas is None:
-            blas = self._blas
-            blas_tables = None
-        else:
-            # Heterogeneous scene: each Gaussian selects its template.
-            slot = self._gid_blas[gid]
-            blas = self._blas_list[slot]
-            blas_tables = self._blas_tables_all[slot]
+        blas = self._blas
         rt = state.round_trace
         o2, d2 = shading.to_object(gid, self._o, self._d)
 
@@ -878,7 +927,7 @@ class Tracer:
 
         # Icosphere BLAS: traverse the small template triangle BVH.
         o2, d2 = np.array(o2), np.array(d2)
-        tables = blas_tables if blas_tables is not None else self._blas_tables
+        tables = self._blas_tables
         root_lo, root_hi = tables.root_lo, tables.root_hi
         safe = np.where(np.abs(d2) < 1e-12, 1e-12, d2)
         inv_d2 = 1.0 / safe
@@ -892,8 +941,7 @@ class Tracer:
             state.checkpoint(CKPT_INSTANCE, gid, gid, inst_addr, t_near)
             return
         hit_t = self._traverse_blas(o2, d2, gid, inst_addr, state, ray_trace,
-                                    start=(KIND_INTERNAL, 0, t_near), inv_d2=inv_d2,
-                                    tables=tables)
+                                    start=(KIND_INTERNAL, 0, t_near), inv_d2=inv_d2)
         if hit_t is not None:
             code, t_hit = self._anyhit(gid, state, hit_t)
             if code == _HIT_BEYOND:
@@ -909,7 +957,6 @@ class Tracer:
         ray_trace: RayTrace,
         start: tuple[int, int, float],
         inv_d2: np.ndarray | None = None,
-        tables=None,
     ) -> float | None:
         """Traverse the shared template BLAS in object space.
 
@@ -917,8 +964,7 @@ class Tracer:
         BLAS children failing the t_max validation are checkpointed with
         the TLAS leaf (instance) address so replay can re-transform.
         """
-        if tables is None:
-            tables = self._blas_tables
+        tables = self._blas_tables
         bbvh = tables.bvh
         if inv_d2 is None:
             safe = np.where(np.abs(d2) < 1e-12, 1e-12, d2)
@@ -1089,3 +1135,105 @@ class _BlasTables:
         self.e1 = blas.mesh.e1.tolist()
         self.e2 = blas.mesh.e2.tolist()
         self.root_lo, self.root_hi = bbvh.root_box()
+
+
+# ---------------------------------------------------------------------------
+# Whole bundles and frames
+
+
+def trace_rays_scalar(
+    tracer: Tracer,
+    origins: np.ndarray,
+    directions: np.ndarray,
+    pixel_ids: np.ndarray,
+    objects=None,
+    keep_traces: bool = True,
+) -> BundleResult:
+    """Trace a batch of primary rays one at a time: what
+    :meth:`GaussianRayTracer.trace_rays` returns for the same batch,
+    every :class:`RenderStats` counter absorbed per ray from the
+    recorded traces.
+
+    When ``objects`` is given, a primary ray hitting a mirror or glass
+    object is clipped there and, while enough transmittance is left, one
+    secondary ray continues through the Gaussian scene.
+    """
+    n = origins.shape[0]
+    colors = np.zeros((n, 3), dtype=np.float64)
+    stats = RenderStats()
+    traces: list[RayTrace] = []
+    for i in range(n):
+        origin = origins[i]
+        direction = directions[i]
+
+        t_obj = float("inf")
+        obj = None
+        if objects is not None:
+            t_obj, obj = objects.nearest(origin, direction)
+
+        trace = RayTrace(label="primary")
+        outcome = tracer.trace_ray(origin, direction, trace, t_clip=t_obj)
+        stats.absorb(trace, outcome.rounds, outcome.blended,
+                     outcome.terminated_early,
+                     unique_fetch_counts([trace])[0])
+        if keep_traces:
+            traces.append(trace)
+        color = outcome.color
+
+        if obj is not None and outcome.transmittance > _MIN_SECONDARY_WEIGHT:
+            sec_origin, sec_direction = obj.scatter(origin, direction, t_obj)
+            sec_trace = RayTrace(label="secondary")
+            sec_outcome = tracer.trace_ray(sec_origin, sec_direction, sec_trace)
+            stats.absorb(
+                sec_trace, sec_outcome.rounds, sec_outcome.blended,
+                sec_outcome.terminated_early,
+                unique_fetch_counts([sec_trace])[0],
+            )
+            if keep_traces:
+                traces.append(sec_trace)
+            weight = outcome.transmittance
+            color = color + weight * np.asarray(obj.tint) * sec_outcome.color
+
+        colors[i] = color
+    return BundleResult(
+        colors=colors,
+        pixel_ids=np.asarray(pixel_ids, dtype=np.int64),
+        stats=stats,
+        traces=traces,
+    )
+
+
+def render_scalar(
+    cloud,
+    structure,
+    camera,
+    config: TraceConfig | None = None,
+    objects=None,
+    keep_traces: bool = True,
+) -> RenderResult:
+    """Render one frame on the scalar tracer: the oracle's
+    :meth:`GaussianRayTracer.render`."""
+    tracer = Tracer(structure, SceneShading(cloud), config)
+    bundle = camera.generate_rays()
+    result = trace_rays_scalar(tracer, bundle.origins, bundle.directions,
+                               bundle.pixel_ids, objects, keep_traces)
+    framebuffer = ImageBuffer(camera.width, camera.height)
+    framebuffer.scatter(result.pixel_ids, result.colors)
+    return RenderResult(
+        image=framebuffer.array,
+        stats=result.stats,
+        traces=result.traces,
+        config=tracer.config,
+        structure_bytes=structure.total_bytes,
+    )
+
+
+def render_request_scalar(server, request) -> RenderResult:
+    """The frame ``server`` serves for ``request``, rendered on the
+    oracle from the server's own scene, structure and camera."""
+    cloud, _ = server.registry.scene(request.scene_ref)
+    structure = server.registry.structure(request.scene_ref, request.proxy,
+                                          server.build_params)
+    camera = server._camera_for(request, cloud)
+    return render_scalar(cloud, structure, camera, request.trace_config(),
+                         keep_traces=False)

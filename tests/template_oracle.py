@@ -85,7 +85,7 @@ def node_kinds(tables) -> list[int]:
 
 class OracleSim:
     """The ``_RaySim`` attributes the template builders read: the
-    structure's :class:`~repro.rt.tracer.FlatTables`, the static node
+    structure's :class:`~tests.scalar_oracle.FlatTables`, the static node
     kinds, and one ray's visit tables (root level and, for mesh BLAS
     instances, per Gaussian)."""
 
@@ -150,7 +150,7 @@ class OracleSim:
     def _build_blas_template(self, gid: int, root_tn: float):
         """One instance pair's shared-BLAS round template (same DFS
         rules over the BLAS tables), cached per Gaussian."""
-        bt = self.rec.tables.blas_tables[0]
+        bt = self.rec.tables.blas_tables
         kind_rows = bt.child_kind
         ref_rows = bt.child_ref
         node_rows = self.mesh_nodes[gid]

@@ -98,6 +98,39 @@ def test_procboundary_fixture_flags_every_payload_shape():
         assert shape in messages
 
 
+def test_thread_executor_submit_is_not_a_process_boundary(tmp_path):
+    """A closure submitted to a ``ThreadPoolExecutor`` stays in-process
+    (nothing is pickled), whether the executor is bound by ``with`` or
+    by assignment."""
+    source = textwrap.dedent("""\
+        from concurrent.futures import ThreadPoolExecutor
+
+        def record(items):
+            def lane(first):
+                return items[first::2]
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                other = pool.submit(lane, 1)
+            executor_pool = ThreadPoolExecutor(max_workers=1)
+            executor_pool.submit(lambda: lane(0))
+            return other.result()
+        """)
+    result = _lint_source(tmp_path, source)
+    assert [f for f in result.findings if f.rule == "process-boundary"] == []
+
+
+def test_lambda_to_a_worker_pool_is_still_flagged(tmp_path):
+    source = textwrap.dedent("""\
+        from repro.pool import WorkerPool
+
+        def fan_out(items):
+            pool = WorkerPool(workers=2)
+            return pool.submit(lambda: sum(items))
+        """)
+    result = _lint_source(tmp_path, source)
+    (finding,) = [f for f in result.active if f.rule == "process-boundary"]
+    assert "lambda" in finding.message
+
+
 def test_flightpayload_fixture_flags_every_shape():
     result = lint_fixture("bad_flightpayload.py")
     messages = " ".join(f.message for f in result.active)
@@ -341,7 +374,7 @@ def test_live_tree_is_clean_under_strict():
 def test_parity_surface_comes_from_the_import_graph():
     result = run_lint()
     assert "repro.render.renderer" in result.parity_modules
-    assert "repro.rt.tracer" in result.parity_modules
+    assert "repro.rt.config" in result.parity_modules
     # The wavefront engine sits behind the same parity contract as the
     # packet engine, so the lint invariants apply to it too.
     assert "repro.rt.wavefront" in result.parity_modules

@@ -24,7 +24,6 @@ from repro.bvh.monolithic import build_monolithic
 from repro.bvh.morton import MORTON_BITS, common_prefix_length, expand_bits
 from repro.bvh.quality import leaf_size_histogram, mean_sibling_overlap
 from repro.bvh.node import FlatBVH
-from repro.bvh.two_level import build_two_level_hetero
 from repro.gaussians import make_workload
 from tests.bvh_oracle import build_bvh as oracle_build_bvh
 from tests.conftest import tiny_cloud
@@ -204,10 +203,6 @@ def _assert_same_structure(new, old) -> None:
     elif dataclasses.is_dataclass(old):
         for field in dataclasses.fields(old):
             _assert_same_structure(getattr(new, field.name), getattr(old, field.name))
-    elif isinstance(old, tuple):
-        assert len(new) == len(old)
-        for a, b in zip(new, old):
-            _assert_same_structure(a, b)
     elif isinstance(old, np.ndarray):
         assert np.array_equal(new, old)
     else:
@@ -277,10 +272,7 @@ def test_matches_node_at_a_time_oracle(shape, strategy, seed):
     lambda cloud: build_monolithic(cloud, "custom"),
     lambda cloud: build_two_level(cloud, "sphere"),
     lambda cloud: build_two_level(cloud, "icosphere", 0),
-    lambda cloud: build_two_level_hetero(
-        cloud, [("sphere", 0), ("icosphere", 0), ("icosphere", 1)],
-        np.arange(len(cloud)) % 3),
-], ids=["20-tri", "custom", "tlas+sphere", "tlas+ico", "hetero"])
+], ids=["20-tri", "custom", "tlas+sphere", "tlas+ico"])
 def test_structures_match_oracle(build, monkeypatch):
     cloud = tiny_cloud(n=150, seed=5)
     new = build(cloud)

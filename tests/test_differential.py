@@ -1,5 +1,5 @@
-"""Differential test: the wavefront engine against the scalar reference
-on generated inputs.
+"""Differential test: the wavefront engine against the scalar oracle
+(``tests/scalar_oracle.py``) on generated inputs.
 
 Hypothesis draws tiny Gaussian clouds, tracing configurations (k,
 ``max_rounds``, ``transmittance_min``, trace mode, GRTX-HW
@@ -8,16 +8,15 @@ flattenable structure family is built over each cloud.  Some rays are
 degenerate: a zeroed direction component, a ±1e-13 one (below the slab
 test's 1e-12 guard) or an exact axis direction.  On every input:
 
-* the batched images are within 1e-9 of the scalar tracer's, with
+* the batched images are within 1e-9 of the scalar oracle's, with
   exactly equal per-ray blend counts and termination flags; the plain
   path's round counts equal the scalar's without checkpointing, and
   exceed them by at most one with it (the scalar also stops when a
   round leaves no checkpoint and no eviction, which the plain path
   cannot see);
 * the frontier-recorded fetch traces are event-equal to the scalar
-  traces, checkpoint/eviction counts and high-water marks included
-  (single-BLAS structures: a multi-BLAS recording runs on the scalar
-  tracer), at the shipped recording chunk and at one of 3 rays;
+  traces, checkpoint/eviction counts and high-water marks included, at
+  the shipped recording chunk and at one of 3 rays;
 * :func:`repro.hwsim.replay` reports the same timing for both trace
   sets.
 
@@ -34,10 +33,10 @@ paths: Gaussians repeated at equal depths, ``k`` and ``max_rounds`` up
 to 8, mostly checkpointed, with a tiny termination threshold so rays run
 many rounds; its traces must equal the scalar tracer's.
 
-A third slice round-trips each single-BLAS structure through
+A third slice round-trips each structure family through
 :func:`repro.bvh.save_structure`/:func:`repro.bvh.load_structure`: the
-loaded structure flattens to the same arrays, dtypes included, and both
-engines render it bit-identically to the original.
+loaded structure flattens to the same arrays, dtypes included, and the
+engine and the oracle each render it bit-identically to the original.
 
 The tier-1 profile is derandomized (the same examples on every run) and
 small, so it adds a few seconds to the suite.
@@ -62,16 +61,16 @@ from repro.bvh import (
     load_structure,
     save_structure,
 )
-from repro.bvh.two_level import build_two_level_hetero
 from repro.gaussians import GaussianCloud
 from repro.hwsim import DramTimings, GpuConfig, replay
 from repro.render import GaussianRayTracer, default_camera_for
-from repro.rt import RayTrace, SceneShading, TraceConfig, Tracer
+from repro.rt import RayTrace, SceneShading, TraceConfig
 from repro.rt import WavefrontTracer, tracerecord
 from repro.rt.recorder import FETCH_INTERNAL, FETCH_LEAF
 
 from tests.conftest import tiny_cloud
 from tests.replay_oracle import replay_reference
+from tests.scalar_oracle import Tracer, render_scalar
 from tests.test_tracerecord import (
     _assert_reports_equal,
     _assert_traces_equal,
@@ -85,13 +84,7 @@ FAMILIES = {
     "custom": lambda c: build_monolithic(c, "custom"),
     "tlas+sphere": lambda c: build_two_level(c, "sphere"),
     "tlas+ico": lambda c: build_two_level(c, "icosphere", 0),
-    "hetero": lambda c: build_two_level_hetero(
-        c, blas_specs=[("sphere", 0), ("icosphere", 0)],
-        gaussian_blas=np.arange(len(c)) % 2),
 }
-
-#: Families whose traces the frontier recorder covers (one shared BLAS).
-RECORDED = ("20-tri", "custom", "tlas+sphere", "tlas+ico")
 
 #: The tier-1 profile: a fixed, small example sequence.
 TIER1 = settings(max_examples=15, derandomize=True, deadline=None,
@@ -180,8 +173,6 @@ def test_wavefront_matches_scalar(family, case):
         else:
             assert extra == 0
 
-    if family not in RECORDED:
-        return
     a = replay(scalar_traces, GpuConfig.rtx_like())
     with pytest.MonkeyPatch.context() as monkeypatch:
         for recorded, traces in _record_at_each_chunk(
@@ -237,7 +228,7 @@ def stress_inputs(draw):
     return cloud, config, draw(st.integers(0, 2**16))
 
 
-@pytest.mark.parametrize("family", RECORDED)
+@pytest.mark.parametrize("family", list(FAMILIES))
 @settings(max_examples=40, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(stress_inputs())
@@ -271,25 +262,23 @@ def test_recorded_walk_matches_scalar_under_stress(family, case):
 @pytest.mark.parametrize("checkpointing", [False, True])
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_auto_records_every_family(family, checkpointing):
-    """``auto`` with ``keep_traces`` never raises on a flattenable
-    family — a multi-BLAS recording runs on the scalar tracer — and
-    its traces equal the scalar engine's."""
+    """``auto`` with ``keep_traces`` records every flattenable family,
+    and its traces and stats equal the scalar oracle's."""
     cloud = tiny_cloud(n=40, seed=7)
     structure = FAMILIES[family](cloud)
     config = TraceConfig(k=3, checkpointing=checkpointing)
     camera = default_camera_for(cloud, 5, 5)
     auto = GaussianRayTracer(cloud, structure, config,
                              engine="auto").render(camera, keep_traces=True)
-    scalar = GaussianRayTracer(cloud, structure, config,
-                               engine="scalar").render(camera,
-                                                       keep_traces=True)
+    scalar = render_scalar(cloud, structure, camera, config,
+                           keep_traces=True)
     _assert_traces_equal(scalar.traces, auto.traces)
     assert auto.stats == scalar.stats
 
 
 def _assert_flat_equal(a, b, path="flat"):
     """Two flattened layouts agree field for field: arrays by dtype and
-    value, nested dataclasses and tuples recursively."""
+    value, nested dataclasses recursively."""
     if dataclasses.is_dataclass(a):
         assert type(a) is type(b), path
         for field in dataclasses.fields(a):
@@ -299,15 +288,11 @@ def _assert_flat_equal(a, b, path="flat"):
     elif isinstance(a, np.ndarray):
         assert isinstance(b, np.ndarray) and a.dtype == b.dtype, path
         assert np.array_equal(a, b), path
-    elif isinstance(a, tuple):
-        assert isinstance(b, tuple) and len(a) == len(b), path
-        for i, (x, y) in enumerate(zip(a, b)):
-            _assert_flat_equal(x, y, f"{path}[{i}]")
     else:
         assert a == b, path
 
 
-@pytest.mark.parametrize("family", RECORDED)
+@pytest.mark.parametrize("family", list(FAMILIES))
 @TIER1
 @given(inputs())
 def test_serialize_round_trip_flattens_and_renders_identically(family, case):
@@ -318,7 +303,7 @@ def test_serialize_round_trip_flattens_and_renders_identically(family, case):
         save_structure(structure, path)
         loaded = load_structure(path)
         with pytest.raises(TypeError):
-            save_structure(FAMILIES["hetero"](cloud), Path(tmp) / "h.npz")
+            save_structure(flatten(structure), Path(tmp) / "flat.npz")
     _assert_flat_equal(flatten(structure), flatten(loaded))
 
     origins, directions, t_clip = _rays(cloud, 12, seed)

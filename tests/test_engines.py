@@ -1,9 +1,9 @@
-"""The cross-engine parity matrix: every structure x mode x engine.
+"""The parity matrix: every structure x mode against the scalar oracle.
 
-One parameterized table drives both engines (scalar and wavefront) over
-the full structural matrix — both monolithic proxies, both homogeneous
-two-level structures, and the heterogeneous multi-BLAS TLAS — in both
-trace modes.  The standing contract checked here:
+One parameterized table drives the wavefront engine and the scalar
+oracle (``tests/scalar_oracle.py``) over the full structural matrix —
+both monolithic proxies and both two-level structures — in both trace
+modes.  The standing contract checked here:
 
 * the wavefront engine matches the scalar golden within 1e-9 per
   channel, whether the frame is traced as one wavefront or as
@@ -14,8 +14,8 @@ trace modes.  The standing contract checked here:
 * the wavefront engine is additionally *bit-identical* to itself however
   the rays are batched (whole frame, tile-sized packets, ray chunks);
 * ``resolve_engine`` rejects unknown engines (the retired ``"packet"``
-  alias included) loudly and resolves "auto" without regard to batch
-  size.
+  alias and ``"scalar"`` engine included) loudly and resolves "auto"
+  without regard to batch size.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ import numpy as np
 import pytest
 
 from repro.bvh import build_monolithic, build_two_level
-from repro.bvh.two_level import build_two_level_hetero
 from repro.render import GaussianRayTracer, default_camera_for
 from repro.rt import SceneShading, TraceConfig, WavefrontTracer
 from repro.rt import wavefront
 from repro.rt.wavefront import resolve_engine
 
 from tests.conftest import tiny_cloud
+from tests.scalar_oracle import Tracer, render_scalar, trace_rays_scalar
 
 #: The image parity bound from the acceptance criteria.
 TOL = 1e-9
@@ -39,9 +39,8 @@ TOL = 1e-9
 PARITY_COUNTERS = ("n_rays", "n_primary", "n_secondary",
                    "blended_total", "rays_terminated_early")
 
-#: Every structure the wavefront engine supports, heterogeneous TLAS
-#: included — it consumes the per-instance multi-BLAS tables.
-ALL_STRUCTURES = ["20-tri", "custom", "tlas+sphere", "tlas+ico", "hetero"]
+#: Every structure family the wavefront engine supports.
+ALL_STRUCTURES = ["20-tri", "custom", "tlas+sphere", "tlas+ico"]
 
 MODES = ["multiround", "singleround"]
 
@@ -58,11 +57,6 @@ def structures(cloud):
         "custom": build_monolithic(cloud, "custom"),
         "tlas+sphere": build_two_level(cloud, "sphere"),
         "tlas+ico": build_two_level(cloud, "icosphere", 0),
-        "hetero": build_two_level_hetero(
-            cloud,
-            blas_specs=[("sphere", 0), ("icosphere", 0)],
-            gaussian_blas=np.arange(len(cloud)) % 2,
-        ),
     }
 
 
@@ -74,8 +68,8 @@ def goldens(cloud, structures):
     for name, structure in structures.items():
         for mode in MODES:
             config = TraceConfig(k=4, mode=mode)
-            out[name, mode] = GaussianRayTracer(
-                cloud, structure, config).render(camera, keep_traces=False)
+            out[name, mode] = render_scalar(cloud, structure, camera, config,
+                                            keep_traces=False)
     return out
 
 
@@ -155,19 +149,26 @@ class TestResolveEngineHardening:
             resolve_engine("wavefont", structures["tlas+sphere"], config)
 
     def test_rejection_names_the_valid_engines(self, cloud, structures):
-        from repro.serve import RenderRequest
+        from repro.serve import RenderRequest, TileScheduler
 
         config = TraceConfig(k=4)
-        with pytest.raises(ValueError, match="scalar, wavefront, auto"):
-            resolve_engine("gpu", structures["tlas+sphere"], config)
-        # The retired "packet" alias is an unknown engine everywhere.
-        with pytest.raises(ValueError, match="unknown engine 'packet'"):
-            resolve_engine("packet", structures["tlas+sphere"], config)
-        with pytest.raises(ValueError, match="unknown engine 'packet'"):
-            GaussianRayTracer(cloud, structures["tlas+sphere"], config,
-                              engine="packet")
-        with pytest.raises(ValueError, match="unknown engine 'packet'"):
-            RenderRequest(scene="train", engine="packet")
+        structure = structures["tlas+sphere"]
+        camera = default_camera_for(cloud, 2, 2)
+        with pytest.raises(ValueError, match="valid engines are: wavefront, auto"):
+            resolve_engine("gpu", structure, config)
+        # The retired "packet" alias and the retired "scalar" engine are
+        # unknown engines everywhere.
+        for retired in ("packet", "scalar"):
+            match = f"unknown engine '{retired}'"
+            with pytest.raises(ValueError, match=match):
+                resolve_engine(retired, structure, config)
+            with pytest.raises(ValueError, match=match):
+                GaussianRayTracer(cloud, structure, config, engine=retired)
+            with pytest.raises(ValueError, match=match):
+                RenderRequest(scene="train", engine=retired)
+            with pytest.raises(ValueError, match=match):
+                TileScheduler(tile_size=(4, 4)).render(
+                    cloud, structure, config, camera, engine=retired)
 
     def test_auto_and_wavefront_resolve_to_wavefront(self, structures):
         """No frame-size threshold: "auto" and an explicit "wavefront"
@@ -195,8 +196,8 @@ class TestResolveEngineHardening:
         bundle = default_camera_for(cloud, 2, 2).generate_rays()
         got = renderer.trace_rays(bundle.origins, bundle.directions,
                                   bundle.pixel_ids, keep_traces=False)
-        want = GaussianRayTracer(cloud, structures["tlas+sphere"],
-                                 config).trace_rays(
+        want = trace_rays_scalar(
+            Tracer(structures["tlas+sphere"], SceneShading(cloud), config),
             bundle.origins, bundle.directions, bundle.pixel_ids,
             keep_traces=False)
         assert np.abs(got.colors - want.colors).max() <= TOL

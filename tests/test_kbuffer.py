@@ -1,4 +1,5 @@
-"""Tests for the k-buffer / eviction buffer (Listing 1 semantics)."""
+"""Tests for the scalar oracle's k-buffer / eviction buffer (Listing 1
+semantics) and the paper's serialized entry sizes."""
 
 from __future__ import annotations
 
@@ -7,13 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rt.kbuffer import (
-    CHECKPOINT_ENTRY_BYTES,
-    EVICTION_ENTRY_BYTES,
-    EvictionBuffer,
-    KBuffer,
-    KBufferEntry,
-)
+from repro.hwsim.rtunit import CHECKPOINT_ENTRY_BYTES, EVICTION_ENTRY_BYTES
+
+from tests.scalar_oracle import EvictionBuffer, KBuffer, KBufferEntry
 
 
 def entry(t: float, gid: int = 0, alpha: float = 0.5) -> KBufferEntry:

@@ -288,12 +288,12 @@ def test_recorded_templates_match_numpy(family, n_gaussians, cloud_seed,
         o, d, *tracerecord._leaf_entries(tpl, tracerecord._T_TLAS_LEAF))
     if rp.size == 0:
         return
-    rtn, rtf, inv_d2 = box_slab(*tracer._blas_roots[0], o2, d2)
+    rtn, rtf, inv_d2 = box_slab(*tracer._blas_root, o2, d2)
     clip = t_clip[rp]
     live = np.nonzero((rtn <= rtf) & (rtf >= 0.0) & (rtn <= clip))[0]
     if live.size == 0:
         return
     btpl = recorder._templates(build, recorder._blas_level, o2[live],
                                inv_d2[live], clip[live], rtn[live], caps, 3)
-    _check(btpl, tracer._blas_levels[0], recorder._blas.mesh, o2[live],
+    _check(btpl, tracer._blas_level, recorder._blas.mesh, o2[live],
            d2[live])

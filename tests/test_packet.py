@@ -2,7 +2,7 @@
 
 The wavefront engine's contract: for every supported proxy/mode
 combination — monolithic *and* two-level — it renders the scalar
-tracer's image within 1e-9 per channel, and the parity-matched
+oracle's image (``tests/scalar_oracle.py``) within 1e-9 per channel, and the parity-matched
 functional counters — ``n_rays``, ``blended_total``,
 ``rays_terminated_early`` — agree exactly.  Alongside live the
 regression tests for the equal-t hit drop in multiround tracing (tied
@@ -18,11 +18,12 @@ import pytest
 from repro.bvh import build_monolithic, build_two_level, flatten
 from repro.gaussians import GaussianCloud
 from repro.render import GaussianRayTracer, SceneObjects, default_camera_for
-from repro.rt import RayTrace, SceneShading, TraceConfig, Tracer
+from repro.rt import RayTrace, SceneShading, TraceConfig
 from repro.rt.wavefront import WavefrontTracer, resolve_engine
 from repro.serve import TileScheduler
 
 from tests.conftest import tiny_cloud
+from tests.scalar_oracle import Tracer, render_request_scalar, render_scalar
 
 #: The image parity bound from the acceptance criteria.
 TOL = 1e-9
@@ -65,8 +66,8 @@ def structures(cloud):
 
 def render_pair(cloud, structure, config, res=10, objects=None):
     camera = default_camera_for(cloud, res, res)
-    scalar = GaussianRayTracer(cloud, structure, config).render(
-        camera, objects=objects, keep_traces=False)
+    scalar = render_scalar(cloud, structure, camera, config,
+                           objects=objects, keep_traces=False)
     packet_renderer = GaussianRayTracer(cloud, structure, config,
                                         engine="wavefront")
     assert packet_renderer.engine_active == "wavefront"
@@ -188,9 +189,8 @@ class TestEngineSelection:
                                          engine="wavefront")
             assert renderer.engine_active == "wavefront"
             got = renderer.render(camera, keep_traces=False)
-            want = GaussianRayTracer(cloud, structures[proxy],
-                                     config).render(camera,
-                                                    keep_traces=False)
+            want = render_scalar(cloud, structures[proxy], camera, config,
+                                 keep_traces=False)
             assert np.abs(got.image - want.image).max() <= TOL, proxy
             for name in PARITY_COUNTERS:
                 assert (getattr(got.stats, name)
@@ -229,18 +229,18 @@ class TestEngineSelection:
                 engine(object(), SceneShading(cloud), config)
 
     def test_both_engines_keep_traces(self, cloud, structures):
-        """Per-ray fetch traces come from either engine; the frontier
+        """Per-ray fetch traces come from the engine and the oracle; the
         recorder emits one RayTrace per ray like the scalar loop (deep
         equivalence is covered by tests/test_tracerecord.py)."""
         config = TraceConfig(k=4)
         camera = default_camera_for(cloud, 4, 4)
-        scalar = GaussianRayTracer(cloud, structures["20-tri"], config)
         packet = GaussianRayTracer(cloud, structures["20-tri"], config,
                                    engine="wavefront")
-        s = scalar.render(camera, keep_traces=True)
+        s = render_scalar(cloud, structures["20-tri"], camera, config,
+                          keep_traces=True)
         p = packet.render(camera, keep_traces=True)
         assert len(s.traces) == len(p.traces) == 16
-        # Traces stay off (empty) unless asked for, on both engines.
+        # Traces stay off (empty) unless asked for.
         assert packet.render(camera, keep_traces=False).traces == []
 
 
@@ -267,8 +267,8 @@ class TestAutoEngine:
             for checkpointing in (False, True):
                 config = TraceConfig(k=4, checkpointing=checkpointing)
                 structure = structures[proxy]
-                assert resolve_engine("scalar", structure,
-                                      config) == "scalar"
+                with pytest.raises(ValueError, match="'scalar'"):
+                    resolve_engine("scalar", structure, config)
                 assert resolve_engine("auto", structure,
                                       config) == "wavefront"
                 assert resolve_engine("wavefront", structure,
@@ -291,10 +291,7 @@ class TestCheckpointingRouting:
         with RenderServer(workers=1) as server:
             batched = server.render(request)
             snapshot = server.metrics.snapshot()
-        with RenderServer(workers=1) as server:
-            scalar = server.render(RenderRequest(
-                scene="train", scale=1 / 4000.0, width=6, height=6,
-                proxy="tlas+sphere", mode="grtx", engine="scalar"))
+            scalar = render_request_scalar(server, request)
         assert np.abs(batched.image - scalar.image).max() <= TOL
         assert "gauge.packet_fallbacks" not in snapshot
 
@@ -349,17 +346,23 @@ class TestFlattenRoundTrip:
     def test_flattened_structure_renders_identically(self, cloud,
                                                      structures, proxy):
         """A pre-flattened structure (what ships to pool workers) must
-        trace bit-identically to the source structure on both engines."""
+        trace bit-identically to the source structure on the engine and
+        on the oracle."""
         config = TraceConfig(k=4)
         camera = default_camera_for(cloud, 8, 8)
         flat = flatten(structures[proxy])
-        for engine in ("scalar", "wavefront"):
-            src = GaussianRayTracer(cloud, structures[proxy], config,
-                                    engine=engine).render(
-                                        camera, keep_traces=False)
-            via_flat = GaussianRayTracer(cloud, flat, config,
-                                         engine=engine).render(
-                                             camera, keep_traces=False)
+
+        def wavefront(structure):
+            return GaussianRayTracer(cloud, structure, config).render(
+                camera, keep_traces=False)
+
+        def scalar(structure):
+            return render_scalar(cloud, structure, camera, config,
+                                 keep_traces=False)
+
+        for render in (scalar, wavefront):
+            src = render(structures[proxy])
+            via_flat = render(flat)
             np.testing.assert_array_equal(src.image, via_flat.image)
             assert via_flat.structure_bytes == src.structure_bytes
 

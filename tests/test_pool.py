@@ -371,7 +371,10 @@ def reference(scene):
     from repro.render import GaussianRayTracer
 
     cloud, structure, config, camera = scene
-    return GaussianRayTracer(cloud, structure, config).render(camera)
+    # The serial render on the pooled tiles' path (no traces): with
+    # checkpointing, rounds_total is a work measure of the path taken.
+    return GaussianRayTracer(cloud, structure, config).render(
+        camera, keep_traces=False)
 
 
 class TestPooledTileIdentity:

@@ -3,7 +3,9 @@
 These fuzz the heavy invariants with freshly generated Gaussian clouds:
 whatever the scene, checkpointing must be lossless, exact primitive
 structures must agree bitwise, and traversal must find exactly the
-Gaussians a brute-force intersector finds.
+Gaussians a brute-force intersector finds.  They run on the per-ray
+scalar oracle (``tests/scalar_oracle.py``), where checkpointing changes
+the traversal; the parity suites hold the shipped engine to it.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bvh import build_monolithic, build_two_level
-from repro.rt import SceneShading, TraceConfig, Tracer
+from repro.rt import SceneShading, TraceConfig
 
 from tests.conftest import tiny_cloud
+from tests.scalar_oracle import Tracer
 
 
 def _probe_rays(cloud, n_rays: int, seed: int):

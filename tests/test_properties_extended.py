@@ -22,9 +22,10 @@ from repro.bvh import (
 from repro.hwsim import EnergyParams, estimate_energy
 from repro.hwsim.replay import TimingReport
 from repro.render.metrics import ssim
-from repro.rt import SceneShading, TraceConfig, Tracer
+from repro.rt import SceneShading, TraceConfig
 
 from tests.conftest import tiny_cloud
+from tests.scalar_oracle import Tracer
 
 
 @st.composite

@@ -22,6 +22,8 @@ from repro.serve import (
     cloud_fingerprint,
 )
 
+from tests.scalar_oracle import render_request_scalar
+
 SCALE = 1.0 / 10000.0
 
 
@@ -333,22 +335,24 @@ class TestTracerReuseCache:
         assert scene_hash == response.scene_hash
         assert proxy == "20-tri"
         assert pkey == params_key(server.build_params)
-        assert engine == "scalar"
+        assert engine == "wavefront"
         assert config == TraceConfig(k=request.k, checkpointing=False)
 
     def test_full_config_and_engine_are_in_the_key(self):
-        """Requests differing only in mode (checkpointing) or engine must
-        check out different cached renderers."""
+        """Requests differing only in mode (checkpointing) must check out
+        different cached renderers; the key carries the *resolved*
+        engine, so ``auto`` and ``wavefront`` requests share one."""
         with RenderServer(workers=1) as server:
-            server.render(_request(proxy="20-tri", mode="baseline"))
-            server.render(_request(proxy="20-tri", mode="grtx"))
             server.render(_request(proxy="20-tri", mode="baseline",
-                                   engine="wavefront"))
+                                   engine="auto"))
+            server.render(_request(proxy="20-tri", mode="grtx",
+                                   engine="auto"))
+            server.render(_request(proxy="20-tri", mode="baseline",
+                                   engine="wavefront", width=6))
             keys = list(server._tracers._entries)
-        assert len(keys) == 3
+        assert len(keys) == 2
         configs = {(key[3], key[4].checkpointing) for key in keys}
-        assert configs == {("scalar", False), ("scalar", True),
-                           ("wavefront", False)}
+        assert configs == {("wavefront", False), ("wavefront", True)}
 
     def test_tracer_reuse_across_frames_of_same_scene(self):
         """Same scene + config at a different frame size reuses the one
@@ -373,15 +377,20 @@ class TestTracerReuseCache:
         assert not np.array_equal(img_a, img_b)
 
     def test_engine_is_part_of_frame_key(self):
-        """Engines are parity-matched to 1e-9, not bit-identical, so a
-        wavefront request must not be answered from a scalar frame."""
+        """The frame key ends with the resolved engine: an ``auto`` and a
+        ``wavefront`` request share one rendered frame, and that frame
+        matches the scalar oracle within the parity bound."""
+        auto = _request(proxy="20-tri", mode="baseline", engine="auto")
+        explicit = _request(proxy="20-tri", mode="baseline",
+                            engine="wavefront")
+        assert auto.frame_key("h")[-1] == explicit.frame_key("h")[-1] == "wavefront"
         with RenderServer(workers=1) as server:
-            scalar = server.render(_request(proxy="20-tri", mode="baseline"))
-            batched = server.render(_request(proxy="20-tri", mode="baseline",
-                                             engine="wavefront"))
-        assert not batched.frame_cache_hit
-        assert server.metrics.snapshot()["rendered"] == 2
-        assert np.abs(scalar.image - batched.image).max() <= 1e-9
+            first = server.render(auto)
+            second = server.render(explicit)
+            scalar = render_request_scalar(server, auto)
+        assert second.frame_cache_hit
+        assert server.metrics.snapshot()["rendered"] == 1
+        assert np.abs(scalar.image - first.image).max() <= 1e-9
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(ValueError):
@@ -409,14 +418,12 @@ class TestTracerReuseCache:
     def test_two_level_packet_request_serves_packet_frames(self):
         """tlas+sphere (the paper's structure) requested on the batched
         engine renders on the wavefront engine through the whole serving
-        stack, matching a scalar server's frame within the parity
+        stack, matching the scalar oracle's frame within the parity
         bound."""
         request = _request(proxy="tlas+sphere", mode="baseline",
                            engine="wavefront")
         assert request.engine_active == "wavefront"
         with RenderServer(workers=1) as server:
             packet = server.render(request)
-        with RenderServer(workers=1) as server:
-            scalar = server.render(_request(proxy="tlas+sphere",
-                                            mode="baseline"))
+            scalar = render_request_scalar(server, request)
         assert np.abs(scalar.image - packet.image).max() <= 1e-9

@@ -30,12 +30,12 @@ from repro.native import kernel
 from repro.render import default_camera_for
 from repro.rt import SceneShading, TraceConfig, WavefrontTracer, tracerecord
 from repro.rt.kernels import box_slab
-from repro.rt.tracer import flat_tables
 from repro.rt.tracerecord import PacketTraceRecorder
 
 from tests.conftest import tiny_cloud
+from tests.scalar_oracle import flat_tables
 from tests.template_oracle import OracleSim, _visit_tables
-from tests.test_differential import FAMILIES, RECORDED, _rays
+from tests.test_differential import FAMILIES, _rays
 from tests.test_tracerecord import _assert_traces_equal
 
 TIER1 = settings(max_examples=10, derandomize=True, deadline=None,
@@ -129,12 +129,12 @@ def _check_against_oracle(family, cloud, o, d, t_clip, caps):
     rp, _, _, o2, d2 = recorder._instance_pairs(o, d, leaf_rays, leaf_refs)
     if rp.size == 0:
         return
-    rtn, rtf, inv_d2 = box_slab(*tracer._blas_roots[0], o2, d2)
+    rtn, rtf, inv_d2 = box_slab(*tracer._blas_root, o2, d2)
     clip = t_clip[rp]
     live = np.nonzero((rtn <= rtf) & (rtf >= 0.0) & (rtn <= clip))[0]
     if live.size == 0:
         return
-    level = tracer._blas_levels[0]
+    level = tracer._blas_level
     btpl = recorder._templates(build, recorder._blas_level, o2[live],
                                inv_d2[live], clip[live], rtn[live], caps, 3)
     brows = _visit_rows(level, o2[live], inv_d2[live], clip[live])
@@ -145,7 +145,7 @@ def _check_against_oracle(family, cloud, o, d, t_clip, caps):
     _assert_kids(btpl, level)
 
 
-@pytest.mark.parametrize("family", RECORDED)
+@pytest.mark.parametrize("family", list(FAMILIES))
 @TIER1
 @given(n_gaussians=st.integers(6, 80), cloud_seed=st.integers(0, 10_000),
        ray_seed=st.integers(0, 2**16))
@@ -157,7 +157,7 @@ def test_templates_match_oracle(family, n_gaussians, cloud_seed, ray_seed):
                                + tracerecord._TEMPLATE_ENTRIES))
 
 
-@pytest.mark.parametrize("family", RECORDED)
+@pytest.mark.parametrize("family", list(FAMILIES))
 def test_degenerate_rays_and_small_capacity_match_oracle(family):
     """Axis-parallel rays (exact zero components), ±1e-13 components
     (the ``1e-12`` guard), finite and zero ``t_clip``, from outside and
@@ -179,7 +179,7 @@ def test_degenerate_rays_and_small_capacity_match_oracle(family):
     _check_against_oracle(family, cloud, o, d, t_clip, [0, 0, 3, 3])
 
 
-@pytest.mark.parametrize("family", RECORDED)
+@pytest.mark.parametrize("family", list(FAMILIES))
 def test_template_rerun_records_the_same_traces(family, monkeypatch):
     """A recording whose template columns start a few entries long
     re-runs each build at twice the size it needed and records the
@@ -223,7 +223,7 @@ def test_recording_peak_allocation_per_ray(family, checkpointing):
 
 
 class _NoFlatTables:
-    """Stands in for the scalar tracer's tables: building it fails."""
+    """Stands in for the scalar oracle's tables: building it fails."""
 
     def __init__(self, flat) -> None:
         raise AssertionError("recording built the scalar FlatTables")
@@ -234,8 +234,8 @@ def test_recording_transient_bounded_by_chunk(family, monkeypatch):
     """Recording's transient memory follows the chunk, not the bundle:
     the traced peak minus what the returned result and traces still
     hold stays under 1.5x its two-chunk value when the bundle is 8x as
-    long.  Recording never builds the scalar tracer's tables."""
-    monkeypatch.setattr("repro.rt.tracer.FlatTables", _NoFlatTables)
+    long.  Recording never builds the scalar oracle's tables."""
+    monkeypatch.setattr("tests.scalar_oracle.FlatTables", _NoFlatTables)
     cloud = tiny_cloud(n=400, seed=5)
     tracer = WavefrontTracer(FAMILIES[family](cloud), SceneShading(cloud),
                              TraceConfig(k=4))

@@ -9,6 +9,11 @@ The heavyweight invariants here are exactly the ones the paper relies on:
 3. single-round and multi-round tracing agree;
 4. checkpointing strictly reduces re-traversal (the total/unique node
    visit gap of Figure 7).
+
+Images come from the shipped engine; the visit, checkpoint and eviction
+counters of invariant 4, and the per-ray unit tests, come from the
+scalar oracle (``tests/scalar_oracle.py``), which counts them on every
+render.
 """
 
 from __future__ import annotations
@@ -19,14 +24,20 @@ import pytest
 from repro.bvh import build_monolithic, build_two_level
 from repro.gaussians import build_inverse_covariance, gaussian_alpha_along_ray
 from repro.render import GaussianRayTracer, default_camera_for, psnr
-from repro.rt import RayTrace, SceneShading, TraceConfig, Tracer
+from repro.rt import RayTrace, SceneShading, TraceConfig
 
 from tests.conftest import tiny_cloud
+from tests.scalar_oracle import Tracer, render_scalar
 
 
 def render_image(cloud, structure, config, res=10):
     camera = default_camera_for(cloud, res, res)
     return GaussianRayTracer(cloud, structure, config).render(camera, keep_traces=False)
+
+
+def render_oracle(cloud, structure, config, res=10):
+    camera = default_camera_for(cloud, res, res)
+    return render_scalar(cloud, structure, camera, config, keep_traces=False)
 
 
 @pytest.fixture(scope="module")
@@ -105,8 +116,8 @@ class TestCheckpointReplay:
 
     def test_checkpointing_reduces_total_visits(self, cloud, structures):
         """Figure 7 / Figure 14: replay eliminates redundant re-traversal."""
-        base = render_image(cloud, structures["mono-20tri"], TraceConfig(k=4))
-        hw = render_image(cloud, structures["mono-20tri"], TraceConfig(k=4, checkpointing=True))
+        base = render_oracle(cloud, structures["mono-20tri"], TraceConfig(k=4))
+        hw = render_oracle(cloud, structures["mono-20tri"], TraceConfig(k=4, checkpointing=True))
         assert hw.stats.total_visits < base.stats.total_visits
         # Unique visits are a property of the scene+rays, not the policy.
         assert hw.stats.unique_visits == pytest.approx(base.stats.unique_visits, rel=0.05)
@@ -114,12 +125,12 @@ class TestCheckpointReplay:
     def test_checkpointing_never_restarts_from_root(self, cloud, structures):
         """In replay rounds the root must not be re-fetched unless it was
         itself checkpointed: redundancy ratio must drop toward 1."""
-        base = render_image(cloud, structures["tlas-sphere"], TraceConfig(k=2))
-        hw = render_image(cloud, structures["tlas-sphere"], TraceConfig(k=2, checkpointing=True))
+        base = render_oracle(cloud, structures["tlas-sphere"], TraceConfig(k=2))
+        hw = render_oracle(cloud, structures["tlas-sphere"], TraceConfig(k=2, checkpointing=True))
         assert hw.stats.redundancy < base.stats.redundancy
 
     def test_eviction_buffer_used(self, cloud, structures):
-        hw = render_image(cloud, structures["tlas-sphere"], TraceConfig(k=2, checkpointing=True))
+        hw = render_oracle(cloud, structures["tlas-sphere"], TraceConfig(k=2, checkpointing=True))
         assert hw.stats.evictions_written > 0
         assert hw.stats.evict_high_water > 0
         assert hw.stats.ckpt_high_water > 0

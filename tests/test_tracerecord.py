@@ -1,13 +1,14 @@
-"""Trace equivalence: the frontier recorder vs the scalar tracer.
+"""Trace equivalence: the frontier recorder vs the scalar oracle.
 
 The contract under test is exact stream equality — for every supported
 (structure, mode) pair, with and without GRTX-HW checkpointing, the
 wavefront engine's recorded per-ray ``RayTrace``s are event-for-event
-the scalar tracer's: same fetch records (addresses, sizes, kinds, test
-counts), same prefetch pair lists, same per-round counters (checkpoint
-and eviction writes included), same round structure, same unique/total
-visit statistics and checkpoint/eviction high-water marks — so a
-replayed :class:`TimingReport` is identical whichever engine produced
+the scalar oracle's (``tests/scalar_oracle.py``): same fetch records
+(addresses, sizes, kinds, test counts), same prefetch pair lists, same
+per-round counters (checkpoint and eviction writes included), same
+round structure, same unique/total visit statistics and
+checkpoint/eviction high-water marks — so a
+replayed :class:`TimingReport` is identical whichever tracer produced
 the traces, and so are the fig14–17 aggregates (node fetches, L1 hits,
 L2 accesses).  Every recorded-trace check runs at the shipped recording
 chunk and at one of 3 rays, which splits every bundle.
@@ -43,6 +44,7 @@ from repro.rt.recorder import FETCH_INTERNAL, RayTrace
 
 from tests.conftest import tiny_cloud
 from tests.replay_oracle import replay_reference
+from tests.scalar_oracle import render_scalar
 
 STRUCTURES = ("20-tri", "custom", "tlas+sphere", "tlas+20-tri")
 
@@ -231,11 +233,10 @@ def _count_kernel_calls(monkeypatch, reruns_only):
 
 def _render_pairs(monkeypatch, cloud, structure, config, camera,
                   objects=None):
-    """Yield the scalar engine's recorded render paired with the
+    """Yield the scalar oracle's recorded render paired with the
     wavefront engine's at each recording chunk."""
-    scalar = GaussianRayTracer(cloud, structure, config,
-                               engine="scalar").render(
-        camera, objects=objects, keep_traces=True)
+    scalar = render_scalar(cloud, structure, camera, config,
+                           objects=objects, keep_traces=True)
     wavefront = GaussianRayTracer(cloud, structure, config,
                                   engine="wavefront")
     for packet in _record_at_each_chunk(

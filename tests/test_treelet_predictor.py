@@ -21,6 +21,8 @@ from repro.bvh.node import KIND_INTERNAL
 from repro.hwsim.treelet import build_treelet_map
 from repro.rt import RayPredictor, analyze_predictor
 
+from tests.scalar_oracle import Tracer
+
 
 @pytest.fixture(scope="module")
 def scene():
@@ -167,3 +169,75 @@ class TestPredictorAnalysis:
         cam = default_camera_for(cloud, 8, 8)
         report = analyze_predictor(renderer, cam, cam)
         assert report.hit_rate > 0.9
+
+
+class TestAblationsMatchTheOracle:
+    """The predictor and popping ablations read per-ray blend lists off
+    one batched trace per frame; their numbers must be the ones the
+    per-ray scalar oracle's blend lists give."""
+
+    def test_predictor_report_equals_the_oracle(self, scene, monkeypatch):
+        import repro.rt.predictor as predictor_module
+
+        cloud, _mono, two = scene
+        renderer = GaussianRayTracer(cloud, two, TraceConfig(k=8))
+        cam1 = default_camera_for(cloud, 8, 8)
+        cam2 = PinholeCamera(
+            cam1.position + 0.02 * np.array([1.0, 0.0, 0.0]),
+            cam1.look_at, cam1.up, 8, 8, cam1.fov_y,
+        )
+        got = analyze_predictor(renderer, cam1, cam2)
+
+        def oracle_sets(renderer, camera):
+            tracer = Tracer(renderer.structure, renderer.shading,
+                            replace(renderer.config, record_blended=True))
+            bundle = camera.generate_rays()
+            blended = [
+                [gid for gid, _a, _t in tracer.trace_ray(o, d).blend_records]
+                for o, d in zip(bundle.origins, bundle.directions)]
+            return bundle.origins, bundle.directions, blended
+
+        monkeypatch.setattr(predictor_module, "_blended_sets", oracle_sets)
+        assert got == analyze_predictor(renderer, cam1, cam2)
+        assert got.mean_blended > 1.0
+
+    def test_popping_frames_equal_the_oracle(self, scene):
+        from repro.eval.experiments import popping_frames
+        from repro.render.path import orbit_path
+        from repro.rt import SceneShading
+
+        cloud, _mono, two = scene
+        config = TraceConfig(k=8)
+        cameras = orbit_path(default_camera_for(cloud, 6, 6),
+                             cloud.means.mean(axis=0), 3, total_angle=0.06)
+        perray, global_ = popping_frames(cloud, two, config, cameras)
+
+        shading = SceneShading(cloud)
+        tracer = Tracer(two, shading, replace(config, record_blended=True))
+        reblended = 0
+        for camera, p_frame, g_frame in zip(cameras, perray, global_):
+            _r, _u, forward = camera.basis
+            depth_key = (cloud.means - camera.position) @ forward
+            bundle = camera.generate_rays()
+            p_flat, g_flat = p_frame.reshape(-1, 3), g_frame.reshape(-1, 3)
+            for r in range(len(bundle)):
+                outcome = tracer.trace_ray(bundle.origins[r],
+                                           bundle.directions[r])
+                pixel = int(bundle.pixel_ids[r])
+                assert np.abs(outcome.color - p_flat[pixel]).max() <= 1e-9
+                order = sorted(outcome.blend_records,
+                               key=lambda rec: depth_key[rec[0]])
+                want = np.zeros(3)
+                if order:
+                    reblended += 1
+                    colors = shading.colors(
+                        np.array([rec[0] for rec in order]),
+                        bundle.directions[r])
+                    trans = 1.0
+                    for j, (_gid, alpha, _t) in enumerate(order):
+                        want += trans * alpha * colors[j]
+                        trans *= 1.0 - alpha
+                        if trans < config.transmittance_min:
+                            break
+                assert np.abs(want - g_flat[pixel]).max() <= 1e-9
+        assert reblended > 0
