@@ -108,7 +108,7 @@ def run_mode(cloud, structure, camera, mode: str, k: int,
 
     config = TraceConfig(k=k, mode=mode)
     n_rays = camera.width * camera.height
-    renderer = GaussianRayTracer(cloud, structure, config, engine="wavefront")
+    renderer = GaussianRayTracer(cloud, structure, config)
     t0 = time.perf_counter()
     scalar = render_scalar(cloud, structure, camera, config,
                            keep_traces=False)

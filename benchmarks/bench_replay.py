@@ -176,16 +176,14 @@ def run_config(cloud, structure, camera, k: int, reps: int) -> dict:
     t0 = time.perf_counter()
     batched, record_kernel = _span_kernel(
         "rt.wavefront.record",
-        lambda: GaussianRayTracer(cloud, structure, config,
-                                  engine="wavefront").render(
+        lambda: GaussianRayTracer(cloud, structure, config).render(
             camera, keep_traces=True))
     t_batched_trace = time.perf_counter() - t0
     record_rss_growth = (None if rss_before is None
                          else _status_mb("VmHWM") - rss_before)
 
     t0 = time.perf_counter()
-    plain = GaussianRayTracer(cloud, structure, config,
-                              engine="wavefront").render(
+    plain = GaussianRayTracer(cloud, structure, config).render(
         camera, keep_traces=False)
     t_batched_plain = time.perf_counter() - t0
     del plain

@@ -24,10 +24,6 @@ class BVHStats:
     def total_mb(self) -> float:
         return self.total_bytes / (1024.0 * 1024.0)
 
-    @property
-    def total_gb(self) -> float:
-        return self.total_bytes / (1024.0 ** 3)
-
 
 def structure_stats(structure: MonolithicBVH | TwoLevelBVH) -> BVHStats:
     """Compute :class:`BVHStats` for either structure family."""

@@ -39,7 +39,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from typing import Callable
 
 import numpy as np
 
@@ -303,54 +302,33 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
-def _experiment_registry() -> dict[str, Callable]:
-    from repro.eval import experiments as exp
-
-    registry: dict[str, Callable] = {}
-    for name in dir(exp):
-        if name.startswith(("fig", "table", "ablation", "quality")):
-            fn = getattr(exp, name)
-            if callable(fn):
-                registry[name] = fn
-    return registry
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    registry = _experiment_registry()
+    from repro.eval.experiments import ALL_EXPERIMENTS, run_campaign
+
     if args.exp_id == "list":
-        for name in sorted(registry):
+        for name in sorted(ALL_EXPERIMENTS):
             print(name)
         return 0
     if args.exp_id == "all":
-        exp_ids = sorted(registry)
+        exp_ids = sorted(ALL_EXPERIMENTS)
     else:
         exp_ids = [e.strip() for e in args.exp_id.split(",") if e.strip()]
-    unknown = [e for e in exp_ids if e not in registry]
+    unknown = [e for e in exp_ids if e not in ALL_EXPERIMENTS]
     if unknown:
         print(f"unknown experiment(s) {', '.join(map(repr, unknown))}; "
               "try 'experiment list'", file=sys.stderr)
         return 2
 
-    if args.workers != 1:
-        # Pre-render every config the requested experiments will ask for
-        # on the shared worker pool; the assembly below hits warm caches.
-        from repro.eval.experiments import campaign_configs
-        from repro.eval.harness import parallel_run_configs
-
-        configs = campaign_configs(exp_ids)
-        if configs:
-            parallel_run_configs(configs, workers=args.workers)
-
+    results = run_campaign(exp_ids, workers=args.workers)
     for index, exp_id in enumerate(exp_ids):
         if index:
             print()
-        result = registry[exp_id]()
-        print(result.table)
+        print(results[exp_id].table)
         if args.chart:
             from repro.eval.plotting import chart_for_result
 
             print()
-            print(chart_for_result(result))
+            print(chart_for_result(results[exp_id]))
     return 0
 
 

@@ -580,8 +580,7 @@ def ablation_builder(scene: str = "bonsai") -> ExperimentResult:
         structure = build_two_level(
             cloud, "sphere", params=BuildParams(strategy=strategy))
         quality = tree_quality(structure.tlas)
-        renderer = GaussianRayTracer(cloud, structure, _trace_config(k=8),
-                                     engine="auto")
+        renderer = GaussianRayTracer(cloud, structure, _trace_config(k=8))
         result = renderer.render(
             default_camera_for(cloud, *BENCH_RESOLUTION))
         from repro.hwsim import replay as hw_replay
@@ -616,8 +615,7 @@ def ablation_treelet(scene: str = "drjohnson") -> ExperimentResult:
 
     cloud = get_cloud(scene)
     structure = get_structure(scene, "20-tri")
-    renderer = GaussianRayTracer(cloud, structure, _trace_config(k=8),
-                                 engine="auto")
+    renderer = GaussianRayTracer(cloud, structure, _trace_config(k=8))
     result = renderer.render(default_camera_for(cloud, *BENCH_RESOLUTION))
     treelets = build_treelet_map(structure, 1024)
 
@@ -723,7 +721,7 @@ def ablation_dram(scene: str = "truck") -> ExperimentResult:
     for label, overrides in FIG13_CONFIGS.items():
         structure = get_structure(scene, overrides["proxy"])
         config = _trace_config(k=8, checkpointing=overrides["checkpointing"])
-        renderer = GaussianRayTracer(cloud, structure, config, engine="auto")
+        renderer = GaussianRayTracer(cloud, structure, config)
         result = renderer.render(default_camera_for(cloud, *BENCH_RESOLUTION))
         timing = hw_replay(result.traces, banked)
         rows.append([label, timing.dram_accesses, timing.dram_row_hit_rate,
@@ -871,8 +869,7 @@ def ablation_cameras(scene: str = "train") -> ExperimentResult:
 
     cloud = get_cloud(scene)
     structure = get_structure(scene, "tlas+sphere")
-    renderer = GaussianRayTracer(cloud, structure, _trace_config(k=8),
-                                 engine="auto")
+    renderer = GaussianRayTracer(cloud, structure, _trace_config(k=8))
     res = BENCH_RESOLUTION
     pin = default_camera_for(cloud, *res)
     cameras = [
@@ -910,7 +907,7 @@ def _trace_config(k: int = 8, checkpointing: bool = False):
     return TraceConfig(k=k, checkpointing=checkpointing)
 
 
-#: Every experiment, keyed by id (used by the CLI example and the docs).
+#: Every experiment, keyed by id (the ids ``repro experiment`` takes).
 ALL_EXPERIMENTS: dict = {
     "fig04a": fig04a, "fig04b": fig04b, "fig05": fig05, "fig06a": fig06a,
     "fig06b": fig06b, "fig07": fig07, "table1": table1, "table2": table2,
@@ -949,8 +946,7 @@ def _fig13_family() -> list[dict]:
 
 
 def _fig19_plan() -> list[dict]:
-    from repro.eval.harness import BENCH_RESOLUTION as res
-
+    res = BENCH_RESOLUTION  # the binding fig19 itself reads
     hi_res = (res[0] * 2, res[1] * 2)
     settings = [dict(resolution=hi_res, fov_mode="original"),
                 dict(resolution=res, fov_mode="cropped")]
@@ -1022,8 +1018,10 @@ def run_campaign(exp_ids: list[str] | None = None, workers: int | None = None,
     across a :class:`repro.pool.WorkerPool` first (``pool`` shares an
     existing one; otherwise ``workers`` processes are used, auto-sized
     when ``None``/``0``); the experiment functions then assemble their
-    tables from the warm cache. Results are exactly what the serial
-    functions produce — the pool only changes where renders run.
+    tables from the warm cache. ``workers=1`` without a ``pool`` starts
+    no pool: every experiment renders its own configs in-process.
+    Results are exactly what the serial functions produce — the pool
+    only changes where renders run.
     """
     from repro.eval.harness import parallel_run_configs
 
@@ -1032,6 +1030,6 @@ def run_campaign(exp_ids: list[str] | None = None, workers: int | None = None,
     if unknown:
         raise ValueError(f"unknown experiment ids: {unknown}")
     configs = campaign_configs(exp_ids)
-    if configs:
+    if configs and (pool is not None or workers != 1):
         parallel_run_configs(configs, pool=pool, workers=workers)
     return {exp_id: ALL_EXPERIMENTS[exp_id]() for exp_id in exp_ids}

@@ -7,7 +7,8 @@ once per session. Scales are reduced relative to the paper (see
 EXPERIMENTS.md): scenes are generated at ``BENCH_SCALE`` of their trained
 Gaussian counts and rendered at ``BENCH_RESOLUTION`` — both overridable
 through the ``GRTX_BENCH_SCALE`` / ``GRTX_BENCH_RES`` environment
-variables for higher-fidelity (slower) runs.
+variables for higher-fidelity (slower) runs. A config names no engine:
+every run records on the one batched engine.
 """
 
 from __future__ import annotations
@@ -147,7 +148,6 @@ def normalize_config(
     gpu: str = "rtx",
     prefetch: bool = True,
     width: int = 6,
-    engine: str = "auto",
 ) -> dict:
     """Resolve a run_config kwarg set to fully explicit values.
 
@@ -155,18 +155,13 @@ def normalize_config(
     ``BENCH_SCALE``/``BENCH_RESOLUTION``, so a normalized config means
     the same render everywhere — in this process, or shipped to a pool
     worker whose module defaults may differ.
-
-    ``engine`` defaults to ``"auto"``: trace-producing campaign renders
-    run on the wavefront engine's recording path, GRTX-HW checkpointing
-    included, whose per-ray fetch traces are event-for-event the scalar
-    parity oracle's.
     """
     return dict(
         scene=scene, proxy=proxy, k=k, mode=mode, checkpointing=checkpointing,
         scale=BENCH_SCALE if scale is None else scale,
         resolution=tuple(resolution or BENCH_RESOLUTION),
         fov_mode=fov_mode, objects=objects, kbuffer_layout=kbuffer_layout,
-        gpu=gpu, prefetch=prefetch, width=width, engine=engine,
+        gpu=gpu, prefetch=prefetch, width=width,
     )
 
 
@@ -175,7 +170,7 @@ def _config_key(cfg: dict) -> tuple:
     return (cfg["scene"], cfg["proxy"], cfg["k"], cfg["mode"],
             cfg["checkpointing"], cfg["scale"], cfg["resolution"],
             cfg["fov_mode"], cfg["objects"], cfg["kbuffer_layout"],
-            cfg["gpu"], cfg["prefetch"], cfg["width"], cfg["engine"])
+            cfg["gpu"], cfg["prefetch"], cfg["width"])
 
 
 def run_config(scene: str, **kwargs) -> CachedRun:
@@ -217,8 +212,7 @@ def _run_config_uncached(cfg: dict) -> CachedRun:
         camera = camera.with_resolution(*resolution)
 
     scene_objects = SceneObjects.default_for(cloud) if cfg["objects"] else None
-    renderer = GaussianRayTracer(cloud, structure, config,
-                                 engine=cfg["engine"])
+    renderer = GaussianRayTracer(cloud, structure, config)
     t0 = time.perf_counter()
     result = renderer.render(camera, objects=scene_objects)
     registry.observe("campaign.render_seconds", time.perf_counter() - t0)

@@ -37,10 +37,6 @@ class AABB:
     def union(self, other: "AABB") -> "AABB":
         return AABB(lo=np.minimum(self.lo, other.lo), hi=np.maximum(self.hi, other.hi))
 
-    def contains_point(self, point: np.ndarray) -> bool:
-        point = np.asarray(point)
-        return bool(np.all(point >= self.lo - 1e-12) and np.all(point <= self.hi + 1e-12))
-
     def contains(self, other: "AABB") -> bool:
         return bool(np.all(self.lo <= other.lo + 1e-9) and np.all(self.hi >= other.hi - 1e-9))
 
@@ -59,9 +55,6 @@ class AABB:
         if np.any(ext < 0.0):
             return 0.0
         return float(2.0 * (ext[0] * ext[1] + ext[1] * ext[2] + ext[2] * ext[0]))
-
-    def is_empty(self) -> bool:
-        return bool(np.any(self.hi < self.lo))
 
 
 def merge_aabbs(lo: np.ndarray, hi: np.ndarray) -> AABB:

@@ -2,7 +2,7 @@
 
 One subsystem gives the whole stack its measurement substrate:
 
-* :class:`MetricsRegistry` — named counters/gauges/histograms with a
+* :class:`MetricsRegistry` — named counters and histograms with a
   lock-free write path, p50/p95/p99 latency histograms, and one
   ``snapshot()``/``merge()`` rule that also works across processes
   (worker deltas ride back with task results).
@@ -20,8 +20,8 @@ One subsystem gives the whole stack its measurement substrate:
 Metric naming: dotted ``subsystem.metric`` (``serve.latency``,
 ``pool.tasks_completed``, ``rt.phase.traversal``). Span naming mirrors
 it (``serve.request``, ``tiles.tile``, ``worker.tile``,
-``rt.wavefront.trace``). Gauges inside a snapshot are namespaced
-``gauge.<name>`` so they can never shadow a counter.
+``rt.wavefront.trace``). Gauges inside a server's metrics snapshot are
+namespaced ``gauge.<name>`` so they can never shadow a counter.
 """
 
 from repro.obs import doctor, events, flight
@@ -31,7 +31,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     get_registry,
-    reset_registry,
 )
 from repro.obs.profile import PhaseAccumulator
 from repro.obs.snapshot import (
@@ -47,7 +46,6 @@ from repro.obs.tracing import (
     FileTraceSink,
     absorb_events,
     current_sink,
-    emit_event,
     emit_span,
     install_sink,
     span,
@@ -92,7 +90,6 @@ __all__ = [
     "absorb_worker_delta",
     "current_sink",
     "doctor",
-    "emit_event",
     "emit_span",
     "events",
     "flight",
@@ -100,7 +97,6 @@ __all__ = [
     "get_registry",
     "install_sink",
     "load_snapshot",
-    "reset_registry",
     "span",
     "start_tracing",
     "stop_tracing",

@@ -1,4 +1,4 @@
-"""Named counters, gauges, and latency histograms with one merge rule.
+"""Named counters and latency histograms with one merge rule.
 
 :class:`MetricsRegistry` is the measurement substrate of the whole
 stack: the render server's request counters, the worker pool's task
@@ -25,17 +25,16 @@ Design points:
   ships the plain-dict delta with its result; the parent folds it in
   with :meth:`~MetricsRegistry.merge`.  Deltas are additive, so metrics
   survive any interleaving of workers and tasks.
-* **Gauges are providers, not state.**  A gauge is a callable returning
-  the *instantaneous* value (queue depth, utilization); it is evaluated
-  at snapshot time, outside the registry lock (a provider may take other
-  locks — e.g. the pool's — and holding ours would order them).
+
+Instantaneous values (queue depth, utilization) are not registry state:
+:class:`~repro.serve.server.ServerMetrics` reads them from a provider
+at snapshot time.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Callable
 
 #: Default histogram buckets: latency seconds, roughly exponential from
 #: 50 microseconds to one minute.  Everything above the last bound lands
@@ -178,7 +177,7 @@ class _Shard:
 
 
 class MetricsRegistry:
-    """A set of named counters, gauges, and histograms.
+    """A set of named counters and histograms.
 
     One registry is the process-wide default (:func:`get_registry`);
     subsystems with per-instance counters (e.g. one
@@ -194,7 +193,6 @@ class MetricsRegistry:
         # Cross-process deltas folded in via merge() accumulate here
         # (under the lock; merges are rare relative to increments).
         self._merged = _Shard()
-        self._gauges: dict[str, Callable[[], float]] = {}
 
     # -- write fast path (lock-free: per-thread shards) -----------------
 
@@ -219,11 +217,6 @@ class MetricsRegistry:
         if hist is None:
             hist = histograms[name] = Histogram(self._buckets)
         hist.observe(value)
-
-    def register_gauge(self, name: str, provider: Callable[[], float]) -> None:
-        """Register an instantaneous-value provider, read at snapshot."""
-        with self._lock:
-            self._gauges[name] = provider
 
     # -- read side ------------------------------------------------------
 
@@ -295,18 +288,13 @@ class MetricsRegistry:
                 hist.merge(state)
 
     def snapshot(self) -> dict:
-        """One self-describing dict: counters, gauges, histograms.
+        """One self-describing dict: counters and histograms.
 
         Counter values are monotonically non-decreasing across
         successive snapshots (per-shard values only grow and shards are
-        never dropped).  Gauge providers run *outside* the lock.
+        never dropped).
         """
         data = self.collect(reset=False)
-        with self._lock:
-            gauges = dict(self._gauges)
-        gauge_values = {}
-        for name, provider in gauges.items():
-            gauge_values[name] = provider()
         histograms = {}
         for name, state in data["histograms"].items():
             hist = Histogram(tuple(state["buckets"]))
@@ -314,12 +302,11 @@ class MetricsRegistry:
             histograms[name] = hist.summary()
         return {
             "counters": {k: data["counters"][k] for k in sorted(data["counters"])},
-            "gauges": {k: gauge_values[k] for k in sorted(gauge_values)},
             "histograms": {k: histograms[k] for k in sorted(histograms)},
         }
 
     def reset(self) -> None:
-        """Drop every recorded value (tests).  Registered gauges stay."""
+        """Drop every recorded value (tests)."""
         with self._lock:
             for shard in [*self._shards, self._merged]:
                 shard.counters.clear()
@@ -338,7 +325,3 @@ def get_registry() -> MetricsRegistry:
     """The process-wide default registry."""
     return _default_registry
 
-
-def reset_registry() -> None:
-    """Clear the default registry in place (tests; references stay valid)."""
-    _default_registry.reset()

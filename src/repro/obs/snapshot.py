@@ -34,7 +34,7 @@ def write_snapshot(path: str, registry: MetricsRegistry | None = None) -> dict:
 
 def load_snapshot(path: str) -> dict:
     """Load a snapshot document; accepts bare snapshots too (a dict with
-    ``counters``/``gauges``/``histograms`` at top level)."""
+    ``counters``/``histograms`` at top level)."""
     with open(path, "r", encoding="utf-8") as fh:
         document = json.load(fh)
     if "snapshot" not in document and "counters" in document:
@@ -69,7 +69,6 @@ def format_snapshot(document: dict) -> str:
         lines.append("")
 
     counters = snapshot.get("counters") or {}
-    gauges = snapshot.get("gauges") or {}
     histograms = snapshot.get("histograms") or {}
 
     if counters:
@@ -77,12 +76,6 @@ def format_snapshot(document: dict) -> str:
         lines.append("counters")
         for name in sorted(counters):
             lines.append(f"  {name:<{width}}  {_fmt(counters[name])}")
-        lines.append("")
-    if gauges:
-        width = max(len(k) for k in gauges)
-        lines.append("gauges")
-        for name in sorted(gauges):
-            lines.append(f"  {name:<{width}}  {_fmt(gauges[name])}")
         lines.append("")
     if histograms:
         width = max(len(k) for k in histograms)
@@ -99,6 +92,6 @@ def format_snapshot(document: dict) -> str:
                 f"{_fmt(h.get('p95', 0.0)):>10} {_fmt(h.get('p99', 0.0)):>10} "
                 f"{_fmt(mx if mx is not None else 0.0):>10}")
         lines.append("")
-    if not (counters or gauges or histograms):
+    if not (counters or histograms):
         lines.append("(snapshot is empty)")
     return "\n".join(lines).rstrip() + "\n"

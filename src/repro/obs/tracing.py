@@ -108,13 +108,6 @@ def current_sink():
     return _sink
 
 
-def emit_event(event: dict) -> None:
-    """Emit one raw trace event (dropped when tracing is off)."""
-    sink = _sink
-    if sink is not None:
-        sink.emit(event)
-
-
 def emit_span(name: str, start_ns: int, end_ns: int, **args) -> None:
     """Emit one complete-span event from explicit timestamps.
 

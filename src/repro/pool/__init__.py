@@ -5,8 +5,7 @@ serving layer and the paper campaign:
 
 * :mod:`repro.pool.executor` — :class:`WorkerPool`, a persistent fleet
   of worker processes with a future-based ``submit``/``map``/
-  ``as_completed`` API, worker-crash detection with task requeue, and a
-  process-wide shared instance (:func:`get_default_pool`);
+  ``as_completed`` API and worker-crash detection with task requeue;
 * :mod:`repro.pool.stealing` — per-worker deques with affinity placement
   and steal-half-on-idle balancing;
 * :mod:`repro.pool.worker` — the long-lived worker process, holding a
@@ -29,7 +28,6 @@ from repro.pool.executor import (
     WorkerPool,
     as_completed,
     available_workers,
-    get_default_pool,
 )
 from repro.pool.stealing import StealingScheduler
 from repro.pool.worker import SceneCacheMirror, scene_key, stable_fingerprint
@@ -42,7 +40,6 @@ __all__ = [
     "WorkerPool",
     "as_completed",
     "available_workers",
-    "get_default_pool",
     "scene_key",
     "stable_fingerprint",
 ]

@@ -34,7 +34,6 @@ never the collector.
 
 from __future__ import annotations
 
-import atexit
 import multiprocessing as mp
 import os
 import pickle
@@ -261,7 +260,7 @@ class WorkerPool:
         self._shutdown = threading.Event()
         self._drained = threading.Condition(self._lock)
         # Teardown is serialized on its own lock so concurrent close()
-        # calls (TileScheduler.__exit__ racing the atexit hook) are
+        # calls (TileScheduler.__exit__ racing its finalizer) are
         # join-safe: the loser blocks until the winner has actually
         # reaped every worker, instead of returning with SIGKILL-pending
         # processes still live.
@@ -359,7 +358,7 @@ class WorkerPool:
         first; ``wait=False`` fails outstanding futures immediately.
 
         Idempotent and join-safe: concurrent callers (a scheduler's
-        ``__exit__`` racing the atexit default-pool hook) serialize on
+        ``__exit__`` racing its pool finalizer) serialize on
         one teardown — whichever call runs it, every caller returns only
         after workers are reaped. Workers that ignore SIGTERM — a
         SIGSTOPped (chaos-hung) process does, by definition — are
@@ -446,7 +445,7 @@ class WorkerPool:
         return self._submit_task(_w.TASK_CALL, (fn, args, kwargs),
                                  affinity=affinity)
 
-    def submit_tile(self, cloud, structure, config, objects, engine: str,
+    def submit_tile(self, cloud, structure, config, objects,
                     origins, directions, pixel_ids, keep_traces: bool,
                     key: tuple | None = None,
                     affinity: Hashable | None = None) -> Future:
@@ -458,8 +457,8 @@ class WorkerPool:
         it yet.
         """
         if key is None:
-            key = scene_key(cloud, structure, config, objects, engine)
-        scene = (key, (cloud, structure, config, objects, engine))
+            key = scene_key(cloud, structure, config, objects)
+        scene = (key, (cloud, structure, config, objects))
         return self._submit_task(
             _w.TASK_TILE, (origins, directions, pixel_ids, keep_traces),
             affinity=affinity, scene=scene)
@@ -937,27 +936,3 @@ class WorkerPool:
                 "scene_cache_hits": self._scene_hits,
             }
 
-
-# ---------------------------------------------------------------------------
-# The process-wide shared pool: serving and the eval campaign both default
-# to this one fleet, so a host runs one set of workers, not one per caller.
-
-_default_pool: WorkerPool | None = None
-_default_lock = threading.Lock()
-
-
-def get_default_pool(workers: int | None = None) -> WorkerPool:
-    """The lazily-created process-wide pool (auto-sized unless ``workers``
-    is given on first use; later calls return the existing pool)."""
-    global _default_pool
-    with _default_lock:
-        if _default_pool is None or _default_pool.closed:
-            _default_pool = WorkerPool(workers=workers)
-        return _default_pool
-
-
-@atexit.register
-def _close_default_pool() -> None:
-    with _default_lock:
-        if _default_pool is not None and not _default_pool.closed:
-            _default_pool.close(wait=False, timeout=2.0)

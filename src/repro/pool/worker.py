@@ -9,14 +9,13 @@ Two task kinds exist:
 
 * ``"tile"`` — trace a verbatim slice of a frame's ray bundle against a
   scene. Scenes are addressed by a **content key**; the first tile of a
-  scene ships the full ``(cloud, structure, config, objects, engine)``
-  payload and every later tile of that scene ships only the key, served
-  from the worker-resident cache (an LRU the parent mirrors exactly, so
-  the parent always knows what each worker holds). The structure the
+  scene ships the full ``(cloud, structure, config, objects)`` payload
+  and every later tile of that scene ships only the key, served from
+  the worker-resident cache (an LRU the parent mirrors exactly, so the
+  parent always knows what each worker holds). The structure the
   scheduler ships is the *flattened* SoA layout
-  (:class:`~repro.bvh.flatten.FlatStructure`) and the engine is always
-  concrete (``auto`` resolves in the parent): a worker builds the
-  tracing engine straight from the one layout. When the task asks for
+  (:class:`~repro.bvh.flatten.FlatStructure`): a worker builds the one
+  tracing engine straight from that layout. When the task asks for
   fetch traces, the engine's trace recorder records them and the
   per-ray ``RayTrace`` streams ship back inside the tile's
   ``BundleResult``.
@@ -87,14 +86,13 @@ def stable_fingerprint(obj) -> str:
     return digest
 
 
-def scene_key(cloud, structure, config, objects, engine: str) -> tuple:
+def scene_key(cloud, structure, config, objects) -> tuple:
     """Content-based identity of everything a tile tracer depends on."""
     return (
         stable_fingerprint(cloud),
         stable_fingerprint(structure),
         config,
         stable_fingerprint(objects) if objects is not None else None,
-        engine,
     )
 
 
@@ -148,8 +146,8 @@ def _resolve_tracer(scene_field, cache: SceneCacheMirror):
         return cache.get(scene_field[1])
     if tag != SCENE_SHIP:
         raise ValueError(f"unknown scene field tag {tag!r}")
-    _, key, (cloud, structure, config, objects, engine) = scene_field
-    tracer = GaussianRayTracer(cloud, structure, config, engine=engine)
+    _, key, (cloud, structure, config, objects) = scene_field
+    tracer = GaussianRayTracer(cloud, structure, config)
     entry = (tracer, objects)
     evicted = cache.touch(key, entry)
     if evicted is not None:

@@ -19,7 +19,7 @@ Two metrics beyond PSNR:
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -102,10 +102,3 @@ def popping_score(frames: Sequence[np.ndarray]) -> float:
         return 0.0
     return float(np.mean(np.abs(np.diff(deltas))))
 
-
-def render_camera_path(
-    render_fn: Callable[[object], np.ndarray],
-    cameras: Sequence[object],
-) -> list[np.ndarray]:
-    """Render every camera of a path with ``render_fn`` and collect frames."""
-    return [np.asarray(render_fn(camera)) for camera in cameras]

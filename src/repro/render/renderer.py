@@ -22,7 +22,7 @@ from repro.render.effects import SceneObjects
 from repro.render.image import ImageBuffer
 from repro.rt import RayTrace, SceneShading, TraceConfig
 from repro.rt.recorder import unique_fetch_counts
-from repro.rt.wavefront import WavefrontTracer, resolve_engine
+from repro.rt.wavefront import WavefrontTracer, check_engine
 
 #: Secondary rays whose carried weight is below this contribute nothing
 #: visible; skip them (matches shooting secondary rays only from surviving
@@ -155,8 +155,8 @@ class GaussianRayTracer:
     engine:
         ``"auto"`` (default) or ``"wavefront"``; both name the one
         batched engine, which covers every structure and config,
-        checkpointing included.  Any other name raises ``ValueError``.
-        ``engine_active`` reports the resolved engine.
+        checkpointing included.  Any other name raises ``ValueError``;
+        the tracer keeps neither.
     """
 
     def __init__(
@@ -166,20 +166,14 @@ class GaussianRayTracer:
         config: TraceConfig | None = None,
         engine: str = "auto",
     ) -> None:
+        check_engine(engine)
         self.cloud = cloud
         self.structure = structure
         self.config = config or TraceConfig()
-        self.engine = engine
-        self._engine_active = resolve_engine(engine, structure, self.config)
         self.shading = SceneShading(cloud)
         #: The batched tracer; every consumer (tile scheduler, tests,
         #: pool workers) holds it through this attribute.
         self.packet = WavefrontTracer(structure, self.shading, self.config)
-
-    @property
-    def engine_active(self) -> str:
-        """The engine tracing this renderer's bundles."""
-        return self._engine_active
 
     def render(
         self,

@@ -23,7 +23,6 @@ from repro.rt.kernels import PacketResult
 from repro.rt.wavefront import (
     WAVEFRONT_RAY_CHUNK,
     WavefrontTracer,
-    resolve_engine,
 )
 from repro.rt.predictor import PredictorReport, RayPredictor, analyze_predictor
 from repro.rt.shading import SceneShading
@@ -46,5 +45,4 @@ __all__ = [
     "WavefrontTracer",
     "WAVEFRONT_RAY_CHUNK",
     "analyze_predictor",
-    "resolve_engine",
 ]

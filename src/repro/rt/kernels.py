@@ -247,15 +247,15 @@ def shade_and_blend(
 ) -> PacketResult:
     """Canonical any-hit evaluation + front-to-back blend, batched.
 
-    Mirrors :meth:`SceneShading.evaluate_hit` and the scalar blend
-    loop expression-for-expression so the per-ray arithmetic (and
-    therefore the early-termination decision) matches the scalar
-    engine.  ``t_proxy`` holds proxy-geometry depths (the blend sort
-    key for triangle proxies); ``None`` or NaN entries sort by the
-    exact ellipsoid entry depth instead.  ``o2``/``d2`` are the
-    candidates' object-space rays when the caller already computed
-    them (the two-level instance path); otherwise they are derived
-    here from the shading tables.
+    Mirrors the scalar oracle's per-ray ``evaluate_hit`` and blend
+    loop (``tests/scalar_oracle.py``) expression-for-expression so
+    the per-ray arithmetic (and therefore the early-termination
+    decision) matches the oracle's.  ``t_proxy`` holds proxy-geometry
+    depths (the blend sort key for triangle proxies); ``None`` or NaN
+    entries sort by the exact ellipsoid entry depth instead.
+    ``o2``/``d2`` are the candidates' object-space rays when the caller
+    already computed them (the two-level instance path); otherwise they
+    are derived here from the shading tables.
 
     Candidate *order* does not matter: the full ``(ray, t, gid)``
     lexsort below fully determines the blend sequence, which is what

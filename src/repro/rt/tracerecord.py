@@ -651,8 +651,8 @@ class PacketTraceRecorder:
     def _eval_tables(self, n, o, d, ray_c, gid_c, o2, d2):
         """Per (ray, gaussian) canonical any-hit results for every
         candidate pair as the walk's ``e*`` table: ``valid``, ``t``
-        (entry depth) and ``alpha`` — the vectorized mirror of
-        ``SceneShading.evaluate_hit``, sharing the shade stage's
+        (entry depth) and ``alpha`` — the vectorized mirror of the
+        scalar oracle's ``evaluate_hit``, sharing the shade stage's
         expressions."""
         shading = self.shading
         if ray_c.size == 0:

@@ -1,5 +1,5 @@
 """The tracing engine: wavefront (breadth-first) ray tracing over the
-flattened layout, plus engine-name validation.
+flattened layout, plus the check of the engine names callers may pass.
 
 This module traces a whole bundle of rays (a tile or a frame)
 *together* over the one flattened layout every structure lowers to
@@ -42,8 +42,8 @@ accept test, so its leaf pairs are the frontier's).
 Checkpointing (GRTX-HW) changes traversal order and fetch traces, not
 which Gaussians blend, so plain checkpointing frames trace on the same
 path; recorded ones replay the checkpoint/resume rounds over the
-round templates.  It is the only engine: :func:`resolve_engine` maps
-``"wavefront"`` and ``"auto"`` to it for every config.
+round templates.  It is the only engine: ``"wavefront"`` and
+``"auto"`` both name it, and no key or payload carries either.
 
 Per-phase ``repro.obs`` histograms: ``rt.phase.bin`` (frontier
 compaction: nonzero/argsort/expand), ``rt.phase.traversal``,
@@ -82,7 +82,7 @@ from repro.rt.config import TraceConfig
 __all__ = [
     "WAVEFRONT_RAY_CHUNK",
     "WavefrontTracer",
-    "resolve_engine",
+    "check_engine",
 ]
 
 #: Engine names a caller may pass; both select this engine.
@@ -102,23 +102,15 @@ _INF = float("inf")
 
 
 # ---------------------------------------------------------------------------
-# Engine selection
+# Engine names
 
-def resolve_engine(engine: str, structure, config: TraceConfig) -> str:
-    """The concrete engine a (structure, config) pair will trace with:
-    always ``"wavefront"``.
-
-    ``"wavefront"`` and ``"auto"`` both name the one engine, which
-    covers every flattenable structure and every config.  Any other name
-    — the retired ``"scalar"`` included — is a fail-fast ``ValueError``
-    (a typo must not silently render with something else).  Cache keys
-    carry the resolved name, so callers resolve before keying.
-    """
+def check_engine(engine: str) -> None:
+    """Fail fast on any name but :data:`ENGINES`: a typo, or the retired
+    ``"scalar"``, must not silently render with something else."""
     if engine not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; valid engines are: "
             + ", ".join(ENGINES))
-    return "wavefront"
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ Quickstart::
 from repro.serve.cache import CacheStats, LRUCache
 from repro.serve.registry import SceneRegistry
 from repro.serve.request import (
-    ENGINES,
     RenderJob,
     RenderRequest,
     RenderResponse,
@@ -39,7 +38,6 @@ from repro.serve.tiles import Tile, TileScheduler, split_frame
 
 __all__ = [
     "CacheStats",
-    "ENGINES",
     "LRUCache",
     "RenderJob",
     "RenderRequest",

@@ -228,14 +228,6 @@ class SceneRegistry:
 
     # -- accounting -----------------------------------------------------
 
-    @property
-    def structure_cache_stats(self):
-        return self._structures.stats
-
-    @property
-    def scene_cache_stats(self):
-        return self._scenes.stats
-
     def counters(self) -> dict[str, int]:
         return {
             "structure_builds": self.builds,

@@ -6,7 +6,8 @@ the same ref always regenerates the same Gaussian cloud bit-for-bit.
 Caching, however, is keyed on *content*: :func:`cloud_fingerprint`
 hashes the actual Gaussian arrays, so two refs that happen to generate
 identical clouds share cache entries, and a scene edit can never serve a
-stale structure or frame.
+stale structure or frame. The ``engine`` field is checked on
+construction and read nowhere else: no key carries it.
 """
 
 from __future__ import annotations
@@ -20,15 +21,10 @@ import numpy as np
 
 from repro.gaussians import GaussianCloud, make_workload
 from repro.rt import TraceConfig
-from repro.rt.wavefront import ENGINES
+from repro.rt.wavefront import check_engine
 
 #: Tracing modes understood by the service (same set as the render CLI).
 MODES = ("baseline", "grtx-sw", "grtx-hw", "grtx")
-
-#: Tracing engines understood by the service: ``ENGINES`` is imported
-#: from :mod:`repro.rt.wavefront` (the single source of the valid set)
-#: and re-exported here for service callers.  Both names select the one
-#: batched engine.
 
 
 def cloud_fingerprint(cloud: GaussianCloud) -> str:
@@ -90,9 +86,7 @@ class RenderRequest:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; expected one of {ENGINES}")
+        check_engine(self.engine)
         if self.width < 1 or self.height < 1:
             raise ValueError("frame dimensions must be positive")
         if isinstance(self.scene, SceneRef):
@@ -114,17 +108,6 @@ class RenderRequest:
     def checkpointing(self) -> bool:
         return self.mode in ("grtx-hw", "grtx")
 
-    @property
-    def engine_active(self) -> str:
-        """The engine that will actually trace this request.
-
-        :func:`repro.rt.wavefront.resolve_engine`'s rule from the
-        request field alone, so cache keys always carry the engine a
-        render would really use — in particular ``engine="auto"``
-        resolves *before* any frame or tracer key is formed.
-        """
-        return "wavefront"
-
     def trace_config(self) -> TraceConfig:
         return TraceConfig(k=self.k, checkpointing=self.checkpointing)
 
@@ -132,12 +115,11 @@ class RenderRequest:
         """Frame-cache key: scene *content* + camera + trace config.
 
         Everything that can change a pixel is in here; nothing else is,
-        so equivalent requests coalesce onto one cache entry. The
-        *effective* engine is included, not the requested name, so
-        ``"auto"`` and ``"wavefront"`` requests share one entry.
+        so equivalent requests coalesce onto one cache entry — an
+        ``"auto"`` and a ``"wavefront"`` request included.
         """
         return (scene_hash, self.proxy, self.mode, self.k,
-                self.width, self.height, self.camera, self.engine_active)
+                self.width, self.height, self.camera)
 
 
 @dataclass

@@ -18,7 +18,8 @@ of growing without bound) and returns a
 :class:`~repro.serve.request.RenderJob`; ``render_batch()`` dedupes a
 whole batch, then renders its distinct frames concurrently through the
 same dispatchers. The actual tracing fans out tile-by-tile on the
-scheduler's persistent :class:`~repro.pool.WorkerPool`.
+scheduler's persistent :class:`~repro.pool.WorkerPool`; serially,
+each rendered frame builds its own tracer (well under a millisecond).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.obs import flight
 from repro.pool import WorkerCrashError
 from repro.render.renderer import RenderResult
 from repro.serve.cache import LRUCache
-from repro.serve.registry import SceneRegistry, params_key
+from repro.serve.registry import SceneRegistry
 from repro.serve.request import RenderJob, RenderRequest, RenderResponse
 from repro.serve.tiles import TileScheduler
 
@@ -225,10 +226,6 @@ class RenderServer:
                                         cooldown_s=circuit_cooldown_s)
         self.build_params = build_params or BuildParams()
         self._frames = LRUCache(frame_cache_size, name="serve.frames")
-        # Constructed tracers (shading setup is O(scene)) reused across
-        # frames of the same (scene hash, proxy, params, engine, config)
-        # in serial mode.
-        self._tracers = LRUCache(16, name="serve.tracers")
         self._inflight: dict[tuple, _InFlight] = {}
         self._inflight_lock = threading.Lock()
         self.metrics = ServerMetrics()
@@ -301,7 +298,7 @@ class RenderServer:
                                  frame_cache_hit=True)
 
         try:
-            result = self._render_now(request, cloud, scene_hash)
+            result = self._render_now(request, cloud)
             self._frames.put(key, result)
             entry.response = result
         except BaseException as exc:
@@ -476,81 +473,43 @@ class RenderServer:
             entry = self._inflight[key] = _InFlight()
             return entry, True
 
-    def _render_now(self, request: RenderRequest, cloud, scene_hash: str) -> RenderResult:
-        from repro.rt.wavefront import resolve_engine
-
+    def _render_now(self, request: RenderRequest, cloud) -> RenderResult:
         structure = self.registry.structure(
             request.scene_ref, request.proxy, self.build_params)
         camera = self._camera_for(request, cloud)
         config = request.trace_config()
-        # Resolve the engine exactly once per rendered request, then
-        # hand the concrete engine to the renderer and scheduler so
-        # nothing downstream re-resolves.
-        engine = resolve_engine(request.engine, structure, config)
-        renderer = None
-        tracer_key = None
-        if self.scheduler.workers <= 1:
-            # Check the tracer *out* of the cache (pop, not get): the
-            # engine keeps per-trace scratch state, so two threads must never
-            # trace through one instance concurrently. A concurrent
-            # request simply builds its own.
-            #
-            # The key is content-based: scene hash + proxy + build
-            # params + engine + the *full* TraceConfig. Keying by
-            # id(cloud)/id(structure) let a recycled id of a dead scene
-            # collide with a new one and serve a tracer built over the
-            # wrong geometry, and omitting TraceConfig fields let a
-            # cached renderer serve requests with a mismatched config
-            # (the serial TileScheduler path traces with the passed
-            # renderer's own config).
-            tracer_key = (scene_hash, request.proxy,
-                          params_key(self.build_params),
-                          request.engine_active, config)
-            renderer = self._tracers.pop(tracer_key)
-            if renderer is None:
-                from repro.render.renderer import GaussianRayTracer
-
-                renderer = GaussianRayTracer(cloud, structure, config,
-                                             engine=engine)
         pooled = self.scheduler.workers > 1
         force_serial = pooled and not self._breaker.allow_pool()
         t0 = time.perf_counter()
-        try:
-            with span("serve.render", scene=request.scene_ref.name,
-                      engine=engine, width=request.width,
-                      height=request.height):
-                try:
-                    result = self.scheduler.render(
-                        cloud, structure, config, camera, renderer=renderer,
-                        engine=engine, force_serial=force_serial)
-                    if pooled and not force_serial:
-                        self._breaker.record_success()
-                except WorkerCrashError as exc:
-                    if not pooled or force_serial:
-                        raise
-                    # The pool ate this frame (quarantined poison task,
-                    # retries exhausted). The request is still
-                    # servable: the serial path produces bit-identical
-                    # pixels, so degrade — counted, gauged, and bundled,
-                    # never silent.
-                    opened = self._breaker.record_failure()
-                    self.metrics.count("pool_fallbacks")
-                    flight.record(obs_events.FALLBACK, "serve.pool_fallback",
-                                  scene=request.scene_ref.name,
-                                  error=repr(exc),
-                                  circuit_open=self._breaker.is_open())
-                    if opened:
-                        flight.dump_incident(
-                            "pool-circuit-open", error=repr(exc),
-                            scene=request.scene_ref.name,
-                            threshold=self._breaker.threshold,
-                            cooldown_s=self._breaker.cooldown_s)
-                    result = self.scheduler.render(
-                        cloud, structure, config, camera, renderer=renderer,
-                        engine=engine, force_serial=True)
-        finally:
-            if renderer is not None:
-                self._tracers.put(tracer_key, renderer)
+        with span("serve.render", scene=request.scene_ref.name,
+                  width=request.width, height=request.height):
+            try:
+                result = self.scheduler.render(
+                    cloud, structure, config, camera,
+                    force_serial=force_serial)
+                if pooled and not force_serial:
+                    self._breaker.record_success()
+            except WorkerCrashError as exc:
+                if not pooled or force_serial:
+                    raise
+                # The pool ate this frame (quarantined poison task,
+                # retries exhausted). The request is still servable:
+                # the serial path produces bit-identical pixels, so
+                # degrade — counted, gauged, and bundled, never silent.
+                opened = self._breaker.record_failure()
+                self.metrics.count("pool_fallbacks")
+                flight.record(obs_events.FALLBACK, "serve.pool_fallback",
+                              scene=request.scene_ref.name,
+                              error=repr(exc),
+                              circuit_open=self._breaker.is_open())
+                if opened:
+                    flight.dump_incident(
+                        "pool-circuit-open", error=repr(exc),
+                        scene=request.scene_ref.name,
+                        threshold=self._breaker.threshold,
+                        cooldown_s=self._breaker.cooldown_s)
+                result = self.scheduler.render(
+                    cloud, structure, config, camera, force_serial=True)
         self.metrics.count("rendered")
         self.metrics.observe("render_seconds", time.perf_counter() - t0)
         return result
@@ -602,10 +561,6 @@ class RenderServer:
                 pool.utilization() if pool is not None else 0.0, 4),
             "circuit_open": int(self._breaker.is_open()),
         }
-
-    @property
-    def frame_cache_stats(self):
-        return self._frames.stats
 
     def stats_report(self) -> dict[str, object]:
         """One dict with every serving counter (metrics + caches + pool)."""

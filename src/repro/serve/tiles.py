@@ -13,7 +13,8 @@ bundle once and hands each worker verbatim slices of it, so a tiled
 render — serial or parallel, any tile partition — is bit-identical to
 the untiled render. (Re-deriving rays per tile could differ in the last
 ulp; slicing cannot.) Tiles are a uniform grid; the pool's work
-stealing balances uneven tile costs across workers.
+stealing balances uneven tile costs across workers. No scene key or
+tile payload names an engine: there is one.
 """
 
 from __future__ import annotations
@@ -204,8 +205,6 @@ class TileScheduler:
         camera,
         objects: SceneObjects | None = None,
         keep_traces: bool = False,
-        renderer: GaussianRayTracer | None = None,
-        engine: str = "auto",
         force_serial: bool = False,
     ) -> RenderResult:
         """Render one frame tile-by-tile; returns a normal RenderResult.
@@ -220,23 +219,15 @@ class TileScheduler:
         full-frame bundle. Traces default to off (they are the expensive
         part to ship between processes); enable ``keep_traces`` when the
         caller needs a timing replay — the engine records them through
-        its trace recorder, and pooled tile workers ship the per-ray traces back with their tile results, so
-        a pooled trace-producing render still fans out across cores.
-        ``renderer`` lets a caller reuse an already-constructed tracer
-        for this (cloud, structure, config, engine) — per-frame shading
-        setup is O(scene) — and only applies to the serial path (pool
-        workers resolve their own from their scene caches). ``engine``
-        (``"auto"`` or ``"wavefront"``, the same engine) is resolved
-        *here*, before any cache key is formed, so both names share
-        worker scene caches (workers only ever see resolved engines).
-        A tile traced alone is bit-identical to the same rays traced
-        inside the whole frame.  Pooled tiles ship the *flattened*
-        structure (:func:`repro.bvh.flatten.flatten`): workers build the
-        engine straight from the one SoA layout.
+        its trace recorder, and pooled tile workers ship the per-ray
+        traces back with their tile results, so a pooled trace-producing
+        render still fans out across cores. The serial path builds one
+        tracer for the frame; pool workers take theirs from their scene
+        caches. A tile traced alone is bit-identical to the same rays
+        traced inside the whole frame.  Pooled tiles ship the
+        *flattened* structure (:func:`repro.bvh.flatten.flatten`):
+        workers build the engine straight from the one SoA layout.
         """
-        from repro.rt.wavefront import resolve_engine
-
-        engine = resolve_engine(engine, structure, config)
         bundle = camera.generate_rays()
 
         registry = get_registry()
@@ -246,9 +237,7 @@ class TileScheduler:
             # Single-tile frames (frame <= tile size) render in-process:
             # there is nothing to parallelize, and booting/shipping to a
             # pool would only add latency.
-            if renderer is None:
-                renderer = GaussianRayTracer(cloud, structure, config,
-                                             engine=engine)
+            renderer = GaussianRayTracer(cloud, structure, config)
             with span("tiles.render", tiles=len(tiles), mode="serial"):
                 parts, costs = [], []
                 for tile in tiles:
@@ -265,7 +254,7 @@ class TileScheduler:
                     self.last_tile_costs = list(zip(tiles, costs))
                 return self._assemble(parts, camera, config, structure)
 
-        key = scene_key(cloud, structure, config, objects, engine)
+        key = scene_key(cloud, structure, config, objects)
         pool = self._ensure_pool()
         with span("tiles.render", tiles=len(tiles), mode="pooled"):
             # Workers receive the flattened SoA layout, not the original
@@ -278,7 +267,7 @@ class TileScheduler:
                 for tile in tiles:
                     ids = tile.pixel_ids(camera.width)
                     futures.append(pool.submit_tile(
-                        cloud, flat, config, objects, engine,
+                        cloud, flat, config, objects,
                         bundle.origins[ids], bundle.directions[ids],
                         bundle.pixel_ids[ids], keep_traces, key=key))
             parts, costs = [], []

@@ -23,6 +23,7 @@ the vectorized slab and triangle tests.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,78 @@ from repro.rt.recorder import (
     RayTrace,
     unique_fetch_counts,
 )
-from repro.rt.shading import SceneShading
+from repro.rt.shading import ALPHA_MAX, ALPHA_MIN, SceneShading
 from repro.util import IdentityMemo
+
+
+# ---------------------------------------------------------------------------
+# Per-ray canonical shading
+
+def to_object(shading: SceneShading, gaussian_id: int, origin: np.ndarray,
+              direction: np.ndarray):
+    """One ray in one Gaussian's object space, as ``(o, d)`` float
+    triples.
+
+    The row-expanded 3x3 matvec of
+    :func:`repro.rt.kernels.to_object_space`, term for term and in the
+    same order, so this oracle and the batched engine transform rays
+    bit-identically (a BLAS ``linear @ vec`` is free to fuse or reorder
+    the products, and does on some hosts).
+    """
+    (a, b, c), (e, f, g), (h, i, j) = shading.w2o_linear[gaussian_id].tolist()
+    o0, o1, o2 = shading.w2o_offset[gaussian_id].tolist()
+    ox, oy, oz = origin.tolist()
+    dx, dy, dz = direction.tolist()
+    return ((a * ox + b * oy + c * oz + o0,
+             e * ox + f * oy + g * oz + o1,
+             h * ox + i * oy + j * oz + o2),
+            (a * dx + b * dy + c * dz,
+             e * dx + f * dy + g * dz,
+             h * dx + i * dy + j * dz))
+
+
+def evaluate_hit(
+    shading: SceneShading,
+    gaussian_id: int,
+    origin: np.ndarray,
+    direction: np.ndarray,
+) -> tuple[float, float] | None:
+    """Canonical any-hit evaluation for one candidate Gaussian.
+
+    Returns ``(t_entry, alpha)`` when the ray enters the Gaussian's
+    kappa-sigma ellipsoid in front of the origin with
+    ``alpha >= ALPHA_MIN``; ``None`` otherwise (false positives from
+    proxy geometry land here).
+
+    ``t_entry`` — where the ray crosses into the bounding ellipsoid —
+    is the exact-primitive analogue of 3DGRT's sort key (the
+    bounding-proxy entry hit reported by backface-culled traversal);
+    ``alpha`` is evaluated at the point of maximum response
+    (``t_alpha`` in the paper), matching Section II-B.
+    """
+    o, d = to_object(shading, gaussian_id, origin, direction)
+    dd = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+    if dd < 1e-30:
+        return None
+    od = o[0] * d[0] + o[1] * d[1] + o[2] * d[2]
+    oo = o[0] * o[0] + o[1] * o[1] + o[2] * o[2]
+    t_peak = -od / dd
+    min_sq = oo - od * od / dd
+    if min_sq > 1.0:
+        # Closest approach misses the bounding ellipsoid: the ray does
+        # not cross the kappa-sigma surface. Proxy hit was a false
+        # positive.
+        return None
+    t_entry = t_peak - math.sqrt(max((1.0 - min_sq) / dd, 0.0))
+    if t_entry <= 0.0:
+        # Entry behind the origin (or origin inside the ellipsoid):
+        # backface-culled proxy traversal reports no hit either.
+        return None
+    alpha = shading.opacities[gaussian_id] * math.exp(
+        -0.5 * shading.kappa_sq * min_sq)
+    if alpha < ALPHA_MIN:
+        return None
+    return t_entry, min(alpha, ALPHA_MAX)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +726,7 @@ class Tracer:
                     prim_kind=PRIM_TRANSFORM,
                 )
                 ray_trace.note_fetch(inst_addr, FETCH_LEAF)
-                o2, d2 = self.shading.to_object(gid, self._o, self._d)
+                o2, d2 = to_object(self.shading, gid, self._o, self._d)
                 o2, d2 = np.array(o2), np.array(d2)
                 start_kind = KIND_INTERNAL if kind == CKPT_BLAS_NODE else KIND_LEAF
                 hit_t = self._traverse_blas(o2, d2, gid, inst_addr, state, ray_trace,
@@ -892,7 +963,7 @@ class Tracer:
         shading = self.shading
         blas = self._blas
         rt = state.round_trace
-        o2, d2 = shading.to_object(gid, self._o, self._d)
+        o2, d2 = to_object(shading, gid, self._o, self._d)
 
         if blas.kind == "sphere":
             # One root-box test + one sphere test, both against the shared
@@ -1070,7 +1141,7 @@ class Tracer:
         caller checkpoints the enclosing node so the hit is recoverable
         next round).
         """
-        result = self.shading.evaluate_hit(gid, self._o, self._d)
+        result = evaluate_hit(self.shading, gid, self._o, self._d)
         if result is None:
             state.round_trace.false_positives += 1
             return _HIT_REJECTED, 0.0

@@ -268,8 +268,8 @@ def test_auto_records_every_family(family, checkpointing):
     structure = FAMILIES[family](cloud)
     config = TraceConfig(k=3, checkpointing=checkpointing)
     camera = default_camera_for(cloud, 5, 5)
-    auto = GaussianRayTracer(cloud, structure, config,
-                             engine="auto").render(camera, keep_traces=True)
+    auto = GaussianRayTracer(cloud, structure, config).render(
+        camera, keep_traces=True)
     scalar = render_scalar(cloud, structure, camera, config,
                            keep_traces=True)
     _assert_traces_equal(scalar.traces, auto.traces)

@@ -13,9 +13,10 @@ modes.  The standing contract checked here:
   exactly;
 * the wavefront engine is additionally *bit-identical* to itself however
   the rays are batched (whole frame, tile-sized packets, ray chunks);
-* ``resolve_engine`` rejects unknown engines (the retired ``"packet"``
-  alias and ``"scalar"`` engine included) loudly and resolves "auto"
-  without regard to batch size.
+* the ``engine`` keyword of ``GaussianRayTracer`` and the field of
+  ``RenderRequest`` reject unknown engines (the retired ``"packet"``
+  alias and ``"scalar"`` engine included) loudly, and "auto" traces on
+  the one batched engine without regard to batch size.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from repro.bvh import build_monolithic, build_two_level
 from repro.render import GaussianRayTracer, default_camera_for
 from repro.rt import SceneShading, TraceConfig, WavefrontTracer
 from repro.rt import wavefront
-from repro.rt.wavefront import resolve_engine
 
 from tests.conftest import tiny_cloud
 from tests.scalar_oracle import Tracer, render_scalar, trace_rays_scalar
@@ -87,15 +87,12 @@ class TestEngineMatrix:
         config = TraceConfig(k=4, mode=mode)
         camera = default_camera_for(cloud, 10, 10)
         structure = structures[structure_name]
-        renderer = GaussianRayTracer(cloud, structure, config,
-                                     engine="wavefront")
-        assert renderer.engine_active == "wavefront"
         if batching == "packet":
             result = TileScheduler(tile_size=(4, 4)).render(
-                cloud, structure, config, camera, renderer=renderer,
-                engine="wavefront")
+                cloud, structure, config, camera)
         else:
-            result = renderer.render(camera, keep_traces=False)
+            result = GaussianRayTracer(cloud, structure, config).render(
+                camera, keep_traces=False)
         golden = goldens[structure_name, mode]
         assert np.abs(golden.image - result.image).max() <= TOL
         for name in PARITY_COUNTERS:
@@ -143,47 +140,55 @@ class TestEngineMatrix:
 
 
 class TestResolveEngineHardening:
-    def test_unknown_engine_is_rejected_loudly(self, structures):
+    """The engine name is checked where a caller passes it — the
+    ``GaussianRayTracer`` keyword and the ``RenderRequest`` field — and
+    nowhere after: both valid names build the one batched tracer."""
+
+    def test_unknown_engine_is_rejected_loudly(self, cloud, structures):
         config = TraceConfig(k=4)
         with pytest.raises(ValueError, match="unknown engine 'wavefont'"):
-            resolve_engine("wavefont", structures["tlas+sphere"], config)
+            GaussianRayTracer(cloud, structures["tlas+sphere"], config,
+                              engine="wavefont")
 
     def test_rejection_names_the_valid_engines(self, cloud, structures):
-        from repro.serve import RenderRequest, TileScheduler
+        from repro.serve import RenderRequest
 
         config = TraceConfig(k=4)
         structure = structures["tlas+sphere"]
-        camera = default_camera_for(cloud, 2, 2)
-        with pytest.raises(ValueError, match="valid engines are: wavefront, auto"):
-            resolve_engine("gpu", structure, config)
+        valid = "valid engines are: wavefront, auto"
+        with pytest.raises(ValueError, match=valid):
+            GaussianRayTracer(cloud, structure, config, engine="gpu")
+        with pytest.raises(ValueError, match=valid):
+            RenderRequest(scene="train", engine="gpu")
         # The retired "packet" alias and the retired "scalar" engine are
-        # unknown engines everywhere.
+        # unknown engines at both entry points.
         for retired in ("packet", "scalar"):
             match = f"unknown engine '{retired}'"
-            with pytest.raises(ValueError, match=match):
-                resolve_engine(retired, structure, config)
             with pytest.raises(ValueError, match=match):
                 GaussianRayTracer(cloud, structure, config, engine=retired)
             with pytest.raises(ValueError, match=match):
                 RenderRequest(scene="train", engine=retired)
-            with pytest.raises(ValueError, match=match):
-                TileScheduler(tile_size=(4, 4)).render(
-                    cloud, structure, config, camera, engine=retired)
 
-    def test_auto_and_wavefront_resolve_to_wavefront(self, structures):
+    def test_auto_and_wavefront_resolve_to_wavefront(self, cloud,
+                                                     structures):
         """No frame-size threshold: "auto" and an explicit "wavefront"
-        both resolve to the one batched engine."""
+        both construct the one batched tracer."""
         config = TraceConfig(k=4)
         structure = structures["tlas+sphere"]
         for engine in ("auto", "wavefront"):
-            assert resolve_engine(engine, structure, config) == "wavefront"
+            renderer = GaussianRayTracer(cloud, structure, config,
+                                         engine=engine)
+            assert isinstance(renderer.packet, WavefrontTracer)
 
-    def test_auto_resolves_checkpointing_to_wavefront(self, structures):
-        """Checkpointing (GRTX-HW) no longer demotes anything: "auto"
-        resolves to the batched engine on every structure family."""
+    def test_auto_resolves_checkpointing_to_wavefront(self, cloud,
+                                                      structures):
+        """Checkpointing (GRTX-HW) demotes nothing: "auto" constructs
+        the batched tracer on every structure family."""
         config = TraceConfig(k=4, checkpointing=True)
         for structure in structures.values():
-            assert resolve_engine("auto", structure, config) == "wavefront"
+            renderer = GaussianRayTracer(cloud, structure, config,
+                                         engine="auto")
+            assert isinstance(renderer.packet, WavefrontTracer)
 
     def test_explicit_wavefront_respects_small_batches(self, cloud,
                                                        structures):
@@ -192,7 +197,7 @@ class TestResolveEngineHardening:
         config = TraceConfig(k=4)
         renderer = GaussianRayTracer(cloud, structures["tlas+sphere"],
                                      config, engine="wavefront")
-        assert renderer.engine_active == "wavefront"
+        assert isinstance(renderer.packet, WavefrontTracer)
         bundle = default_camera_for(cloud, 2, 2).generate_rays()
         got = renderer.trace_rays(bundle.origins, bundle.directions,
                                   bundle.pixel_ids, keep_traces=False)
@@ -205,19 +210,23 @@ class TestResolveEngineHardening:
 
 class TestWavefrontDeployment:
     def test_tiled_auto_equals_tiled_wavefront(self, cloud, structures):
-        """"auto" and an explicit "wavefront" tile the frame the same
-        way and assemble the identical image and stats."""
+        """"auto" and an explicit "wavefront" tracer render the identical
+        image and stats, and the tiled frame (which names no engine)
+        assembles to them."""
         from repro.serve import TileScheduler
 
         camera = default_camera_for(cloud, 12, 12)
-        scheduler = TileScheduler(tile_size=(8, 8))
         config = TraceConfig(k=4)
-        auto = scheduler.render(cloud, structures["tlas+sphere"], config,
-                                camera, engine="auto")
-        wavefront = scheduler.render(cloud, structures["tlas+sphere"], config,
-                                     camera, engine="wavefront")
-        assert np.array_equal(auto.image, wavefront.image)
-        assert auto.stats == wavefront.stats
+        structure = structures["tlas+sphere"]
+        auto, wavefront = (
+            GaussianRayTracer(cloud, structure, config, engine=engine).render(
+                camera, keep_traces=False)
+            for engine in ("auto", "wavefront"))
+        tiled = TileScheduler(tile_size=(8, 8)).render(
+            cloud, structure, config, camera)
+        for other in (wavefront, tiled):
+            assert np.array_equal(auto.image, other.image)
+            assert auto.stats == other.stats
 
     def test_pooled_auto_frame_fans_wavefront_tiles(self, cloud, structures):
         """A frame-sized "auto" render fans its wavefront tiles across the
@@ -235,11 +244,10 @@ class TestWavefrontDeployment:
                                     engine="auto").render(camera,
                                                           keep_traces=True)
         serial = TileScheduler(tile_size=(16, 16), workers=1).render(
-            cloud, structure, config, camera, keep_traces=True,
-            engine="auto")
+            cloud, structure, config, camera, keep_traces=True)
         with TileScheduler(tile_size=(16, 16), workers=2) as scheduler:
             pooled = scheduler.render(cloud, structure, config, camera,
-                                      keep_traces=True, engine="auto")
+                                      keep_traces=True)
             assert scheduler.pool_stats()["tasks_completed"] == 16
         for other in (serial, pooled):
             assert np.array_equal(untiled.image, other.image)

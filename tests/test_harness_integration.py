@@ -1,9 +1,12 @@
 """Integration tests for the evaluation harness plumbing and CLI registry."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.eval.experiments import ALL_EXPERIMENTS, CAMPAIGN_PLANS
 from repro.eval.harness import build_structure_for
 from repro.gaussians import make_workload
 
@@ -48,15 +51,76 @@ class TestCliExperimentRegistry:
         out = capsys.readouterr().out
         assert "table3" in out
 
-    def test_registry_covers_all_experiments(self):
-        from repro.cli import _experiment_registry
-        from repro.eval.experiments import ALL_EXPERIMENTS
+    def test_registry_covers_all_experiments(self, capsys):
+        """``experiment list`` prints exactly ALL_EXPERIMENTS' ids, the
+        ids CAMPAIGN_PLANS is keyed by (not function names)."""
+        assert main(["experiment", "list"]) == 0
+        assert capsys.readouterr().out.split() == sorted(ALL_EXPERIMENTS)
+        assert set(CAMPAIGN_PLANS) <= set(ALL_EXPERIMENTS)
 
-        registry = _experiment_registry()
-        # Every id in ALL_EXPERIMENTS maps to a callable the CLI can find
-        # (the CLI uses attribute discovery; names use underscores).
-        for exp_id, fn in ALL_EXPERIMENTS.items():
-            assert fn.__name__ in registry
+    def test_pooled_experiment_renders_nothing_in_the_parent(
+            self, tiny_campaign, monkeypatch, capsys):
+        """``--workers 2`` renders a planned experiment's configs on the
+        pool; the parent only assembles the table from warm hits."""
+        harness = tiny_campaign
+        parent = os.getpid()
+        in_parent = []
+        uncached = harness._run_config_uncached
+
+        def tracked(cfg):
+            # Forked workers inherit this wrapper; only the parent counts.
+            if os.getpid() == parent:
+                in_parent.append(cfg)
+            return uncached(cfg)
+
+        monkeypatch.setattr(harness, "_run_config_uncached", tracked)
+        assert main(["experiment", "ablation-prefetch", "--workers", "2"]) == 0
+        assert "ablation-prefetch: Sibling prefetcher" in capsys.readouterr().out
+        assert in_parent == []
+
+    def test_serial_experiment_starts_no_pool(self, tiny_campaign,
+                                              monkeypatch, capsys):
+        """The default ``--workers 1`` renders in-process: no pool."""
+        import repro.pool
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a serial campaign started a pool")
+
+        monkeypatch.setattr(repro.pool, "WorkerPool", no_pool)
+        assert main(["experiment", "ablation-prefetch"]) == 0
+        assert "ablation-prefetch: Sibling prefetcher" in capsys.readouterr().out
+
+
+@pytest.fixture
+def tiny_campaign(monkeypatch):
+    """The eval harness at its smallest scale and resolution, with the
+    campaign's scene list cut to one scene; caches cleared around it."""
+    import repro.eval.harness as harness
+    from repro.eval import experiments
+
+    monkeypatch.setattr(harness, "BENCH_SCALE", 1e-6)
+    for module in (harness, experiments):
+        monkeypatch.setattr(module, "BENCH_RESOLUTION", (2, 2))
+    monkeypatch.setattr(experiments, "SCENES", ["room"])
+    harness.clear_caches()
+    yield harness
+    harness.clear_caches()
+
+
+class TestCampaignPlans:
+    @pytest.mark.parametrize("exp_id", sorted(CAMPAIGN_PLANS))
+    def test_plan_covers_every_config_its_experiment_renders(
+            self, tiny_campaign, exp_id):
+        """Rendering an experiment's plan first leaves the experiment
+        nothing to render: a config missing from CAMPAIGN_PLANS would
+        otherwise only make the pooled campaign slower, silently."""
+        from repro.obs import get_registry
+
+        for cfg in CAMPAIGN_PLANS[exp_id]():
+            tiny_campaign.run_config(**cfg)
+        before = get_registry().counter_value("campaign.runs")
+        ALL_EXPERIMENTS[exp_id]()
+        assert get_registry().counter_value("campaign.runs") == before
 
 
 class TestExoticCameraIntegration:

@@ -35,7 +35,7 @@ KERNELS = tuple(
 def renderer():
     cloud = tiny_cloud(n=64, seed=5)
     tracer = GaussianRayTracer(cloud, build_monolithic(cloud, "20-tri"),
-                               TraceConfig(k=4), engine="wavefront")
+                               TraceConfig(k=4))
     return tracer, default_camera_for(cloud, 6, 6)
 
 

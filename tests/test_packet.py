@@ -7,7 +7,8 @@ functional counters — ``n_rays``, ``blended_total``,
 ``rays_terminated_early`` — agree exactly.  Alongside live the
 regression tests for the equal-t hit drop in multiround tracing (tied
 depths must survive k-buffer overflow), the flattened-layout round-trip
-guarantees, engine="auto" resolution, and checkpointing routing.
+guarantees, the ``engine`` keyword's two accepted names, and
+checkpointing routing.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro.bvh import build_monolithic, build_two_level, flatten
 from repro.gaussians import GaussianCloud
 from repro.render import GaussianRayTracer, SceneObjects, default_camera_for
 from repro.rt import RayTrace, SceneShading, TraceConfig
-from repro.rt.wavefront import WavefrontTracer, resolve_engine
+from repro.rt.wavefront import WavefrontTracer
 from repro.serve import TileScheduler
 
 from tests.conftest import tiny_cloud
@@ -68,10 +69,8 @@ def render_pair(cloud, structure, config, res=10, objects=None):
     camera = default_camera_for(cloud, res, res)
     scalar = render_scalar(cloud, structure, camera, config,
                            objects=objects, keep_traces=False)
-    packet_renderer = GaussianRayTracer(cloud, structure, config,
-                                        engine="wavefront")
-    assert packet_renderer.engine_active == "wavefront"
-    packet = packet_renderer.render(camera, objects=objects, keep_traces=False)
+    packet = GaussianRayTracer(cloud, structure, config).render(
+        camera, objects=objects, keep_traces=False)
     return scalar, packet
 
 
@@ -155,11 +154,10 @@ class TestPacketParity:
         bit-identical to the untiled wavefront render."""
         config = TraceConfig(k=4)
         camera = default_camera_for(cloud, 12, 12)
-        whole = GaussianRayTracer(
-            cloud, structures[proxy], config, engine="wavefront").render(
-                camera, keep_traces=False)
+        whole = GaussianRayTracer(cloud, structures[proxy], config).render(
+            camera, keep_traces=False)
         tiled = TileScheduler(tile_size=(5, 5), workers=1).render(
-            cloud, structures[proxy], config, camera, engine="wavefront")
+            cloud, structures[proxy], config, camera)
         np.testing.assert_array_equal(whole.image, tiled.image)
 
 
@@ -176,7 +174,7 @@ class TestEngineSelection:
         never the slow path."""
         renderer = GaussianRayTracer(cloud, structures[proxy],
                                      TraceConfig(k=4), engine="wavefront")
-        assert renderer.engine_active == "wavefront"
+        assert isinstance(renderer.packet, WavefrontTracer)
 
     def test_checkpointing_runs_on_wavefront(self, cloud, structures):
         """GRTX-HW checkpointing changes traversal order, not which
@@ -187,7 +185,7 @@ class TestEngineSelection:
         for proxy in ALL_PROXIES:
             renderer = GaussianRayTracer(cloud, structures[proxy], config,
                                          engine="wavefront")
-            assert renderer.engine_active == "wavefront"
+            assert isinstance(renderer.packet, WavefrontTracer)
             got = renderer.render(camera, keep_traces=False)
             want = render_scalar(cloud, structures[proxy], camera, config,
                                  keep_traces=False)
@@ -201,9 +199,8 @@ class TestEngineSelection:
         the scalar tracer's (same gids in the same blend order; alpha/t
         to float noise)."""
         config = TraceConfig(k=4, record_blended=True)
-        renderer = GaussianRayTracer(cloud, structures["20-tri"], config,
-                                     engine="wavefront")
-        assert renderer.engine_active == "wavefront"
+        renderer = GaussianRayTracer(cloud, structures["20-tri"], config)
+        assert isinstance(renderer.packet, WavefrontTracer)
 
         camera = default_camera_for(cloud, 6, 6)
         bundle = camera.generate_rays()
@@ -234,8 +231,7 @@ class TestEngineSelection:
         equivalence is covered by tests/test_tracerecord.py)."""
         config = TraceConfig(k=4)
         camera = default_camera_for(cloud, 4, 4)
-        packet = GaussianRayTracer(cloud, structures["20-tri"], config,
-                                   engine="wavefront")
+        packet = GaussianRayTracer(cloud, structures["20-tri"], config)
         s = render_scalar(cloud, structures["20-tri"], camera, config,
                           keep_traces=True)
         p = packet.render(camera, keep_traces=True)
@@ -252,7 +248,7 @@ class TestAutoEngine:
         for proxy in ALL_PROXIES:
             renderer = GaussianRayTracer(cloud, structures[proxy],
                                          TraceConfig(k=4), engine="auto")
-            assert renderer.engine_active == "wavefront", proxy
+            assert isinstance(renderer.packet, WavefrontTracer), proxy
 
     def test_auto_picks_wavefront_for_checkpointing(self, cloud,
                                                     structures):
@@ -260,21 +256,26 @@ class TestAutoEngine:
         for proxy in ALL_PROXIES:
             renderer = GaussianRayTracer(cloud, structures[proxy],
                                          config, engine="auto")
-            assert renderer.engine_active == "wavefront", proxy
+            assert isinstance(renderer.packet, WavefrontTracer), proxy
 
-    def test_resolve_engine_values(self, structures):
+    def test_engine_keyword_values(self, cloud, structures):
+        """"auto" and "wavefront" construct the one batched tracer for
+        every structure and config; "scalar" and a typo never construct
+        one."""
         for proxy in ALL_PROXIES:
             for checkpointing in (False, True):
                 config = TraceConfig(k=4, checkpointing=checkpointing)
                 structure = structures[proxy]
                 with pytest.raises(ValueError, match="'scalar'"):
-                    resolve_engine("scalar", structure, config)
-                assert resolve_engine("auto", structure,
-                                      config) == "wavefront"
-                assert resolve_engine("wavefront", structure,
-                                      config) == "wavefront"
+                    GaussianRayTracer(cloud, structure, config,
+                                      engine="scalar")
+                for engine in ("auto", "wavefront"):
+                    renderer = GaussianRayTracer(cloud, structure, config,
+                                                 engine=engine)
+                    assert isinstance(renderer.packet, WavefrontTracer)
         with pytest.raises(ValueError, match="engine"):
-            resolve_engine("warp", structures["tlas+sphere"], TraceConfig())
+            GaussianRayTracer(cloud, structures["tlas+sphere"], TraceConfig(),
+                              engine="warp")
 
 
 class TestCheckpointingRouting:
@@ -286,8 +287,7 @@ class TestCheckpointingRouting:
 
         request = RenderRequest(scene="train", scale=1 / 4000.0,
                                 width=6, height=6, proxy="tlas+sphere",
-                                mode="grtx", engine="wavefront")
-        assert request.engine_active == "wavefront"
+                                mode="grtx")
         with RenderServer(workers=1) as server:
             batched = server.render(request)
             snapshot = server.metrics.snapshot()

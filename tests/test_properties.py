@@ -19,7 +19,7 @@ from repro.bvh import build_monolithic, build_two_level
 from repro.rt import SceneShading, TraceConfig
 
 from tests.conftest import tiny_cloud
-from tests.scalar_oracle import Tracer
+from tests.scalar_oracle import Tracer, evaluate_hit
 
 
 def _probe_rays(cloud, n_rays: int, seed: int):
@@ -85,7 +85,8 @@ class TestRandomizedInvariants:
             outcome = tracer.trace_ray(o, d)
             brute = []
             for gid in range(len(cloud)):
-                result = shading.evaluate_hit(gid, o, np.asarray(d, dtype=np.float64))
+                result = evaluate_hit(shading, gid, o,
+                                      np.asarray(d, dtype=np.float64))
                 if result is not None:
                     brute.append((result[0], gid))
             brute.sort()

@@ -313,55 +313,50 @@ class TestRenderServer:
 
 
 class TestTracerReuseCache:
-    """Regression: the serial-path tracer-reuse cache used to key by
-    ``(id(cloud), id(structure), k, checkpointing)``.  ``id()`` values
-    are recycled after GC, so a dead scene's id could collide with a new
-    scene and serve a tracer built over the wrong geometry, and the
-    omitted TraceConfig fields let a cached renderer serve a request
-    with a mismatched configuration.  The key must be pure content:
-    scene hash + proxy + build params + engine + the full TraceConfig.
+    """Regression: a serial-path tracer cache keyed by recycled ``id()``s
+    and a partial TraceConfig once served tracers built over the wrong
+    scene or config.  Whatever a serial server reuses, every frame must
+    equal a fresh server's, and the frame cache is keyed by content,
+    never by an engine name.
     """
 
     def test_key_is_content_based(self):
-        from repro.rt import TraceConfig
-        from repro.serve.registry import params_key
-
+        """The one frame-cache entry a render leaves is keyed by the
+        scene's content hash and the request's pixel-changing fields."""
         with RenderServer(workers=1) as server:
             request = _request(proxy="20-tri", mode="baseline")
             response = server.render(request)
-            keys = list(server._tracers._entries)
-        assert len(keys) == 1
-        scene_hash, proxy, pkey, engine, config = keys[0]
-        assert scene_hash == response.scene_hash
-        assert proxy == "20-tri"
-        assert pkey == params_key(server.build_params)
-        assert engine == "wavefront"
-        assert config == TraceConfig(k=request.k, checkpointing=False)
+            keys = list(server._frames._entries)
+        assert keys == [request.frame_key(response.scene_hash)]
+        assert keys[0] == (response.scene_hash, "20-tri", "baseline",
+                           request.k, request.width, request.height,
+                           "pinhole")
 
-    def test_full_config_and_engine_are_in_the_key(self):
-        """Requests differing only in mode (checkpointing) must check out
-        different cached renderers; the key carries the *resolved*
-        engine, so ``auto`` and ``wavefront`` requests share one."""
+    def test_each_mode_equals_a_fresh_servers_frame(self):
+        """Requests differing only in mode (checkpointing) on one serial
+        server each render the frame a fresh server renders."""
+        requests = [_request(proxy="20-tri", mode=mode)
+                    for mode in ("baseline", "grtx")]
         with RenderServer(workers=1) as server:
-            server.render(_request(proxy="20-tri", mode="baseline",
-                                   engine="auto"))
-            server.render(_request(proxy="20-tri", mode="grtx",
-                                   engine="auto"))
-            server.render(_request(proxy="20-tri", mode="baseline",
-                                   engine="wavefront", width=6))
-            keys = list(server._tracers._entries)
-        assert len(keys) == 2
-        configs = {(key[3], key[4].checkpointing) for key in keys}
-        assert configs == {("wavefront", False), ("wavefront", True)}
+            images = [server.render(request).image for request in requests]
+            assert server.metrics.snapshot()["rendered"] == 2
+        for request, image in zip(requests, images):
+            with RenderServer(workers=1) as fresh:
+                np.testing.assert_array_equal(fresh.render(request).image,
+                                              image)
 
-    def test_tracer_reuse_across_frames_of_same_scene(self):
-        """Same scene + config at a different frame size reuses the one
-        cached renderer (the key holds no per-frame fields)."""
+    def test_frames_of_one_scene_equal_fresh_servers(self):
+        """Same scene + config at two frame sizes on one server: both
+        frames render and each equals a fresh server's."""
+        requests = [_request(proxy="20-tri", width=8, height=8),
+                    _request(proxy="20-tri", width=6, height=6)]
         with RenderServer(workers=1) as server:
-            server.render(_request(proxy="20-tri", width=8, height=8))
-            server.render(_request(proxy="20-tri", width=6, height=6))
-            assert len(server._tracers) == 1
+            images = [server.render(request).image for request in requests]
         assert server.metrics.snapshot()["rendered"] == 2
+        for request, image in zip(requests, images):
+            with RenderServer(workers=1) as fresh:
+                np.testing.assert_array_equal(fresh.render(request).image,
+                                              image)
 
     def test_distinct_scene_content_never_shares_a_tracer(self):
         """Different seeds generate different geometry; both images must
@@ -370,24 +365,29 @@ class TestTracerReuseCache:
         with RenderServer(workers=1) as server:
             img_a = server.render(a).image
             img_b = server.render(b).image
-            assert len(server._tracers) == 2
         for request, image in ((a, img_a), (b, img_b)):
             with RenderServer(workers=1) as fresh:
                 np.testing.assert_array_equal(fresh.render(request).image, image)
         assert not np.array_equal(img_a, img_b)
 
-    def test_engine_is_part_of_frame_key(self):
-        """The frame key ends with the resolved engine: an ``auto`` and a
-        ``wavefront`` request share one rendered frame, and that frame
+    def test_auto_and_wavefront_share_one_frame(self):
+        """The frame key names no engine: an ``auto`` and a
+        ``wavefront`` request share one cache entry in every mode
+        (checkpointing included) and one rendered frame, and that frame
         matches the scalar oracle within the parity bound."""
+        for mode in ("baseline", "grtx"):
+            assert (_request(proxy="20-tri", mode=mode,
+                             engine="auto").frame_key("h")
+                    == _request(proxy="20-tri", mode=mode,
+                                engine="wavefront").frame_key("h"))
         auto = _request(proxy="20-tri", mode="baseline", engine="auto")
         explicit = _request(proxy="20-tri", mode="baseline",
                             engine="wavefront")
-        assert auto.frame_key("h")[-1] == explicit.frame_key("h")[-1] == "wavefront"
         with RenderServer(workers=1) as server:
             first = server.render(auto)
             second = server.render(explicit)
             scalar = render_request_scalar(server, auto)
+        assert not first.frame_cache_hit
         assert second.frame_cache_hit
         assert server.metrics.snapshot()["rendered"] == 1
         assert np.abs(scalar.image - first.image).max() <= 1e-9
@@ -396,25 +396,6 @@ class TestTracerReuseCache:
         with pytest.raises(ValueError):
             _request(engine="quantum")
 
-    def test_auto_resolves_before_frame_keying(self):
-        """The frame key carries the *effective* engine, so auto and an
-        equivalent explicit engine share one cache entry, and auto
-        resolves to the wavefront engine in every mode (checkpointing
-        included)."""
-        auto = _request(proxy="tlas+sphere", mode="baseline", engine="auto")
-        explicit = _request(proxy="tlas+sphere", mode="baseline",
-                            engine="wavefront")
-        assert auto.engine_active == "wavefront"
-        assert auto.frame_key("h") == explicit.frame_key("h")
-        checkpointed = _request(proxy="tlas+sphere", mode="grtx",
-                                engine="auto")
-        assert checkpointed.engine_active == "wavefront"
-        with RenderServer(workers=1) as server:
-            first = server.render(auto)
-            second = server.render(explicit)
-        assert not first.frame_cache_hit
-        assert second.frame_cache_hit
-
     def test_two_level_packet_request_serves_packet_frames(self):
         """tlas+sphere (the paper's structure) requested on the batched
         engine renders on the wavefront engine through the whole serving
@@ -422,7 +403,6 @@ class TestTracerReuseCache:
         bound."""
         request = _request(proxy="tlas+sphere", mode="baseline",
                            engine="wavefront")
-        assert request.engine_active == "wavefront"
         with RenderServer(workers=1) as server:
             packet = server.render(request)
             scalar = render_request_scalar(server, request)

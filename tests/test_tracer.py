@@ -27,7 +27,7 @@ from repro.render import GaussianRayTracer, default_camera_for, psnr
 from repro.rt import RayTrace, SceneShading, TraceConfig
 
 from tests.conftest import tiny_cloud
-from tests.scalar_oracle import Tracer, render_scalar
+from tests.scalar_oracle import Tracer, evaluate_hit, render_scalar
 
 
 def render_image(cloud, structure, config, res=10):
@@ -248,6 +248,9 @@ class TestTracerUnit:
 
 
 class TestShadingKernel:
+    """The scalar oracle's per-ray canonical any-hit evaluation, which
+    the engine's batched ``shade_and_blend`` mirrors."""
+
     def test_evaluate_hit_consistent_with_reference_alpha(self):
         """The object-space alpha must match the covariance-space formula
         of Section II-B (gaussian_alpha_along_ray)."""
@@ -259,7 +262,7 @@ class TestShadingKernel:
         for gid in range(32):
             origin = cloud.means[gid] + rng.uniform(2, 4) * np.array([1.0, 0.2, -0.1])
             direction = cloud.means[gid] - origin + rng.normal(0, 0.05, 3)
-            result = shading.evaluate_hit(gid, origin, direction)
+            result = evaluate_hit(shading, gid, origin, direction)
             if result is None:
                 continue
             hits += 1
@@ -277,7 +280,7 @@ class TestShadingKernel:
         for gid in range(16):
             origin = cloud.means[gid] + np.array([3.0, 0.1, 0.05])
             direction = cloud.means[gid] - origin
-            result = shading.evaluate_hit(gid, origin, direction)
+            result = evaluate_hit(shading, gid, origin, direction)
             if result is None:
                 continue
             t_entry, _ = result
@@ -290,8 +293,8 @@ class TestShadingKernel:
         cloud.means[0] = [0.0, 0.0, 0.0]
         cloud.scales[0] = [0.1, 0.1, 0.1]
         shading = SceneShading(cloud)
-        assert shading.evaluate_hit(0, np.array([-5.0, 3.0, 0.0]),
-                                    np.array([1.0, 0.0, 0.0])) is None
+        assert evaluate_hit(shading, 0, np.array([-5.0, 3.0, 0.0]),
+                            np.array([1.0, 0.0, 0.0])) is None
 
     def test_behind_origin_returns_none(self):
         cloud = tiny_cloud(n=1, seed=14)
@@ -299,5 +302,5 @@ class TestShadingKernel:
         cloud.scales[0] = [0.2, 0.2, 0.2]
         cloud.rotations[0] = [1.0, 0.0, 0.0, 0.0]
         shading = SceneShading(cloud)
-        assert shading.evaluate_hit(0, np.array([5.0, 0.0, 0.0]),
-                                    np.array([1.0, 0.0, 0.0])) is None
+        assert evaluate_hit(shading, 0, np.array([5.0, 0.0, 0.0]),
+                            np.array([1.0, 0.0, 0.0])) is None

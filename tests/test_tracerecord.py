@@ -237,8 +237,7 @@ def _render_pairs(monkeypatch, cloud, structure, config, camera,
     wavefront engine's at each recording chunk."""
     scalar = render_scalar(cloud, structure, camera, config,
                            objects=objects, keep_traces=True)
-    wavefront = GaussianRayTracer(cloud, structure, config,
-                                  engine="wavefront")
+    wavefront = GaussianRayTracer(cloud, structure, config)
     for packet in _record_at_each_chunk(
             monkeypatch, lambda: wavefront.render(camera, objects=objects,
                                                   keep_traces=True)):
@@ -375,8 +374,8 @@ class TestTraceEquivalence:
         result, spans = _with_spans(
             "rt.wavefront.record",
             lambda: GaussianRayTracer(
-                cloud, structures["20-tri"], TraceConfig(k=4),
-                engine="wavefront").render(camera, keep_traces=True))
+                cloud, structures["20-tri"], TraceConfig(k=4)).render(
+                    camera, keep_traces=True))
         assert tracerecord._MAX_RECORD_PACKET == 16
         assert spans == [{
             "rays": 144, "chunks": 9, "lanes": 2, "kernel": "c",
@@ -394,8 +393,8 @@ class TestTraceEquivalence:
         _, (args,) = _with_spans(
             "rt.wavefront.record",
             lambda: GaussianRayTracer(
-                cloud, structures[proxy], TraceConfig(k=4),
-                engine="wavefront").render(camera, keep_traces=True))
+                cloud, structures[proxy], TraceConfig(k=4)).render(
+                    camera, keep_traces=True))
         assert {name: args[name] for name in RECORD_WORK[proxy]} \
             == RECORD_WORK[proxy]
 
@@ -474,13 +473,11 @@ class TestTraceEquivalence:
 
         config = TraceConfig(k=4)
         camera = default_camera_for(cloud, 8, 8)
-        ref = GaussianRayTracer(cloud, structures["tlas+sphere"], config,
-                                engine="wavefront").render(
-            camera, keep_traces=True)
+        ref = GaussianRayTracer(cloud, structures["tlas+sphere"],
+                                config).render(camera, keep_traces=True)
         with TileScheduler(tile_size=(4, 4), workers=2) as scheduler:
             pooled = scheduler.render(cloud, structures["tlas+sphere"],
-                                      config, camera, keep_traces=True,
-                                      engine="wavefront")
+                                      config, camera, keep_traces=True)
         assert np.array_equal(ref.image, pooled.image)
         assert len(pooled.traces) == len(ref.traces)
         ref_ms = sorted(tuple(sorted(t.fetch_multiset().items()))
